@@ -33,7 +33,6 @@ from .core import (
     emitted_edges,
     format_set,
     generate_lattice,
-    is_infinite_emitter,
     is_ultraset,
     reachable_from,
     reaches,
@@ -45,7 +44,6 @@ from .fileformat import ParseError, emit, emit_file, parse, parse_file
 from .fixtures import FIXTURES, gw, gx, gy
 from .groupoid import (
     Bisection,
-    BoundaryPath,
     CheckReport,
     CheckResult,
     CKFamily,
@@ -64,7 +62,6 @@ from .groupoid import (
     check_set_identities,
     ck_family,
     compose,
-    compute_Y_infinity,
     cylinder_member,
     groupoid_element,
     inverse,

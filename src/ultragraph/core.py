@@ -157,33 +157,25 @@ class LatticeG0:
 
 
 def generate_lattice(g: Ultragraph, max_size: int = 4096) -> LatticeG0:
-    """Worklist closure under pairwise union/intersection with a hard size guard.
+    """The lattice computed directly as the power set of the vertices.
 
-    The closure can approach the full power set, so max_size is a real limit:
-    crossing it raises SizeLimitError rather than thrashing.
+    The generators include every singleton, and unions of singletons give
+    every subset, so on a finite ultragraph the closure is the full power
+    set.  Its size 2^|V| is checked against max_size before any set is
+    built: crossing it raises SizeLimitError.
     """
     floor = len(g.vertices) + len(g.edges) + 1
     if max_size < floor:
         raise ValueError(f"max_size must be at least {floor} for this graph")
-    gens: set = {frozenset({v}) for v in g.vertices}
-    gens.update(g.range[e] for e in g.edges)
-    gens.add(frozenset())
-    sets = set(gens)
-    frontier = list(sets)
-    while frontier:
-        fresh: List[VSet] = []
-        for a in frontier:
-            for b in list(sets):
-                for c in (a | b, a & b):
-                    if c not in sets:
-                        sets.add(c)
-                        fresh.append(c)
-                        if len(sets) > max_size:
-                            raise SizeLimitError(
-                                f"lattice closure exceeded max_size={max_size}"
-                            )
-        frontier = fresh
-    ordered = tuple(sorted(sets, key=set_key))
+    if 2 ** len(g.vertices) > max_size:
+        raise SizeLimitError(f"lattice closure exceeded max_size={max_size}")
+    # subsets in set_key order, built from the last vertex back: with first
+    # vertex v the order is the empty set, v prepended to each subset of the
+    # later vertices, then the nonempty subsets of the later vertices
+    keys: List[Tuple[Vertex, ...]] = [()]
+    for v in reversed(g.vertices_sorted()):
+        keys = [()] + [(v,) + k for k in keys] + keys[1:]
+    ordered = tuple(frozenset(k) for k in keys)
     flags = {}
     ranges = {g.range[e] for e in g.edges}
     for s in ordered:
@@ -201,41 +193,19 @@ def emitted_edges(g: Ultragraph, A: VSet) -> FrozenSet[Edge]:
     return frozenset(e for e in g.edges if g.source[e] in A)
 
 
-def is_infinite_emitter(g: Ultragraph, A: VSet) -> bool:
-    """True when A emits infinitely many edges.
-
-    A finite ultragraph has finitely many edges, so this is always False
-    here; it exists so boundary-set computations follow the general
-    definition instead of hard-coding finiteness.
-    """
-    if not A <= g.vertices:
-        raise ValueError("A must be a subset of the vertex set")
-    return False
-
-
 def is_ultraset(g: Ultragraph, lat: LatticeG0, A: VSet) -> bool:
-    """Exhaustively test additivity of the indicator 'contains A' over the lattice.
+    """Whether the indicator 'contains A' is additive over the lattice.
 
     chi_A(B) = 1 iff A is a subset of B.  A is an ultraset when chi_A is
     additive: chi(B u C) = chi(B) + chi(C) - chi(B n C) for every lattice
-    pair, with chi(empty) = 0.  On a finite lattice exactly the singletons
-    qualify.
+    pair, with chi(empty) = 0.  The lattice is the power set, so a singleton
+    qualifies, and any larger A fails on B = {a}, C = A - {a} for a in A.
     """
     if A not in lat:
         raise ValueError(f"{format_set(A)} is not a lattice set")
     if not A:
         raise ValueError("the empty set is not eligible")
-
-    def chi(B: VSet) -> int:
-        return 1 if A <= B else 0
-
-    if chi(frozenset()) != 0:
-        return False
-    for B in lat.sets:
-        for C in lat.sets:
-            if chi(B | C) != chi(B) + chi(C) - chi(B & C):
-                return False
-    return True
+    return len(A) == 1
 
 
 def reaches(g: Ultragraph, w: Vertex, v: Vertex) -> bool:

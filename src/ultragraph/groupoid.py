@@ -17,15 +17,13 @@ from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
     Edge,
-    GraphStructureError,
     LatticeG0,
+    SizeLimitError,
     Ultragraph,
     VSet,
     edge_adjacency,
     emitted_edges,
     format_set,
-    is_infinite_emitter,
-    is_ultraset,
     reaches,
     require_no_sinks,
     set_key,
@@ -36,7 +34,6 @@ from .paths import (
     concat,
     concat_lasso,
     enumerate_lassos,
-    enumerate_paths,
     initial_segment,
     lasso_source,
     shift_n,
@@ -76,108 +73,44 @@ class CheckReport:
 
 
 @dataclass(frozen=True)
-class BoundaryPath:
-    """A point of the boundary: an infinite path, or one of the finite
-    ultrapaths whose range is an ultraset emitting infinitely many edges.
-    The finite kind cannot occur over a finite ultragraph, so constructing
-    one is an error rather than a value.
-    """
-
-    path: Optional[Ultrapath] = None
-    ray: Optional[LassoPath] = None
-
-    def __post_init__(self):
-        if (self.path is None) == (self.ray is None):
-            raise ValueError("exactly one of path and ray must be set")
-
-    @classmethod
-    def from_lasso(cls, x: LassoPath) -> "BoundaryPath":
-        return cls(ray=x)
-
-    @classmethod
-    def from_finite(
-        cls, g: Ultragraph, lat: LatticeG0, x: Ultrapath
-    ) -> "BoundaryPath":
-        if is_ultraset(g, lat, x.terminal) and is_infinite_emitter(g, x.terminal):
-            return cls(path=x)
-        raise GraphStructureError(
-            "finite boundary points need an infinite-emitter ultraset range; "
-            "no finite ultragraph has one"
-        )
-
-    def __str__(self) -> str:
-        return str(self.path if self.path is not None else self.ray)
-
-
-def _as_ray(b) -> LassoPath:
-    if isinstance(b, LassoPath):
-        return b
-    if b.ray is None:
-        raise ValueError("finite boundary points do not occur here")
-    return b.ray
-
-
-def compute_Y_infinity(
-    g: Ultragraph, lat: LatticeG0, max_len: int = 2
-) -> Tuple[Ultrapath, ...]:
-    """Ultrapaths up to max_len whose range is an infinite-emitter ultraset.
-
-    Empty over every finite ultragraph, which is asserted: the boundary
-    then consists of the infinite paths alone.
-    """
-    hits = tuple(
-        y
-        for y in enumerate_paths(g, lat, max_len)
-        if is_ultraset(g, lat, y.terminal) and is_infinite_emitter(g, y.terminal)
-    )
-    assert not hits, "a finite ultragraph produced an infinite emitter"
-    return hits
-
-
-@dataclass(frozen=True)
 class GroupoidElement:
-    """Triple (left, lag, right) of boundary paths sharing a tail.
+    """Triple (left, lag, right) of boundary points sharing a tail.
 
     The witness (x, y, mu) with left = x.mu, right = y.mu, matching ranges
     and lag = length(x) - length(y) is derived data: it is excluded from
     equality, and the factory always picks the witness with the shortest x.
     """
 
-    left: BoundaryPath
+    left: LassoPath
     lag: int
-    right: BoundaryPath
+    right: LassoPath
     witness: Tuple[Ultrapath, Ultrapath, LassoPath] = field(compare=False, repr=False)
 
     def __str__(self) -> str:
         return f"({self.left}, {self.lag:+d}, {self.right})"
 
 
-def groupoid_element(g: Ultragraph, left, lag: int, right) -> GroupoidElement:
+def groupoid_element(
+    g: Ultragraph, left: LassoPath, lag: int, right: LassoPath
+) -> GroupoidElement:
     """Validated construction: hunts for the least strip depth n with
     shift^n(left) = shift^(n-lag)(right) and builds the witness there.
     Raises ValueError when the rays never merge at this lag."""
-    l = _as_ray(left)
-    r = _as_ray(right)
     lo = max(lag, 0)
-    settle = max(len(l.prefix), len(r.prefix) + lag, lo)
-    hi = settle + math.lcm(len(l.cycle), len(r.cycle))
+    settle = max(len(left.prefix), len(right.prefix) + lag, lo)
+    hi = settle + math.lcm(len(left.cycle), len(right.cycle))
     for n in range(lo, hi + 1):
-        if shift_n(l, n) == shift_n(r, n - lag):
-            mu = shift_n(l, n)
-            x_word = unroll(l, n)
-            y_word = unroll(r, n - lag)
+        if shift_n(left, n) == shift_n(right, n - lag):
+            mu = shift_n(left, n)
+            x_word = unroll(left, n)
+            y_word = unroll(right, n - lag)
             if x_word and y_word:
                 T = g.range[x_word[-1]] & g.range[y_word[-1]]
             else:
                 T = frozenset({lasso_source(g, mu)})
             witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
-            return GroupoidElement(
-                left=BoundaryPath.from_lasso(l),
-                lag=lag,
-                right=BoundaryPath.from_lasso(r),
-                witness=witness,
-            )
-    raise ValueError(f"no shared tail: {l} and {r} at lag {lag}")
+            return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
+    raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
 
 
 def compose(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> Optional[GroupoidElement]:
@@ -192,7 +125,7 @@ def inverse(a: GroupoidElement) -> GroupoidElement:
     return GroupoidElement(left=a.right, lag=-a.lag, right=a.left, witness=(y, x, mu))
 
 
-def unit_at(g: Ultragraph, point) -> GroupoidElement:
+def unit_at(g: Ultragraph, point: LassoPath) -> GroupoidElement:
     return groupoid_element(g, point, 0, point)
 
 
@@ -218,10 +151,10 @@ def bisection_member(g: Ultragraph, b: Bisection, a: GroupoidElement) -> bool:
     x, y = b.generator.left, b.generator.right
     if a.lag != x.length - y.length:
         return False
-    mu1 = strip_lasso(g, _as_ray(a.left), x)
+    mu1 = strip_lasso(g, a.left, x)
     if mu1 is None:
         return False
-    mu2 = strip_lasso(g, _as_ray(a.right), y)
+    mu2 = strip_lasso(g, a.right, y)
     return mu2 is not None and mu1 == mu2
 
 
@@ -266,17 +199,16 @@ def make_cylinder(
     return CylinderSet(base=base, excluded_edges=K, excluded_sets=Q)
 
 
-def cylinder_member(g: Ultragraph, x, cyl: CylinderSet) -> bool:
-    ray = _as_ray(x)
-    if strip_lasso(g, ray, cyl.base) is None:
+def cylinder_member(g: Ultragraph, x: LassoPath, cyl: CylinderSet) -> bool:
+    if strip_lasso(g, x, cyl.base) is None:
         return False
     for e in sorted(cyl.excluded_edges):
         ext = Ultrapath(cyl.base.word + (e,), g.range[e])
-        if strip_lasso(g, ray, ext) is not None:
+        if strip_lasso(g, x, ext) is not None:
             return False
     for C in sorted(cyl.excluded_sets, key=set_key):
         t = cyl.base.terminal & C
-        if t and strip_lasso(g, ray, Ultrapath(cyl.base.word, t)) is not None:
+        if t and strip_lasso(g, x, Ultrapath(cyl.base.word, t)) is not None:
             return False
     return True
 
@@ -286,12 +218,6 @@ def _grow(adj, seeds: Iterable[Tuple[Edge, ...]], steps: int) -> List[Tuple[Edge
     for _ in range(steps):
         layer = [w + (f,) for w in layer for f in adj[w[-1]]]
     return layer
-
-
-def _pure_words(g, adj, sources: VSet, depth: int) -> List[Tuple[Edge, ...]]:
-    """Depth-d edge words starting at a vertex of the given set."""
-    seeds = [(e,) for e in g.edges_sorted() if g.source[e] in sources]
-    return _grow(adj, seeds, depth - 1)
 
 
 def _cylinder_words(g, adj, cyl: CylinderSet, depth: int) -> List[Tuple[Edge, ...]]:
@@ -429,7 +355,8 @@ def check_family(
     )
 
     # the empty set indexes the zero projection: no depth-d words at all
-    zero_words = _pure_words(g, adj, frozenset(), depth)
+    empty = CylinderSet(Ultrapath((), frozenset()))
+    zero_words = _cylinder_words(g, adj, empty, depth)
     zero_ok = not zero_words and frozenset() not in fam.projections
     entries.append(CheckResult("projection_of_empty_set_is_zero", zero_ok))
 
@@ -563,7 +490,9 @@ def check_set_identities(
 
         def words_for(A: VSet, depth=depth, memo=memo) -> frozenset:
             if A not in memo:
-                memo[A] = frozenset(_pure_words(g, adj, A, depth))
+                memo[A] = frozenset(
+                    _cylinder_words(g, adj, CylinderSet(Ultrapath((), A)), depth)
+                )
             return memo[A]
 
         bad_meet: List[str] = []
@@ -620,13 +549,12 @@ def build_elements(
             right = concat_lasso(g, y, mu)
             out.add(groupoid_element(g, left, x.length - y.length, right))
             if len(out) > max_count:
-                raise ValueError(f"element build exceeded max_count={max_count}")
+                raise SizeLimitError(f"element build exceeded max_count={max_count}")
     return tuple(sorted(out, key=_elem_key))
 
 
 def _elem_key(a: GroupoidElement):
-    l, r = _as_ray(a.left), _as_ray(a.right)
-    return (l.prefix, l.cycle, a.lag, r.prefix, r.cycle)
+    return (a.left.prefix, a.left.cycle, a.lag, a.right.prefix, a.right.cycle)
 
 
 def check_groupoid_laws(
@@ -649,7 +577,7 @@ def check_groupoid_laws(
             bad.append(str(a))
     entries.append(CheckResult("units_and_inverses", not bad, tuple(bad[:5])))
 
-    by_left: Dict[BoundaryPath, List[GroupoidElement]] = {}
+    by_left: Dict[LassoPath, List[GroupoidElement]] = {}
     for a in elements:
         by_left.setdefault(a.left, []).append(a)
     pair_memo: Dict[Tuple[int, int], Optional[GroupoidElement]] = {}
@@ -669,7 +597,7 @@ def check_groupoid_laws(
             for c in by_left.get(b.right, ()):
                 count += 1
                 if count > max_triples:
-                    raise ValueError("too many composable triples for this sample")
+                    raise SizeLimitError("too many composable triples for this sample")
                 bc = mul(b, c)
                 lhs = None if ab is None else compose(g, ab, c)
                 rhs = None if bc is None else compose(g, a, bc)
@@ -688,7 +616,7 @@ def split_through(
     prod = product(g, s, t)
     if prod.is_omega:
         return None
-    mu = strip_lasso(g, _as_ray(c.left), prod.left)
+    mu = strip_lasso(g, c.left, prod.left)
     if mu is None:
         return None
     w, z = s.left, s.right
@@ -699,8 +627,8 @@ def split_through(
         mid = concat_lasso(g, z, mu)
     if mid is None:
         return None
-    a1 = groupoid_element(g, _as_ray(c.left), w.length - z.length, mid)
-    a2 = groupoid_element(g, mid, x.length - y.length, _as_ray(c.right))
+    a1 = groupoid_element(g, c.left, w.length - z.length, mid)
+    a2 = groupoid_element(g, mid, x.length - y.length, c.right)
     return a1, a2
 
 
@@ -780,11 +708,11 @@ def check_hausdorff(
 def _separated(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> bool:
     x, y, mu = a.witness
     base = Bisection(SGElement(x, y))
-    assert bisection_member(g, base, a)
+    if not bisection_member(g, base, a):
+        raise RuntimeError(f"{a} is not in its own witness slice")
     if not bisection_member(g, base, b):
         return True
-    rb = _as_ray(b.left)
-    ra = _as_ray(a.left)
+    ra, rb = a.left, b.left
     bound = (
         max(len(ra.prefix), len(rb.prefix))
         + math.lcm(len(ra.cycle), len(rb.cycle))
@@ -795,9 +723,11 @@ def _separated(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> bool:
         u = Ultrapath(u_word, g.range[u_word[-1]])
         deeper_x = concat(g, x, u)
         deeper_y = concat(g, y, u)
-        assert deeper_x is not None and deeper_y is not None
+        if deeper_x is None or deeper_y is None:
+            raise RuntimeError(f"witness of {a} does not extend along its tail")
         deeper = Bisection(SGElement(deeper_x, deeper_y))
-        assert bisection_member(g, deeper, a)
+        if not bisection_member(g, deeper, a):
+            raise RuntimeError(f"{a} is not in its deepened witness slice")
         if not bisection_member(g, deeper, b):
             return True
     return False

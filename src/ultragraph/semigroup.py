@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from .core import LatticeG0, Ultragraph, set_key
+from .core import LatticeG0, SizeLimitError, Ultragraph, set_key
 from .paths import (
     LassoPath,
     Ultrapath,
@@ -60,7 +60,7 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     (w . x', y) for the remainder x'; if z extends x it is (w, y . z');
     and when both inner coordinates are length zero with overlapping sets
     the product is (w . range(y), y . range(w)).  When several rules apply
-    their results coincide, which is asserted.
+    their results coincide, which is checked.
     """
     if s.is_omega or t.is_omega:
         return OMEGA
@@ -71,25 +71,29 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     rem = initial_segment(g, x, z)
     if rem is not None:
         grown = concat(g, w, rem)
-        assert grown is not None
+        if grown is None:
+            raise RuntimeError("remainder of x does not extend w")
         results.append(SGElement(grown, y))
 
     rem = initial_segment(g, z, x)
     if rem is not None:
         grown = concat(g, y, rem)
-        assert grown is not None
+        if grown is None:
+            raise RuntimeError("remainder of z does not extend y")
         results.append(SGElement(w, grown))
 
     if not z.word and not x.word and (z.terminal & x.terminal):
         a = concat(g, w, Ultrapath((), x.terminal))
         b = concat(g, y, Ultrapath((), z.terminal))
-        assert a is not None and b is not None
+        if a is None or b is None:
+            raise RuntimeError("overlapping length-zero sets do not extend")
         results.append(SGElement(a, b))
 
     if not results:
         return OMEGA
     first = results[0]
-    assert all(r == first for r in results[1:]), "overlapping rules disagree"
+    if any(r != first for r in results[1:]):
+        raise RuntimeError("overlapping rules disagree")
     return first
 
 
@@ -148,7 +152,7 @@ def generate_elements(
             for y in group:
                 out.append(SGElement(x, y))
                 if len(out) > max_count:
-                    raise ValueError(
+                    raise SizeLimitError(
                         f"element generation exceeded max_count={max_count}"
                     )
     return out

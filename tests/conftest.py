@@ -108,6 +108,44 @@ def powerset_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
+def closure_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
+    """Worklist oracle for the vertex-set lattice: close the generators
+    (every singleton, every edge range and the empty set) under pairwise
+    union and intersection, following the definition instead of the
+    power-set shortcut."""
+    sets = {frozenset({v}) for v in g.vertices}
+    sets.update(g.range[e] for e in g.edges)
+    sets.add(frozenset())
+    frontier = list(sets)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(sets):
+                for c in (a | b, a & b):
+                    if c not in sets:
+                        sets.add(c)
+                        fresh.append(c)
+        frontier = fresh
+    return tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
+
+
+def additive_indicator(lattice_sets, A: frozenset) -> bool:
+    """Ultraset oracle by exhaustive scan: the indicator chi(B) = [A <= B]
+    vanishes on the empty set and satisfies chi(B u C) = chi(B) + chi(C) -
+    chi(B n C) for every pair of lattice sets."""
+
+    def chi(B: frozenset) -> int:
+        return 1 if A <= B else 0
+
+    if chi(frozenset()) != 0:
+        return False
+    return all(
+        chi(B | C) == chi(B) + chi(C) - chi(B & C)
+        for B in lattice_sets
+        for C in lattice_sets
+    )
+
+
 def cofinal_by_lassos(g: Ultragraph) -> Tuple[bool, Optional[tuple]]:
     """Cofinality oracle by exhaustive enumeration of pure cycles.
 

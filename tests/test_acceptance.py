@@ -51,6 +51,7 @@ from ultragraph import (
 from ultragraph.cli import main as cli_main
 
 from conftest import (
+    closure_lattice,
     cofinal_by_lassos,
     cofinal_by_lassos_full,
     dp_loop_count,
@@ -181,10 +182,14 @@ def test_criterion_04_lattice_generation_with_oracle():
     for g in graphs:
         lat = generate_lattice(g)
         assert lat.sets == powerset_lattice(g)
+        assert lat.sets == closure_lattice(g)
         for a in lat.sets:
             for b in lat.sets:
                 assert (a | b) in lat and (a & b) in lat
-    print("CRITERION 04 PASS: lattice matches the power-set oracle on 23 graphs")
+    print(
+        "CRITERION 04 PASS: lattice matches the closure and power-set "
+        "oracles on 23 graphs"
+    )
 
 
 def test_criterion_05_cylinder_set_identities():

@@ -107,6 +107,22 @@ def test_size_limit_exits_one(capsys):
     assert "size_limit" in out
 
 
+def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
+    # one vertex with 8 loops: 585 ultrapaths of length <= 3, so 585^2
+    # range-matched pairs, past generate_elements' default max_count
+    bouquet = tmp_path / "bouquet.ug"
+    bouquet.write_text(
+        "ultragraph\nvertex v\n" + "".join(f"edge e{i} v {{ v }}\n" for i in range(8))
+    )
+    code, out, err = run(
+        ["semigroup", str(bouquet), "--max-len", "3", "--format", "json"], capsys
+    )
+    assert code == 1, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+    assert "max_count=200000" in checks[0]["witnesses"][0]
+
+
 def test_precondition_violations_exit_two(tmp_path, capsys):
     code, _, err = run(["ck", GX, "--depth", "1"], capsys)
     assert code == 2 and "depth" in err

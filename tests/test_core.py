@@ -11,7 +11,6 @@ from ultragraph import (
     edge_adjacency,
     emitted_edges,
     generate_lattice,
-    is_infinite_emitter,
     is_ultraset,
     reachable_from,
     reaches,
@@ -20,7 +19,12 @@ from ultragraph import (
     validate,
 )
 
-from conftest import powerset_lattice, random_ultragraph
+from conftest import (
+    additive_indicator,
+    closure_lattice,
+    powerset_lattice,
+    random_ultragraph,
+)
 
 
 def fz(*names):
@@ -69,6 +73,7 @@ def test_edge_adjacency_branch(g_branch):
 def test_lattice_branch_is_full_power_set(g_branch, branch_lattice):
     assert len(branch_lattice) == 8
     assert branch_lattice.sets == powerset_lattice(g_branch)
+    assert branch_lattice.sets == closure_lattice(g_branch)
     assert branch_lattice.generator_flags[fz("v")] == "singleton"
     assert branch_lattice.generator_flags[fz("u", "w")] == "edge-range"
     assert branch_lattice.generator_flags[fz("u", "v")] == "derived"
@@ -88,6 +93,7 @@ def test_lattice_closure_and_oracle_on_random_graphs():
         g = random_ultragraph(rng)
         lat = generate_lattice(g)
         assert lat.sets == powerset_lattice(g)
+        assert lat.sets == closure_lattice(g)
         for a in lat.sets:
             for b in lat.sets:
                 assert (a | b) in lat
@@ -107,16 +113,15 @@ def test_emitted_edges(g_branch):
     assert emitted_edges(g_branch, frozenset()) == frozenset()
 
 
-def test_no_infinite_emitters(g_branch):
-    for A in generate_lattice(g_branch).sets:
-        assert not is_infinite_emitter(g_branch, A)
-    with pytest.raises(ValueError):
-        is_infinite_emitter(g_branch, fz("nope"))
-
-
 def test_ultrasets_are_exactly_singletons(g_branch, branch_lattice):
     for A in branch_lattice.nonempty():
         assert is_ultraset(g_branch, branch_lattice, A) == (len(A) == 1)
+    rng = random.Random(31)
+    for _ in range(20):
+        g = random_ultragraph(rng, max_vertices=5)
+        lat = generate_lattice(g)
+        for A in lat.nonempty():
+            assert is_ultraset(g, lat, A) == additive_indicator(lat.sets, A)
     with pytest.raises(ValueError):
         is_ultraset(g_branch, branch_lattice, frozenset())
     with pytest.raises(ValueError):

@@ -6,11 +6,11 @@ import pytest
 
 from ultragraph import (
     Bisection,
-    BoundaryPath,
     CylinderSet,
     EMPTY_BISECTION,
     GraphStructureError,
     SGElement,
+    SizeLimitError,
     Ultragraph,
     Ultrapath,
     bisection_member,
@@ -25,7 +25,6 @@ from ultragraph import (
     check_set_identities,
     ck_family,
     compose,
-    compute_Y_infinity,
     cylinder_member,
     edge_path,
     enumerate_lassos,
@@ -59,19 +58,6 @@ def t_edge(g, e):
 # --- boundary paths and groupoid elements ---
 
 
-def test_boundary_path_kinds(g_branch, branch_lattice):
-    ray = make_lasso(g_branch, (), ("e", "f"))
-    b = BoundaryPath.from_lasso(ray)
-    assert b.ray == ray and b.path is None
-    with pytest.raises(ValueError):
-        BoundaryPath(path=None, ray=None)
-    with pytest.raises(GraphStructureError):
-        BoundaryPath.from_finite(
-            g_branch, branch_lattice, Ultrapath(("e",), fz("w"))
-        )
-    assert compute_Y_infinity(g_branch, branch_lattice) == ()
-
-
 def test_groupoid_element_minimal_witness(g_branch):
     ef = make_lasso(g_branch, (), ("e", "f"))
     fe = make_lasso(g_branch, (), ("f", "e"))
@@ -96,7 +82,6 @@ def test_groupoid_element_rejects_disjoint_orbits(g_branch):
 def test_witness_excluded_from_equality(g_branch):
     ef = make_lasso(g_branch, (), ("e", "f"))
     a = groupoid_element(g_branch, ef, 2, ef)
-    b1 = BoundaryPath.from_lasso(ef)
     deep = (
         Ultrapath(("e", "f", "e", "f"), fz("v")),
         Ultrapath(("e", "f"), fz("v")),
@@ -104,7 +89,7 @@ def test_witness_excluded_from_equality(g_branch):
     )
     from ultragraph import GroupoidElement
 
-    b = GroupoidElement(left=b1, lag=2, right=b1, witness=deep)
+    b = GroupoidElement(left=ef, lag=2, right=ef, witness=deep)
     assert a == b
     assert hash(a) == hash(b)
 
@@ -369,6 +354,15 @@ def test_build_elements_deterministic(g_branch, branch_lattice):
     b = build_elements(g_branch, branch_lattice, 1, 1, 2)
     assert a == b
     assert len(a) == len(set(a))
+
+
+def test_element_budgets_raise_size_limit(g_branch, branch_lattice):
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    with pytest.raises(SizeLimitError, match="max_count=3"):
+        build_elements(g_branch, branch_lattice, 1, 1, 2, max_count=3)
+    assert check_groupoid_laws(g_branch, els).passed
+    with pytest.raises(SizeLimitError, match="composable triples"):
+        check_groupoid_laws(g_branch, els, max_triples=5)
 
 
 def test_bisection_homomorphism_small(g_branch, branch_lattice):

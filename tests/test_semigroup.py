@@ -10,6 +10,7 @@ from ultragraph import (
     OMEGA_CHARACTER,
     SGElement,
     Semicharacter,
+    SizeLimitError,
     Ultrapath,
     edge_path,
     enumerate_lassos,
@@ -89,6 +90,9 @@ def test_generate_elements_count_and_shape(g_branch, branch_lattice):
         if not s.is_omega:
             assert s.left.terminal == s.right.terminal
     assert len(set(els)) == len(els)
+    # 18 paths fit the budget, their 62 pairs do not
+    with pytest.raises(SizeLimitError, match="element generation"):
+        generate_elements(g_branch, branch_lattice, 2, max_count=30)
 
 
 def test_involution_laws(g_branch, branch_lattice):
