@@ -8,8 +8,9 @@ the integers gives the loop-free cover used to probe AF behaviour.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .core import (
     Edge,
@@ -19,7 +20,6 @@ from .core import (
     edge_adjacency,
     reaches,
     require_no_sinks,
-    set_key,
     validate,
 )
 from .groupoid import CheckResult
@@ -40,22 +40,12 @@ class Loop:
 def loops_at(
     g: Ultragraph, v: Vertex, bound: int, max_count: int = 200_000
 ) -> Tuple[Loop, ...]:
-    """Every first-return loop based at v with length at most bound, by
-    plain depth-first enumeration."""
-    if v not in g.vertices:
-        raise ValueError(f"unknown vertex '{v}'")
+    """Every first-return loop based at v with length at most bound."""
     found: List[Loop] = []
-    stack: List[Tuple[Edge, ...]] = [(e,) for e in g.out_edges(v)]
-    while stack:
-        word = stack.pop()
-        if v in g.range[word[-1]]:
-            found.append(Loop(base=v, word=word))
-            if len(found) > max_count:
-                raise SizeLimitError(f"more than {max_count} loops at '{v}'")
-        if len(word) < bound:
-            for f in g.edges_sorted():
-                if g.source[f] in g.range[word[-1]] and g.source[f] != v:
-                    stack.append(word + (f,))
+    for word in _first_return_words(g, v, bound):
+        found.append(Loop(base=v, word=word))
+        if len(found) > max_count:
+            raise SizeLimitError(f"more than {max_count} loops at '{v}'")
     return tuple(sorted(found, key=lambda l: (len(l.word), l.word)))
 
 
@@ -84,42 +74,40 @@ def _completion_distance(g: Ultragraph, v: Vertex) -> Dict[Vertex, int]:
     return dist
 
 
-def count_first_return_loops(
-    g: Ultragraph, v: Vertex, bound: int, saturate: int = 2
-) -> int:
-    """Number of first-return loops at v of length at most bound, capped at
-    saturate.
-
-    Branches that cannot reach another completion inside the bound are
-    pruned, and the walk stops as soon as the cap is hit, so the result
-    equals min(true count, saturate).
-    """
+def _first_return_words(
+    g: Ultragraph, v: Vertex, bound: int
+) -> Iterator[Tuple[Edge, ...]]:
+    """Every first-return loop word at v of length at most bound, depth
+    first.  A branch is pruned unless it returns now or can still complete
+    a return inside the bound."""
     if v not in g.vertices:
         raise ValueError(f"unknown vertex '{v}'")
+    if bound < 1:
+        return
     dist = _completion_distance(g, v)
-    count = 0
-    stack: List[Tuple[Edge, int]] = [(e, 1) for e in g.out_edges(v)]
+    adj = edge_adjacency(g)
+    # need[f]: least length after f that closes a loop, 0 when f closes one;
+    # edges out of v are left out, since v is never an interior source
+    far = bound + 1
+    need: Dict[Edge, int] = {}
+    for f in g.edges:
+        if g.source[f] != v:
+            rest = min((dist.get(w, far) for w in g.range[f] - {v}), default=far)
+            need[f] = 0 if v in g.range[f] else rest
+    stack: List[Tuple[Edge, ...]] = [(e,) for e in g.out_edges(v)]
     while stack:
-        e, length = stack.pop()
-        if v in g.range[e]:
-            count += 1
-            if count >= saturate:
-                return saturate
-        if length >= bound:
-            continue
-        budget = bound - length - 1
-        for f in g.edges_sorted():
-            u = g.source[f]
-            if u not in g.range[e] or u == v:
-                continue
-            if v in g.range[f]:
-                stack.append((f, length + 1))
-                continue
-            if any(
-                w != v and dist.get(w, bound + 1) <= budget for w in g.range[f]
-            ):
-                stack.append((f, length + 1))
-    return count
+        word = stack.pop()
+        if v in g.range[word[-1]]:
+            yield word
+        budget = bound - len(word) - 1
+        stack.extend(word + (f,) for f in adj[word[-1]] if need.get(f, far) <= budget)
+
+
+def count_first_return_loops(g: Ultragraph, v: Vertex, bound: int) -> int:
+    """Number of first-return loops at v of length at most bound, capped at
+    2: the walk stops at the second loop, so the result equals
+    min(true count, 2)."""
+    return sum(1 for _ in itertools.islice(_first_return_words(g, v, bound), 2))
 
 
 @dataclass(frozen=True)

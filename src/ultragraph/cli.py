@@ -183,6 +183,8 @@ def _cmd_ck(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_analyze(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    if args.bound is not None and args.bound < 1:
+        raise ValueError("--bound must be at least 1")
     sr = simplicity_verdict(g, bound=args.bound)
     counts = " ".join(f"{v}={c}" for v, c in sorted(sr.condition_k.counts.items()))
     checks = [

@@ -9,6 +9,7 @@ reported in a canonical order (lexicographic on vertex names).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 Vertex = str
@@ -35,7 +36,10 @@ def format_set(s: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class Ultragraph:
-    """Vertices, edges, one source vertex per edge, one nonempty range set per edge."""
+    """Vertices, edges, one source vertex per edge, one nonempty range set per edge.
+
+    Never mutate one after construction: its out-edge lists, edge adjacency
+    and reachability sets are derived on first use and cached on it."""
 
     vertices: VSet
     edges: FrozenSet[Edge]
@@ -63,23 +67,36 @@ class Ultragraph:
         return tuple(sorted(self.vertices))
 
     def out_edges(self, v: Vertex) -> Tuple[Edge, ...]:
-        return tuple(e for e in self.edges_sorted() if self.source[e] == v)
+        return self._out_edges.get(v, ())
+
+    @cached_property
+    def _out_edges(self) -> Dict[Vertex, Tuple[Edge, ...]]:
+        out: Dict[Vertex, List[Edge]] = {}
+        for e in self.edges_sorted():
+            out.setdefault(self.source.get(e), []).append(e)
+        return {v: tuple(es) for v, es in out.items()}
+
+    @cached_property
+    def _adjacency(self) -> Dict[Edge, Tuple[Edge, ...]]:
+        # an edge whose source is not a declared vertex follows no edge
+        adj = {}
+        for e in self.edges_sorted():
+            targets = self.range[e] & self.vertices
+            adj[e] = tuple(sorted(f for v in targets for f in self.out_edges(v)))
+        return adj
+
+    @cached_property
+    def _reachable(self) -> Dict[Vertex, VSet]:
+        """Memo filled by reachable_from, one entry per start vertex."""
+        return {}
 
 
 def edge_adjacency(g: Ultragraph) -> Dict[Edge, Tuple[Edge, ...]]:
-    """Successor map on edges: f follows e iff source(f) lies in range(e)."""
-    out: Dict[Vertex, List[Edge]] = {v: [] for v in g.vertices}
-    for e in g.edges_sorted():
-        src = g.source.get(e)
-        if src in out:
-            out[src].append(e)
-    adj = {}
-    for e in g.edges_sorted():
-        succ: List[Edge] = []
-        for v in sorted(g.range[e]):
-            succ.extend(out.get(v, ()))
-        adj[e] = tuple(sorted(set(succ)))
-    return adj
+    """Successor map on edges: f follows e iff source(f) lies in range(e).
+
+    The map is built once per graph and shared by every caller: do not
+    mutate it."""
+    return g._adjacency
 
 
 @dataclass(frozen=True)
@@ -212,24 +229,14 @@ def reaches(g: Ultragraph, w: Vertex, v: Vertex) -> bool:
     """w >= v: either w == v or some path starting at w has v in its range."""
     if w not in g.vertices or v not in g.vertices:
         raise ValueError("both endpoints must be declared vertices")
-    if w == v:
-        return True
-    adj = edge_adjacency(g)
-    frontier = list(g.out_edges(w))
-    seen = set(frontier)
-    while frontier:
-        e = frontier.pop()
-        if v in g.range[e]:
-            return True
-        for f in adj[e]:
-            if f not in seen:
-                seen.add(f)
-                frontier.append(f)
-    return False
+    return v in reachable_from(g, w)
 
 
 def reachable_from(g: Ultragraph, w: Vertex) -> VSet:
-    """All vertices v with w >= v."""
+    """All vertices v with w >= v, computed once per start vertex."""
+    memo = g._reachable
+    if w in memo:
+        return memo[w]
     out = {w}
     adj = edge_adjacency(g)
     frontier = list(g.out_edges(w))
@@ -241,7 +248,8 @@ def reachable_from(g: Ultragraph, w: Vertex) -> VSet:
             if f not in seen:
                 seen.add(f)
                 frontier.append(f)
-    return frozenset(out)
+    memo[w] = frozenset(out)
+    return memo[w]
 
 
 def reaches_set(g: Ultragraph, v: Vertex, A: VSet) -> Optional[Tuple[Edge, ...]]:

@@ -24,7 +24,7 @@ from .core import (
     edge_adjacency,
     emitted_edges,
     format_set,
-    reaches,
+    reachable_from,
     require_no_sinks,
     set_key,
 )
@@ -213,14 +213,7 @@ def cylinder_member(g: Ultragraph, x: LassoPath, cyl: CylinderSet) -> bool:
     return True
 
 
-def _grow(adj, seeds: Iterable[Tuple[Edge, ...]], steps: int) -> List[Tuple[Edge, ...]]:
-    layer = list(seeds)
-    for _ in range(steps):
-        layer = [w + (f,) for w in layer for f in adj[w[-1]]]
-    return layer
-
-
-def _cylinder_words(g, adj, cyl: CylinderSet, depth: int) -> List[Tuple[Edge, ...]]:
+def _cylinder_words(g, cyl: CylinderSet, depth: int) -> List[Tuple[Edge, ...]]:
     base = cyl.base
     n = base.length
     if depth < 1 or depth < n:
@@ -241,8 +234,11 @@ def _cylinder_words(g, adj, cyl: CylinderSet, depth: int) -> List[Tuple[Edge, ..
         for e in g.edges_sorted()
         if g.source[e] in ok_sources and e not in cyl.excluded_edges
     ]
-    seeds = [base.word + (e,) for e in firsts]
-    return _grow(adj, seeds, depth - n - 1)
+    words = [base.word + (e,) for e in firsts]
+    adj = edge_adjacency(g)
+    for _ in range(depth - n - 1):
+        words = [w + (f,) for w in words for f in adj[w[-1]]]
+    return words
 
 
 def refine_words(
@@ -255,10 +251,9 @@ def refine_words(
     depth-d prefix, so two unions agree iff their word tuples agree.
     """
     require_no_sinks(g, "cylinder refinement")
-    adj = edge_adjacency(g)
     words = set()
     for cyl in cylinders:
-        words.update(_cylinder_words(g, adj, cyl, depth))
+        words.update(_cylinder_words(g, cyl, depth))
     return tuple(sorted(words))
 
 
@@ -317,14 +312,13 @@ def check_family(
     require_no_sinks(g, "Cuntz-Krieger verification")
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
-    adj = edge_adjacency(g)
     entries: List[CheckResult] = []
     words_memo: Dict[Ultrapath, Tuple[Tuple[Edge, ...], ...]] = {}
 
     def words_of(base: Ultrapath) -> Tuple[Tuple[Edge, ...], ...]:
         if base not in words_memo:
             words_memo[base] = tuple(
-                sorted(_cylinder_words(g, adj, CylinderSet(base=base), depth))
+                sorted(_cylinder_words(g, CylinderSet(base=base), depth))
             )
         return words_memo[base]
 
@@ -356,7 +350,7 @@ def check_family(
 
     # the empty set indexes the zero projection: no depth-d words at all
     empty = CylinderSet(Ultrapath((), frozenset()))
-    zero_words = _cylinder_words(g, adj, empty, depth)
+    zero_words = _cylinder_words(g, empty, depth)
     zero_ok = not zero_words and frozenset() not in fam.projections
     entries.append(CheckResult("projection_of_empty_set_is_zero", zero_ok))
 
@@ -483,7 +477,6 @@ def check_set_identities(
     slice splits over the edges it emits (there are no finite boundary
     points to add on a finite graph)."""
     require_no_sinks(g, "set identity checks")
-    adj = edge_adjacency(g)
     entries: List[CheckResult] = []
     for depth in depths:
         memo: Dict[VSet, frozenset] = {}
@@ -491,7 +484,7 @@ def check_set_identities(
         def words_for(A: VSet, depth=depth, memo=memo) -> frozenset:
             if A not in memo:
                 memo[A] = frozenset(
-                    _cylinder_words(g, adj, CylinderSet(Ultrapath((), A)), depth)
+                    _cylinder_words(g, CylinderSet(Ultrapath((), A)), depth)
                 )
             return memo[A]
 
@@ -515,7 +508,7 @@ def check_set_identities(
             for e in sorted(emitted_edges(g, A)):
                 cover.update(
                     _cylinder_words(
-                        g, adj, CylinderSet(base=Ultrapath((e,), g.range[e])), depth
+                        g, CylinderSet(base=Ultrapath((e,), g.range[e])), depth
                     )
                 )
             if frozenset(cover) != words_for(A):
@@ -561,7 +554,19 @@ def check_groupoid_laws(
     g: Ultragraph, elements: Sequence[GroupoidElement], max_triples: int = 2_000_000
 ) -> CheckReport:
     """Involution, lag bookkeeping, units, and associativity over every
-    composable pair and triple in the sample."""
+    composable pair and triple in the sample.  The triple count is known
+    from the left-point groups, so max_triples is checked before any law
+    runs."""
+    by_left: Dict[LassoPath, List[GroupoidElement]] = {}
+    for a in elements:
+        by_left.setdefault(a.left, []).append(a)
+    # width[L]: composable pairs (b, c) with b.left == L
+    width = {
+        L: sum(len(by_left.get(b.right, ())) for b in group)
+        for L, group in by_left.items()
+    }
+    if sum(width.get(a.right, 0) for a in elements) > max_triples:
+        raise SizeLimitError("too many composable triples for this sample")
     entries: List[CheckResult] = []
 
     bad = [str(a) for a in elements if inverse(inverse(a)) != a or inverse(a).lag != -a.lag]
@@ -577,9 +582,6 @@ def check_groupoid_laws(
             bad.append(str(a))
     entries.append(CheckResult("units_and_inverses", not bad, tuple(bad[:5])))
 
-    by_left: Dict[LassoPath, List[GroupoidElement]] = {}
-    for a in elements:
-        by_left.setdefault(a.left, []).append(a)
     pair_memo: Dict[Tuple[int, int], Optional[GroupoidElement]] = {}
     index = {id(a): i for i, a in enumerate(elements)}
 
@@ -590,14 +592,10 @@ def check_groupoid_laws(
         return pair_memo[key]
 
     bad = []
-    count = 0
     for a in elements:
         for b in by_left.get(a.right, ()):
             ab = mul(a, b)
             for c in by_left.get(b.right, ()):
-                count += 1
-                if count > max_triples:
-                    raise SizeLimitError("too many composable triples for this sample")
                 bc = mul(b, c)
                 lhs = None if ab is None else compose(g, ab, c)
                 rhs = None if bc is None else compose(g, a, bc)
@@ -743,15 +741,12 @@ def check_orbit_density(
     for delta in lassos:
         for d in range(1, prefix_depth + 1):
             w = unroll(delta, d)
-            rng = g.range[w[-1]]
+            near = frozenset().union(*(reachable_from(g, t) for t in g.range[w[-1]]))
             for gamma in lassos:
                 horizon = len(gamma.prefix) + len(gamma.cycle)
-                hit = False
-                for k in range(horizon + 1):
-                    sk = lasso_source(g, shift_n(gamma, k))
-                    if any(reaches(g, t, sk) for t in sorted(rng)):
-                        hit = True
-                        break
-                if not hit:
+                if not any(
+                    lasso_source(g, shift_n(gamma, k)) in near
+                    for k in range(horizon + 1)
+                ):
                     bad.append(f"{delta} prefix {d} cannot meet orbit of {gamma}")
     return CheckResult("orbit_density", not bad, tuple(bad[:5]))

@@ -64,6 +64,37 @@ def random_ultragraph(
     return Ultragraph.build(vs, edges)
 
 
+def brute_adjacency(g: Ultragraph) -> Dict[str, Tuple[str, ...]]:
+    """Edge successor oracle straight from the definition, over all pairs:
+    f follows e iff source(f) is a declared vertex lying in range(e)."""
+    return {
+        e: tuple(
+            sorted(
+                f
+                for f in g.edges
+                if g.source.get(f) in g.vertices and g.source.get(f) in g.range[e]
+            )
+        )
+        for e in g.edges
+    }
+
+
+def warshall_reach(g: Ultragraph) -> Dict[str, frozenset]:
+    """Vertex reachability oracle by Warshall's closure of the one-step
+    relation "w -> v iff some edge from w has v in its range", with every
+    vertex reaching itself.  Never looks at the edge adjacency."""
+    vs = sorted(g.vertices)
+    reach = {w: {w} for w in vs}
+    for e in g.edges:
+        if g.source[e] in reach:
+            reach[g.source[e]].update(g.range[e])
+    for k in vs:
+        for w in vs:
+            if k in reach[w]:
+                reach[w] |= reach[k]
+    return {w: frozenset(r) for w, r in reach.items()}
+
+
 def word_count_up_to(g: Ultragraph, bound: int) -> int:
     """Number of edge words of length up to bound, by dynamic programming."""
     adj = edge_adjacency(g)
@@ -193,6 +224,8 @@ def naive_loop_count(g: Ultragraph, v: str, bound: int) -> int:
     """Plain DFS count of first-return loops at v, independent of the
     pruned counter: no distance pruning, no saturation."""
     total = 0
+    if bound < 1:
+        return total
     stack: List[Tuple[str, ...]] = [(e,) for e in g.edges if g.source[e] == v]
     while stack:
         word = stack.pop()

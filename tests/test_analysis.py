@@ -6,6 +6,7 @@ import pytest
 
 from ultragraph import (
     GraphStructureError,
+    SizeLimitError,
     Ultragraph,
     af_indicator,
     check_singular_equivalence,
@@ -52,9 +53,14 @@ def test_pruned_counter_matches_naive_on_randoms():
         g = random_ultragraph(rng, max_vertices=5, max_edges=6)
         bound = 2 * max(len(g.edges), 1)
         for v in sorted(g.vertices):
-            assert count_first_return_loops(g, v, bound) == min(
-                naive_loop_count(g, v, bound), 2
-            )
+            naive = naive_loop_count(g, v, bound)
+            assert count_first_return_loops(g, v, bound) == min(naive, 2)
+            # loops_at lists every loop up to its 200_000 budget, then raises
+            if naive > 200_000:
+                with pytest.raises(SizeLimitError):
+                    loops_at(g, v, bound)
+            else:
+                assert len(loops_at(g, v, bound)) == naive
 
 
 def test_condition_k_fixtures(g_branch, g_loop, g_split):
@@ -67,6 +73,17 @@ def test_condition_k_fixtures(g_branch, g_loop, g_split):
     assert k.offenders() == ("v",)
     k = condition_K(g_split)
     assert not k.holds and k.offenders() == ("a", "b")
+
+
+def test_bound_below_one_admits_no_loops(g_loop):
+    for bound in (0, -3):
+        assert loops_at(g_loop, "v", bound) == ()
+        assert count_first_return_loops(g_loop, "v", bound) == 0
+        assert naive_loop_count(g_loop, "v", bound) == 0
+        k = condition_K(g_loop, bound)
+        assert dict(k.counts) == {"v": 0} and k.bound == bound
+    with pytest.raises(ValueError):
+        loops_at(g_loop, "zz", 0)
 
 
 def test_condition_k_stable_under_longer_bound():

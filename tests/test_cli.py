@@ -59,6 +59,13 @@ def test_analyze_verdicts_and_exit_codes(capsys):
     assert "not cofinal" in out
 
 
+def test_analyze_bound_below_one_exits_two(capsys):
+    for bound in ("0", "-3"):
+        code, out, err = run(["analyze", GX, "--bound", bound], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "--bound" in err
+
+
 def test_json_reports_are_byte_stable(capsys):
     for argv in (["analyze", GW, "--format", "json"], ["ck", GX, "--format", "json"]):
         _, first, _ = run(argv, capsys)

@@ -21,9 +21,11 @@ from ultragraph import (
 
 from conftest import (
     additive_indicator,
+    brute_adjacency,
     closure_lattice,
     powerset_lattice,
     random_ultragraph,
+    warshall_reach,
 )
 
 
@@ -68,6 +70,39 @@ def test_validate_flags_structural_errors():
 def test_edge_adjacency_branch(g_branch):
     adj = edge_adjacency(g_branch)
     assert adj == {"e": ("f", "g"), "f": ("e",), "g": ("f",)}
+
+
+def test_edge_adjacency_is_built_once_and_skips_undeclared_sources():
+    # the graph of test_validate_flags_structural_errors
+    g = Ultragraph(
+        vertices=fz("a"),
+        edges=fz("e", "f", "h"),
+        source={"e": "zz", "f": "a", "h": "a"},
+        range={"e": fz("a"), "f": frozenset(), "h": fz("qq")},
+    )
+    assert edge_adjacency(g) == brute_adjacency(g) == {"e": ("f", "h"), "f": (), "h": ()}
+    assert edge_adjacency(g) is edge_adjacency(g)
+    # f's source lies in range(e) but is undeclared, so f follows no edge
+    g = Ultragraph(
+        vertices=fz("a"),
+        edges=fz("e", "f"),
+        source={"e": "a", "f": "zz"},
+        range={"e": fz("a", "zz"), "f": fz("a")},
+    )
+    assert edge_adjacency(g) == brute_adjacency(g) == {"e": ("e",), "f": ("e",)}
+
+
+def test_index_matches_independent_oracles():
+    rng = random.Random(59)
+    graphs = [random_ultragraph(rng) for _ in range(30)]
+    assert sum(1 for g in graphs if validate(g).sinks) >= 5
+    for g in graphs:
+        assert edge_adjacency(g) == brute_adjacency(g)
+        closure = warshall_reach(g)
+        for w in sorted(g.vertices):
+            assert reachable_from(g, w) == closure[w]
+            for v in sorted(g.vertices):
+                assert reaches(g, w, v) == (v in closure[w])
 
 
 def test_lattice_branch_is_full_power_set(g_branch, branch_lattice):

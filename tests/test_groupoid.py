@@ -4,6 +4,8 @@ import random
 
 import pytest
 
+import ultragraph.groupoid as groupoid_module
+
 from ultragraph import (
     Bisection,
     CylinderSet,
@@ -363,6 +365,30 @@ def test_element_budgets_raise_size_limit(g_branch, branch_lattice):
     assert check_groupoid_laws(g_branch, els).passed
     with pytest.raises(SizeLimitError, match="composable triples"):
         check_groupoid_laws(g_branch, els, max_triples=5)
+
+
+def test_triple_budget_fires_before_any_compose(g_branch, branch_lattice, monkeypatch):
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    triples = sum(
+        1
+        for a in els
+        for b in els
+        for c in els
+        if a.right == b.left and b.right == c.left
+    )
+    calls = []
+    real = groupoid_module.compose
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groupoid_module, "compose", counting)
+    with pytest.raises(SizeLimitError, match="composable triples"):
+        check_groupoid_laws(g_branch, els, max_triples=triples - 1)
+    assert calls == []
+    assert check_groupoid_laws(g_branch, els, max_triples=triples).passed
+    assert calls
 
 
 def test_bisection_homomorphism_small(g_branch, branch_lattice):
