@@ -41,12 +41,11 @@ def loops_at(
     g: Ultragraph, v: Vertex, bound: int, max_count: int = 200_000
 ) -> Tuple[Loop, ...]:
     """Every first-return loop based at v with length at most bound."""
-    found: List[Loop] = []
-    for word in _first_return_words(g, v, bound):
-        found.append(Loop(base=v, word=word))
-        if len(found) > max_count:
-            raise SizeLimitError(f"more than {max_count} loops at '{v}'")
-    return tuple(sorted(found, key=lambda l: (len(l.word), l.word)))
+    words = list(itertools.islice(_first_return_words(g, v, bound), max_count + 1))
+    if len(words) > max_count:
+        raise SizeLimitError(f"more than {max_count} loops at '{v}'")
+    words.sort(key=lambda w: (len(w), w))
+    return tuple(Loop(base=v, word=w) for w in words)
 
 
 def _completion_distance(g: Ultragraph, v: Vertex) -> Dict[Vertex, int]:

@@ -124,11 +124,28 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     elems = generate_elements(g, lat, args.max_len)
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
     checks = [_check("involution", not bad_inv, bad_inv[:5], count=len(elems))]
-    bad_star = []
-    for s in elems:
-        for t in elems:
-            if star(product(g, s, t)) != product(g, star(t), star(s)):
-                bad_star.append(f"{s} * {t}")
+    # (s, t) and its mirror (t*, s*) ask one equation, so the products are
+    # formed for the first of each mirror pair in (i, j) order only; mirror[i]
+    # is set where star maps elems[i] into the list and back
+    index = {s: i for i, s in enumerate(elems)}
+    starred = [star(s) for s in elems]
+    mirror = [index.get(s) for s in starred]
+    mirror = [k if k is not None and mirror[k] == i else None for i, k in enumerate(mirror)]
+    bad_pairs = []
+    for i, s in enumerate(elems):
+        mi = mirror[i]
+        for j, t in enumerate(elems):
+            mj = mirror[j]
+            paired = mi is not None and mj is not None
+            if paired and (mj, mi) < (i, j):
+                continue
+            st = product(g, s, t)
+            ts = product(g, starred[j], starred[i])
+            if star(st) != ts:
+                bad_pairs.append((i, j))
+            if paired and (mj, mi) != (i, j) and star(ts) != st:
+                bad_pairs.append((mj, mi))
+    bad_star = [f"{elems[i]} * {elems[j]}" for i, j in sorted(bad_pairs)]
     checks.append(_check("antimultiplicative_star", not bad_star, bad_star[:5]))
     idems = [s for s in elems if not s.is_omega and is_idempotent(s)]
     bad_ord = []

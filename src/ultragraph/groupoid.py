@@ -93,24 +93,32 @@ class GroupoidElement:
 def groupoid_element(
     g: Ultragraph, left: LassoPath, lag: int, right: LassoPath
 ) -> GroupoidElement:
-    """Validated construction: hunts for the least strip depth n with
-    shift^n(left) = shift^(n-lag)(right) and builds the witness there.
-    Raises ValueError when the rays never merge at this lag."""
+    """Validated construction at the least strip depth n with
+    shift^n(left) = shift^(n-lag)(right); the witness is built there.
+
+    Both rays are purely periodic from depth settle on, and two periodic
+    rays that agree from some depth on agree already, so the rays share a
+    tail at all iff they agree at settle.  From there the depth walks back
+    one edge at a time while the unrolled words still agree on the edge
+    before it.  Raises ValueError when the rays never merge at this lag."""
     lo = max(lag, 0)
     settle = max(len(left.prefix), len(right.prefix) + lag, lo)
-    hi = settle + math.lcm(len(left.cycle), len(right.cycle))
-    for n in range(lo, hi + 1):
-        if shift_n(left, n) == shift_n(right, n - lag):
-            mu = shift_n(left, n)
-            x_word = unroll(left, n)
-            y_word = unroll(right, n - lag)
-            if x_word and y_word:
-                T = g.range[x_word[-1]] & g.range[y_word[-1]]
-            else:
-                T = frozenset({lasso_source(g, mu)})
-            witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
-            return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
-    raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
+    if shift_n(left, settle) != shift_n(right, settle - lag):
+        raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
+    lw = unroll(left, settle)
+    rw = unroll(right, settle - lag)
+    n = settle
+    while n > lo and lw[n - 1] == rw[n - 1 - lag]:
+        n -= 1
+    mu = shift_n(left, n)
+    x_word = lw[:n]
+    y_word = rw[: n - lag]
+    if x_word and y_word:
+        T = g.range[x_word[-1]] & g.range[y_word[-1]]
+    else:
+        T = frozenset({lasso_source(g, mu)})
+    witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
+    return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
 
 
 def compose(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> Optional[GroupoidElement]:

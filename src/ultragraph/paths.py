@@ -245,20 +245,31 @@ def unroll(x: LassoPath, n: int) -> Tuple[Edge, ...]:
     return (x.prefix + x.cycle * reps)[:n]
 
 
+def _canonical_lasso(prefix: Tuple[Edge, ...], cycle: Tuple[Edge, ...]) -> LassoPath:
+    """A LassoPath from fields already in canonical form, set directly."""
+    x = object.__new__(LassoPath)
+    object.__setattr__(x, "prefix", prefix)
+    object.__setattr__(x, "cycle", cycle)
+    return x
+
+
 def shift(x: LassoPath) -> LassoPath:
-    """Drop the first edge."""
+    """Drop the first edge.  A suffix of a canonical prefix still ends off
+    the cycle and a rotation of a primitive cycle is primitive, so the
+    result is canonical as built."""
     if x.prefix:
-        return LassoPath(x.prefix[1:], x.cycle)
-    return LassoPath((), x.cycle[1:] + x.cycle[:1])
+        return _canonical_lasso(x.prefix[1:], x.cycle)
+    return _canonical_lasso((), x.cycle[1:] + x.cycle[:1])
 
 
 def shift_n(x: LassoPath, n: int) -> LassoPath:
+    """Drop the first n edges; canonical as built, like shift."""
     if n < 0:
         raise ValueError("shift distance must be nonnegative")
     if n <= len(x.prefix):
-        return LassoPath(x.prefix[n:], x.cycle)
+        return _canonical_lasso(x.prefix[n:], x.cycle)
     k = (n - len(x.prefix)) % len(x.cycle)
-    return LassoPath((), x.cycle[k:] + x.cycle[:k])
+    return _canonical_lasso((), x.cycle[k:] + x.cycle[:k])
 
 
 def lasso_source(g: Ultragraph, x: LassoPath) -> str:

@@ -62,44 +62,47 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     the product is (w . range(y), y . range(w)).  When several rules apply
     their results coincide, which is checked.
     """
-    if s.is_omega or t.is_omega:
-        return OMEGA
     w, z = s.left, s.right
     x, y = t.left, t.right
-    results: List[SGElement] = []
+    if w is None or x is None:
+        return OMEGA
+    out = OMEGA
 
     rem = initial_segment(g, x, z)
     if rem is not None:
         grown = concat(g, w, rem)
         if grown is None:
             raise RuntimeError("remainder of x does not extend w")
-        results.append(SGElement(grown, y))
+        out = SGElement(grown, y)
 
     rem = initial_segment(g, z, x)
     if rem is not None:
         grown = concat(g, y, rem)
         if grown is None:
             raise RuntimeError("remainder of z does not extend y")
-        results.append(SGElement(w, grown))
+        out = _agree(out, SGElement(w, grown))
 
     if not z.word and not x.word and (z.terminal & x.terminal):
         a = concat(g, w, Ultrapath((), x.terminal))
         b = concat(g, y, Ultrapath((), z.terminal))
         if a is None or b is None:
             raise RuntimeError("overlapping length-zero sets do not extend")
-        results.append(SGElement(a, b))
+        out = _agree(out, SGElement(a, b))
+    return out
 
-    if not results:
-        return OMEGA
-    first = results[0]
-    if any(r != first for r in results[1:]):
+
+def _agree(first: SGElement, later: SGElement) -> SGElement:
+    """The earlier rule's result, once a later rule that applies agrees."""
+    if first is OMEGA:
+        return later
+    if later != first:
         raise RuntimeError("overlapping rules disagree")
     return first
 
 
 def star(s: SGElement) -> SGElement:
     """The involution swapping coordinates; fixes the zero."""
-    if s.is_omega:
+    if s.left is None:
         return OMEGA
     return SGElement(s.right, s.left)
 

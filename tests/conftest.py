@@ -1,14 +1,18 @@
 """Shared fixtures, random graph generators and independent oracles."""
 
 import itertools
+import math
 import random
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from ultragraph import (
+    GroupoidElement,
+    LassoPath,
     LatticeG0,
     Ultragraph,
+    Ultrapath,
     edge_adjacency,
     enumerate_lassos,
     generate_lattice,
@@ -18,6 +22,7 @@ from ultragraph import (
     lasso_source,
     reaches,
     shift_n,
+    unroll,
 )
 
 
@@ -108,6 +113,38 @@ def word_count_up_to(g: Ultragraph, bound: int) -> int:
         if total > 10**9:
             break
     return total
+
+
+def _canonical_shift(x: LassoPath, n: int) -> LassoPath:
+    """shift^n(x) rebuilt through the canonicalizing LassoPath constructor."""
+    if n <= len(x.prefix):
+        return LassoPath(x.prefix[n:], x.cycle)
+    k = (n - len(x.prefix)) % len(x.cycle)
+    return LassoPath((), x.cycle[k:] + x.cycle[:k])
+
+
+def search_groupoid_element(
+    g: Ultragraph, left: LassoPath, lag: int, right: LassoPath
+) -> GroupoidElement:
+    """Oracle for groupoid_element: tries every strip depth n up to the
+    point where both rays are periodic plus lcm of the cycle lengths, and
+    builds the witness at the first n with shift^n(left) = shift^(n-lag)(right).
+    Raises ValueError when none merges."""
+    lo = max(lag, 0)
+    settle = max(len(left.prefix), len(right.prefix) + lag, lo)
+    hi = settle + math.lcm(len(left.cycle), len(right.cycle))
+    for n in range(lo, hi + 1):
+        if _canonical_shift(left, n) == _canonical_shift(right, n - lag):
+            mu = _canonical_shift(left, n)
+            x_word = unroll(left, n)
+            y_word = unroll(right, n - lag)
+            if x_word and y_word:
+                T = g.range[x_word[-1]] & g.range[y_word[-1]]
+            else:
+                T = frozenset({lasso_source(g, mu)})
+            witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
+            return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
+    raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
 
 
 def sparse_sink_free(

@@ -9,7 +9,20 @@ from pathlib import Path
 
 import pytest
 
-from ultragraph import emit, gw, gx, gy, parse_file, skew_product
+import ultragraph.cli as cli
+from ultragraph import (
+    OMEGA,
+    emit,
+    generate_elements,
+    generate_lattice,
+    gw,
+    gx,
+    gy,
+    parse_file,
+    product,
+    skew_product,
+    star,
+)
 from ultragraph.cli import main
 
 REPO = Path(__file__).resolve().parent.parent
@@ -128,6 +141,88 @@ def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
     assert "max_count=200000" in checks[0]["witnesses"][0]
+
+
+def _semigroup_checks(capsys):
+    code, out, _ = run(["semigroup", GX, "--max-len", "2", "--format", "json"], capsys)
+    return code, {c["name"]: c for c in json.loads(out)["checks"]}
+
+
+def _all_pairs_star_witnesses(g, elems, prod, inv):
+    """The antimultiplicative law asked of every ordered pair, in (i, j) order."""
+    bad = [
+        f"{s} * {t}"
+        for s in elems
+        for t in elems
+        if inv(prod(g, s, t)) != prod(g, inv(t), inv(s))
+    ]
+    return bad[:5]
+
+
+def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
+    g = parse_file(GX)
+    n = len(generate_elements(g, generate_lattice(g), 2))
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(cli, "product", counting)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 0
+    assert checks["antimultiplicative_star"]["pass"]
+    # one product pair per mirror pair; asking each ordered pair apart forms 2 * n^2
+    assert n * n <= len(calls) <= n * n + n
+
+
+@pytest.mark.parametrize("zeroed", ["one pair", "one row"])
+def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch, capsys):
+    g = parse_file(GX)
+    elems = generate_elements(g, generate_lattice(g), 2)
+    nonzero = [(s, t) for s in elems for t in elems if product(g, s, t) != OMEGA]
+    s0, t0 = nonzero[len(nonzero) // 2]
+
+    def faulty(g, s, t):
+        if s == s0 and (zeroed == "one row" or t == t0):
+            return OMEGA
+        return product(g, s, t)
+
+    want = _all_pairs_star_witnesses(g, elems, faulty, star)
+    assert len(want) >= 2
+    monkeypatch.setattr(cli, "product", faulty)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 1
+    assert not checks["antimultiplicative_star"]["pass"]
+    assert checks["antimultiplicative_star"]["witnesses"] == want
+
+
+def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys):
+    g = parse_file(GX)
+    elems = generate_elements(g, generate_lattice(g), 2)
+    e0 = next(s for s in elems[1:] if star(s) != s)
+
+    def broken_star(s):
+        return OMEGA if s == e0 else star(s)
+
+    calls = []
+
+    def recording(*args):
+        calls.append(args[1:])
+        return product(*args)
+
+    want = _all_pairs_star_witnesses(g, elems, product, broken_star)
+    assert want
+    monkeypatch.setattr(cli, "star", broken_star)
+    monkeypatch.setattr(cli, "product", recording)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 1
+    assert not checks["involution"]["pass"]
+    assert checks["antimultiplicative_star"]["witnesses"] == want
+    # products come two per computed pair, the pair's own product first
+    computed = set(calls[::2])
+    for t in elems:
+        assert (e0, t) in computed and (t, e0) in computed
 
 
 def test_precondition_violations_exit_two(tmp_path, capsys):

@@ -45,7 +45,7 @@ from ultragraph import (
     verify_ck,
 )
 
-from conftest import random_ultragraph
+from conftest import random_ultragraph, search_groupoid_element
 
 
 def fz(*names):
@@ -79,6 +79,34 @@ def test_groupoid_element_rejects_disjoint_orbits(g_branch):
     for lag in (-2, -1, 0, 1, 2):
         with pytest.raises(ValueError):
             groupoid_element(g_branch, ef, lag, egf)
+
+
+def _outcome(build, g, left, lag, right):
+    try:
+        a = build(g, left, lag, right)
+    except ValueError as err:
+        return ("no tail", str(err))
+    return (str(a), a.witness)
+
+
+def test_groupoid_element_matches_search_oracle():
+    rng = random.Random(53)
+    cases = merged = graphs = 0
+    while graphs < 20:
+        g = random_ultragraph(rng, max_vertices=4, max_edges=5, sink_free=True)
+        lassos = enumerate_lassos(g, 2, 3)
+        if not 4 <= len(lassos) <= 24:
+            continue
+        graphs += 1
+        for left in lassos:
+            for right in lassos:
+                for lag in range(-4, 5):
+                    want = _outcome(search_groupoid_element, g, left, lag, right)
+                    got = _outcome(groupoid_element, g, left, lag, right)
+                    assert got == want, (left, lag, right)
+                    cases += 1
+                    merged += want[0] != "no tail"
+    assert merged > 1000 and cases - merged > 1000, (cases, merged)
 
 
 def test_witness_excluded_from_equality(g_branch):

@@ -178,6 +178,10 @@ def test_shift_matches_unroll(prefix, cycle, n):
     x = LassoPath(prefix, cycle)
     assert unroll(shift(x), n) == unroll(x, n + 1)[1:]
     assert unroll(shift_n(x, n), 5) == unroll(x, n + 5)[n:]
+    # shift builds its result without canonicalizing: it must already be canonical
+    for y in (shift(x), shift_n(x, n)):
+        again = LassoPath(y.prefix, y.cycle)
+        assert (y.prefix, y.cycle) == (again.prefix, again.cycle)
 
 
 def test_make_lasso_validates(g_branch):

@@ -21,3 +21,22 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert not found, found
+
+
+def test_unchecked_construction_stays_in_paths():
+    """Only paths.py builds frozen values field by field, past their
+    canonicalizing constructors."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "paths.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("__setattr__", "__new__")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "object"
+        ]
+    assert not found, found
