@@ -1,7 +1,7 @@
 """Combinatorial machinery of ultragraph algebras, exact and finite.
 
 Vertex-set lattices, ultrapaths and lasso paths, the tight inverse
-semigroup, the boundary-path groupoid with its bisections and cylinder
+semigroup, the boundary-path groupoid with its slices and cylinder
 sets, symbolic Cuntz-Krieger families, and the structural criteria that
 feed simplicity verdicts.  Everything is decided exactly on finite
 ultragraphs at desk scale.
@@ -43,16 +43,12 @@ from .core import (
 from .fileformat import ParseError, emit, emit_file, parse, parse_file
 from .fixtures import FIXTURES, gw, gx, gy
 from .groupoid import (
-    Bisection,
     CheckReport,
     CheckResult,
     CKFamily,
     CylinderSet,
-    EMPTY_BISECTION,
     GroupoidElement,
     bisection_member,
-    bisection_product,
-    bisection_star,
     build_elements,
     check_bisection_homomorphism,
     check_family,
@@ -71,6 +67,7 @@ from .groupoid import (
     split_through,
     unit_at,
     verify_ck,
+    witness,
 )
 from .paths import (
     LassoPath,

@@ -274,12 +274,13 @@ def skew_product(g: Ultragraph, k: int) -> Ultragraph:
     return Ultragraph.build(vertices, edges)
 
 
-def check_singular_equivalence(g: Ultragraph, k: int) -> CheckResult:
-    """At every interior level of the window the singular vertices of the
-    skew product are exactly the singular vertices of the base graph,
+def check_singular_equivalence(
+    g: Ultragraph, skew: Ultragraph, k: int
+) -> CheckResult:
+    """At every interior level of the window the singular vertices of skew,
+    the window-k skew product of g, are exactly the singular vertices of g,
     relabeled.  Levels at the window edge are excluded: the top level is
     artificially singular."""
-    skew = skew_product(g, k)
     base_sinks = validate(g).sinks
     skew_sinks = validate(skew).sinks
     bad: List[str] = []

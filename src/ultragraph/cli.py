@@ -165,6 +165,8 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    if args.pairs < 0:
+        raise ValueError("--pairs must not be negative")
     lat = generate_lattice(g)
     elements = build_elements(
         g, lat, args.witness_len, args.prefix_bound, args.cycle_bound
@@ -251,7 +253,7 @@ def _cmd_skew(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
             edges=len(sk.edges),
         )
     ]
-    eq = check_singular_equivalence(g, args.window)
+    eq = check_singular_equivalence(g, sk, args.window)
     checks.append(_check(eq.name, eq.passed, eq.details))
     if args.out:
         emit_file(sk, args.out)

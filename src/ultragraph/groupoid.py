@@ -2,17 +2,17 @@
 
 On a finite sink-free ultragraph the boundary consists of the infinite
 paths alone, represented here by lasso paths.  Groupoid elements are
-triples (left tail, lag, right tail) carrying a derived witness
-(x, y, mu) with left = x.mu, right = y.mu and matching ranges; bisections
-are the basic open slices indexed by semigroup pairs; unit-space cylinder
-sets get an exact normal form by refinement to a fixed depth, which makes
-the Cuntz-Krieger relations decidable.
+triples (left tail, lag, right tail); witness derives a germ representative
+(x, y, mu) with left = x.mu, right = y.mu and matching ranges.  Each basic
+open slice is named by its semigroup element, the zero naming the empty
+slice.  Unit-space cylinder sets get an exact normal form by refinement to
+a fixed depth, which makes the Cuntz-Krieger relations decidable.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from .core import (
@@ -74,40 +74,53 @@ class CheckReport:
 
 @dataclass(frozen=True)
 class GroupoidElement:
-    """Triple (left, lag, right) of boundary points sharing a tail.
-
-    The witness (x, y, mu) with left = x.mu, right = y.mu, matching ranges
-    and lag = length(x) - length(y) is derived data: it is excluded from
-    equality, and the factory always picks the witness with the shortest x.
-    """
+    """Triple (left, lag, right) of boundary points sharing a tail:
+    shift^n(left) = shift^(n-lag)(right) for some depth n >= max(lag, 0).
+    witness(g, a) gives a germ representative."""
 
     left: LassoPath
     lag: int
     right: LassoPath
-    witness: Tuple[Ultrapath, Ultrapath, LassoPath] = field(compare=False, repr=False)
 
     def __str__(self) -> str:
         return f"({self.left}, {self.lag:+d}, {self.right})"
 
 
+def _settle(left: LassoPath, lag: int, right: LassoPath) -> int:
+    """The depth from which both rays are purely periodic, after checking
+    that they agree there.  Two periodic rays that agree from some depth
+    on agree already, so the rays share a tail at all iff they agree at
+    settle.  Raises ValueError when the rays never merge at this lag."""
+    settle = max(len(left.prefix), len(right.prefix) + lag, lag, 0)
+    if shift_n(left, settle) != shift_n(right, settle - lag):
+        raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
+    return settle
+
+
 def groupoid_element(
     g: Ultragraph, left: LassoPath, lag: int, right: LassoPath
 ) -> GroupoidElement:
-    """Validated construction at the least strip depth n with
-    shift^n(left) = shift^(n-lag)(right); the witness is built there.
+    """Validated construction: raises ValueError unless left and right share
+    a tail at this lag."""
+    _settle(left, lag, right)
+    return GroupoidElement(left, lag, right)
 
-    Both rays are purely periodic from depth settle on, and two periodic
-    rays that agree from some depth on agree already, so the rays share a
-    tail at all iff they agree at settle.  From there the depth walks back
-    one edge at a time while the unrolled words still agree on the edge
-    before it.  Raises ValueError when the rays never merge at this lag."""
-    lo = max(lag, 0)
-    settle = max(len(left.prefix), len(right.prefix) + lag, lo)
-    if shift_n(left, settle) != shift_n(right, settle - lag):
-        raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
+
+def witness(
+    g: Ultragraph, a: GroupoidElement
+) -> Tuple[Ultrapath, Ultrapath, LassoPath]:
+    """The germ representative (x, y, mu) of a: left = x.mu, right = y.mu,
+    matching ranges and lag = length(x) - length(y), at the least strip
+    depth n = length(x), so x is the shortest such prefix.
+
+    From the settle depth, where the tails agree, the depth walks back one
+    edge at a time while the unrolled words still agree on the edge before
+    it.  Raises ValueError when a's points share no tail."""
+    left, lag, right = a.left, a.lag, a.right
+    settle = _settle(left, lag, right)
     lw = unroll(left, settle)
     rw = unroll(right, settle - lag)
-    n = settle
+    n, lo = settle, max(lag, 0)
     while n > lo and lw[n - 1] == rw[n - 1 - lag]:
         n -= 1
     mu = shift_n(left, n)
@@ -117,8 +130,7 @@ def groupoid_element(
         T = g.range[x_word[-1]] & g.range[y_word[-1]]
     else:
         T = frozenset({lasso_source(g, mu)})
-    witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
-    return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
+    return Ultrapath(x_word, T), Ultrapath(y_word, T), mu
 
 
 def compose(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> Optional[GroupoidElement]:
@@ -129,34 +141,20 @@ def compose(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> Optional[G
 
 
 def inverse(a: GroupoidElement) -> GroupoidElement:
-    x, y, mu = a.witness
-    return GroupoidElement(left=a.right, lag=-a.lag, right=a.left, witness=(y, x, mu))
+    return GroupoidElement(a.right, -a.lag, a.left)
 
 
 def unit_at(g: Ultragraph, point: LassoPath) -> GroupoidElement:
-    return groupoid_element(g, point, 0, point)
+    return GroupoidElement(point, 0, point)
 
 
-@dataclass(frozen=True)
-class Bisection:
-    """Basic slice indexed by a semigroup pair (x, y): all elements
-    (x.mu, length(x) - length(y), y.mu).  The zero indexes the empty set."""
-
-    generator: SGElement
-
-    @property
-    def is_empty(self) -> bool:
-        return self.generator.is_omega
-
-
-EMPTY_BISECTION = Bisection(OMEGA)
-
-
-def bisection_member(g: Ultragraph, b: Bisection, a: GroupoidElement) -> bool:
-    """Membership needs one shared tail mu stripping both coordinates."""
-    if b.is_empty:
+def bisection_member(g: Ultragraph, s: SGElement, a: GroupoidElement) -> bool:
+    """Whether a lies in the basic slice of s = (x, y), the elements
+    (x.mu, length(x) - length(y), y.mu); the zero names the empty slice.
+    Membership needs one shared tail mu stripping both coordinates."""
+    if s.is_omega:
         return False
-    x, y = b.generator.left, b.generator.right
+    x, y = s.left, s.right
     if a.lag != x.length - y.length:
         return False
     mu1 = strip_lasso(g, a.left, x)
@@ -164,14 +162,6 @@ def bisection_member(g: Ultragraph, b: Bisection, a: GroupoidElement) -> bool:
         return False
     mu2 = strip_lasso(g, a.right, y)
     return mu2 is not None and mu1 == mu2
-
-
-def bisection_product(g: Ultragraph, b1: Bisection, b2: Bisection) -> Bisection:
-    return Bisection(product(g, b1.generator, b2.generator))
-
-
-def bisection_star(b: Bisection) -> Bisection:
-    return Bisection(star(b.generator))
 
 
 @dataclass(frozen=True)
@@ -279,23 +269,17 @@ def refine_to_depth(
 @dataclass
 class CKFamily:
     """Projections indexed by the nonempty lattice sets, one isometry slice
-    per edge, all realized as bisections."""
+    per edge, each slice named by its semigroup element."""
 
-    projections: Dict[VSet, Bisection]
-    isometries: Dict[Edge, Bisection]
+    projections: Dict[VSet, SGElement]
+    isometries: Dict[Edge, SGElement]
 
 
 def ck_family(g: Ultragraph, lat: LatticeG0) -> CKFamily:
     require_no_sinks(g, "Cuntz-Krieger family construction")
-    projections = {
-        A: Bisection(idempotent(vertex_path(A))) for A in lat.nonempty()
-    }
+    projections = {A: idempotent(vertex_path(A)) for A in lat.nonempty()}
     isometries = {
-        e: Bisection(
-            SGElement(
-                Ultrapath((e,), g.range[e]), Ultrapath((), g.range[e])
-            )
-        )
+        e: SGElement(Ultrapath((e,), g.range[e]), Ultrapath((), g.range[e]))
         for e in g.edges_sorted()
     }
     return CKFamily(projections=projections, isometries=isometries)
@@ -321,19 +305,18 @@ def check_family(
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
     entries: List[CheckResult] = []
-    words_memo: Dict[Ultrapath, Tuple[Tuple[Edge, ...], ...]] = {}
+    words_memo: Dict[Ultrapath, FrozenSet[Tuple[Edge, ...]]] = {}
 
-    def words_of(base: Ultrapath) -> Tuple[Tuple[Edge, ...], ...]:
+    def words_of(base: Ultrapath) -> FrozenSet[Tuple[Edge, ...]]:
         if base not in words_memo:
-            words_memo[base] = tuple(
-                sorted(_cylinder_words(g, CylinderSet(base=base), depth))
+            words_memo[base] = frozenset(
+                _cylinder_words(g, CylinderSet(base=base), depth)
             )
         return words_memo[base]
 
     # shape: projections sit on their own index, isometries are squares
     shape_bad: List[str] = []
-    for A, b in sorted(fam.projections.items(), key=lambda kv: set_key(kv[0])):
-        gen = b.generator
+    for A, gen in sorted(fam.projections.items(), key=lambda kv: set_key(kv[0])):
         good = (
             not gen.is_omega
             and gen.left == gen.right
@@ -342,8 +325,7 @@ def check_family(
         )
         if not good:
             shape_bad.append(f"projection {format_set(A)} carries {gen}")
-    for e, b in sorted(fam.isometries.items()):
-        gen = b.generator
+    for e, gen in sorted(fam.isometries.items()):
         good = (
             not gen.is_omega
             and gen.left.word == (e,)
@@ -374,13 +356,9 @@ def check_family(
             pb = fam.projections.get(B)
             if pb is None:
                 continue
-            got = product(g, pa.generator, pb.generator)
+            got = product(g, pa, pb)
             meet = A & B
-            if meet:
-                want_b = fam.projections.get(meet)
-                want = None if want_b is None else want_b.generator
-            else:
-                want = OMEGA
+            want = fam.projections.get(meet) if meet else OMEGA
             if got != want:
                 bad.append(
                     f"{format_set(A)} * {format_set(B)}: got {got}, want {want}"
@@ -399,14 +377,12 @@ def check_family(
                 if pj is None:
                     bad.append(f"missing projection {format_set(A | B)}")
                 continue
-            lhs = words_of(pj.generator.left)
-            rhs = tuple(
-                sorted(set(words_of(pa.generator.left)) | set(words_of(pb.generator.left)))
-            )
+            lhs = words_of(pj.left)
+            rhs = words_of(pa.left) | words_of(pb.left)
             if lhs != rhs:
                 bad.append(
                     f"{format_set(A)} + {format_set(B)}: "
-                    f"{_fmt_words(lhs)} != {_fmt_words(rhs)}"
+                    f"{_fmt_words(sorted(lhs))} != {_fmt_words(sorted(rhs))}"
                 )
     entries.append(CheckResult("projection_joins", not bad, tuple(bad[:8])))
 
@@ -415,9 +391,8 @@ def check_family(
         te = fam.isometries.get(e)
         if te is None:
             continue
-        got = product(g, star(te.generator), te.generator)
-        want_b = fam.projections.get(g.range[e])
-        want = None if want_b is None else want_b.generator
+        got = product(g, star(te), te)
+        want = fam.projections.get(g.range[e])
         if got != want:
             bad.append(f"edge {e}: got {got}, want {want}")
     entries.append(CheckResult("isometry_range_identity", not bad, tuple(bad[:8])))
@@ -427,12 +402,12 @@ def check_family(
         te = fam.isometries.get(e)
         if te is None:
             continue
-        ee = product(g, te.generator, star(te.generator))
+        ee = product(g, te, star(te))
         pv = fam.projections.get(frozenset({g.source[e]}))
         if pv is None:
             bad.append(f"edge {e}: missing projection at source")
             continue
-        if not is_idempotent(ee) or not idempotent_leq(g, ee, pv.generator):
+        if not is_idempotent(ee) or not idempotent_leq(g, ee, pv):
             bad.append(f"edge {e}: {ee} is not below the source projection")
     entries.append(CheckResult("isometry_source_domination", not bad, tuple(bad[:8])))
 
@@ -445,28 +420,26 @@ def check_family(
         if pv is None:
             bad.append(f"vertex {v}: missing projection")
             continue
-        lhs = words_of(pv.generator.left)
-        pieces: List[Tuple[Tuple[Edge, ...], ...]] = []
+        merged: set = set()
+        total = 0
         for e in g.out_edges(v):
             te = fam.isometries.get(e)
             if te is None:
                 continue
-            ee = product(g, te.generator, star(te.generator))
+            ee = product(g, te, star(te))
             if ee.is_omega:
                 continue
-            pieces.append(words_of(ee.left))
-        merged: set = set()
-        total = 0
-        for piece in pieces:
-            merged.update(piece)
+            piece = words_of(ee.left)
+            merged |= piece
             total += len(piece)
         if total != len(merged):
             bad.append(f"vertex {v}: edge slices overlap")
             continue
-        rhs = tuple(sorted(merged))
-        if lhs != rhs:
+        lhs = words_of(pv.left)
+        if lhs != merged:
             bad.append(
-                f"vertex {v}: {_fmt_words(lhs)} != {_fmt_words(rhs)}"
+                f"vertex {v}: "
+                f"{_fmt_words(sorted(lhs))} != {_fmt_words(sorted(merged))}"
             )
     entries.append(CheckResult("vertex_decomposition", not bad, tuple(bad[:8])))
 
@@ -645,28 +618,26 @@ def check_bisection_homomorphism(
 ) -> CheckReport:
     """The slice of a product is exactly the set of composable products of
     slice members: forward by composing members, backward by splitting."""
-    bis = {id(s): Bisection(s) for s in gens}
     members: Dict[int, List[GroupoidElement]] = {
-        id(s): [a for a in elements if bisection_member(g, bis[id(s)], a)]
-        for s in gens
+        id(s): [a for a in elements if bisection_member(g, s, a)] for s in gens
     }
     bad: List[str] = []
     checked = 0
     for s in gens:
         for t in gens:
-            pb = Bisection(product(g, s, t))
+            st = product(g, s, t)
             for a1 in members[id(s)]:
                 for a2 in members[id(t)]:
                     if a1.right != a2.left:
                         continue
                     checked += 1
                     c = compose(g, a1, a2)
-                    if not bisection_member(g, pb, c):
+                    if not bisection_member(g, st, c):
                         bad.append(f"{s} * {t}: product misses {c}")
-            if pb.is_empty:
+            if st.is_omega:
                 continue
             for c in elements:
-                if not bisection_member(g, pb, c):
+                if not bisection_member(g, st, c):
                     continue
                 checked += 1
                 got = split_through(g, s, t, c)
@@ -675,8 +646,8 @@ def check_bisection_homomorphism(
                     continue
                 a1, a2 = got
                 ok = (
-                    bisection_member(g, bis[id(s)], a1)
-                    and bisection_member(g, bis[id(t)], a2)
+                    bisection_member(g, s, a1)
+                    and bisection_member(g, t, a2)
                     and compose(g, a1, a2) == c
                 )
                 if not ok:
@@ -712,8 +683,8 @@ def check_hausdorff(
 
 
 def _separated(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> bool:
-    x, y, mu = a.witness
-    base = Bisection(SGElement(x, y))
+    x, y, mu = witness(g, a)
+    base = SGElement(x, y)
     if not bisection_member(g, base, a):
         raise RuntimeError(f"{a} is not in its own witness slice")
     if not bisection_member(g, base, b):
@@ -731,7 +702,7 @@ def _separated(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> bool:
         deeper_y = concat(g, y, u)
         if deeper_x is None or deeper_y is None:
             raise RuntimeError(f"witness of {a} does not extend along its tail")
-        deeper = Bisection(SGElement(deeper_x, deeper_y))
+        deeper = SGElement(deeper_x, deeper_y)
         if not bisection_member(g, deeper, a):
             raise RuntimeError(f"{a} is not in its deepened witness slice")
         if not bisection_member(g, deeper, b):

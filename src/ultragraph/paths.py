@@ -316,6 +316,8 @@ def enumerate_lassos(
     require_no_sinks(g, "lasso enumeration")
     if cycle_bound < 1:
         raise ValueError("cycle_bound must be positive")
+    if prefix_bound < 0:
+        raise ValueError("prefix_bound must not be negative")
     adj = edge_adjacency(g)
 
     def paths_up_to(bound: int) -> List[Tuple[Edge, ...]]:

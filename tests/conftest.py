@@ -125,11 +125,12 @@ def _canonical_shift(x: LassoPath, n: int) -> LassoPath:
 
 def search_groupoid_element(
     g: Ultragraph, left: LassoPath, lag: int, right: LassoPath
-) -> GroupoidElement:
-    """Oracle for groupoid_element: tries every strip depth n up to the
-    point where both rays are periodic plus lcm of the cycle lengths, and
-    builds the witness at the first n with shift^n(left) = shift^(n-lag)(right).
-    Raises ValueError when none merges."""
+) -> Tuple[GroupoidElement, Tuple[Ultrapath, Ultrapath, LassoPath]]:
+    """Oracle for groupoid_element and witness: tries every strip depth n up
+    to the point where both rays are periodic plus lcm of the cycle lengths,
+    and returns the element with its witness at the first n with
+    shift^n(left) = shift^(n-lag)(right).  Raises ValueError when none
+    merges."""
     lo = max(lag, 0)
     settle = max(len(left.prefix), len(right.prefix) + lag, lo)
     hi = settle + math.lcm(len(left.cycle), len(right.cycle))
@@ -142,8 +143,8 @@ def search_groupoid_element(
                 T = g.range[x_word[-1]] & g.range[y_word[-1]]
             else:
                 T = frozenset({lasso_source(g, mu)})
-            witness = (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
-            return GroupoidElement(left=left, lag=lag, right=right, witness=witness)
+            element = GroupoidElement(left=left, lag=lag, right=right)
+            return element, (Ultrapath(x_word, T), Ultrapath(y_word, T), mu)
     raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
 
 

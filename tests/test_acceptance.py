@@ -10,7 +10,6 @@ import random
 import time
 
 from ultragraph import (
-    Bisection,
     SGElement,
     Semicharacter,
     Ultragraph,
@@ -220,9 +219,7 @@ def test_criterion_06_ck_verification_and_mutations():
     assert [e.name for e in rep.failures()] == ["vertex_decomposition"]
 
     fam = ck_family(g, lat)
-    fam.projections[fz("w")] = Bisection(
-        idempotent(Ultrapath((), fz("v", "w", "u")))
-    )
+    fam.projections[fz("w")] = idempotent(Ultrapath((), fz("v", "w", "u")))
     rep = check_family(g, lat, fam, 2)
     assert "projection_meets" in {e.name for e in rep.failures()}
 
@@ -235,9 +232,7 @@ def test_criterion_06_ck_verification_and_mutations():
     assert "isometry_range_identity" in {e.name for e in rep.failures()}
 
     fam = ck_family(g, lat)
-    fam.isometries["e"] = Bisection(
-        SGElement(Ultrapath(("e",), fz("w")), Ultrapath((), fz("w")))
-    )
+    fam.isometries["e"] = SGElement(Ultrapath(("e",), fz("w")), Ultrapath((), fz("w")))
     rep = check_family(g, lat, fam, 2)
     assert {"isometry_range_identity", "vertex_decomposition"} <= {
         e.name for e in rep.failures()
@@ -338,7 +333,7 @@ def test_criterion_10_skew_products():
     sink_graph = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
     for g in graphs + [sink_graph]:
         for k in (2, 3):
-            assert check_singular_equivalence(g, k).passed
+            assert check_singular_equivalence(g, skew_product(g, k), k).passed
     print("CRITERION 10 PASS: skew products loop-free, singular sets match inside")
 
 

@@ -194,7 +194,9 @@ def test_skew_product_always_loop_free(g_branch, g_loop, g_split):
 def test_singular_equivalence(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
         for k in (1, 2, 3):
-            assert check_singular_equivalence(g, k).passed
+            assert check_singular_equivalence(g, skew_product(g, k), k).passed
     sink_graph = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
     for k in (1, 2, 3):
-        assert check_singular_equivalence(sink_graph, k).passed
+        assert check_singular_equivalence(
+            sink_graph, skew_product(sink_graph, k), k
+        ).passed

@@ -79,6 +79,21 @@ def test_analyze_bound_below_one_exits_two(capsys):
         assert err.startswith("error: ") and "--bound" in err
 
 
+def test_negative_bounds_and_pairs_exit_two(capsys):
+    for argv, flag in (
+        (["paths", GX, "--prefix-bound", "-2"], "prefix_bound"),
+        (["groupoid", GX, "--prefix-bound", "-2"], "prefix_bound"),
+        (["groupoid", GX, "--pairs", "-3"], "--pairs"),
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: ") and flag in err, argv
+    code, out, _ = run(["groupoid", GX, "--pairs", "0", "--format", "json"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hausdorff_separation"]["details"]["pairs"] == 0
+
+
 def test_json_reports_are_byte_stable(capsys):
     for argv in (["analyze", GW, "--format", "json"], ["ck", GX, "--format", "json"]):
         _, first, _ = run(argv, capsys)

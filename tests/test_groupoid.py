@@ -1,4 +1,4 @@
-"""Groupoid elements, bisections, cylinder refinement, Cuntz-Krieger checks."""
+"""Groupoid elements, slices, cylinder refinement, Cuntz-Krieger checks."""
 
 import random
 
@@ -7,17 +7,15 @@ import pytest
 import ultragraph.groupoid as groupoid_module
 
 from ultragraph import (
-    Bisection,
+    OMEGA,
     CylinderSet,
-    EMPTY_BISECTION,
     GraphStructureError,
+    GroupoidElement,
     SGElement,
     SizeLimitError,
     Ultragraph,
     Ultrapath,
     bisection_member,
-    bisection_product,
-    bisection_star,
     build_elements,
     check_bisection_homomorphism,
     check_family,
@@ -27,6 +25,7 @@ from ultragraph import (
     check_set_identities,
     ck_family,
     compose,
+    concat_lasso,
     cylinder_member,
     edge_path,
     enumerate_lassos,
@@ -35,14 +34,18 @@ from ultragraph import (
     groupoid_element,
     idempotent,
     inverse,
+    lasso_source,
     make_cylinder,
     make_lasso,
+    product,
     refine_to_depth,
     refine_words,
     star,
+    strip_lasso,
     unit_at,
     vertex_path,
     verify_ck,
+    witness,
 )
 
 from conftest import random_ultragraph, search_groupoid_element
@@ -64,13 +67,14 @@ def test_groupoid_element_minimal_witness(g_branch):
     ef = make_lasso(g_branch, (), ("e", "f"))
     fe = make_lasso(g_branch, (), ("f", "e"))
     a = groupoid_element(g_branch, ef, 1, fe)
-    x, y, mu = a.witness
+    assert (a.left, a.lag, a.right) == (ef, 1, fe)
+    x, y, mu = witness(g_branch, a)
     assert x == Ultrapath(("e",), fz("w"))
     assert y == Ultrapath((), fz("w"))
     assert mu == fe
     unit = unit_at(g_branch, ef)
     assert unit.lag == 0 and unit.left == unit.right
-    assert unit.witness[0] == Ultrapath((), fz("v"))
+    assert witness(g_branch, unit)[0] == Ultrapath((), fz("v"))
 
 
 def test_groupoid_element_rejects_disjoint_orbits(g_branch):
@@ -79,14 +83,22 @@ def test_groupoid_element_rejects_disjoint_orbits(g_branch):
     for lag in (-2, -1, 0, 1, 2):
         with pytest.raises(ValueError):
             groupoid_element(g_branch, ef, lag, egf)
+        # a bare triple built without the check has no witness either
+        with pytest.raises(ValueError):
+            witness(g_branch, GroupoidElement(ef, lag, egf))
+
+
+def _element_and_witness(g, left, lag, right):
+    a = groupoid_element(g, left, lag, right)
+    return a, witness(g, a)
 
 
 def _outcome(build, g, left, lag, right):
     try:
-        a = build(g, left, lag, right)
+        a, w = build(g, left, lag, right)
     except ValueError as err:
         return ("no tail", str(err))
-    return (str(a), a.witness)
+    return (str(a), w)
 
 
 def test_groupoid_element_matches_search_oracle():
@@ -102,26 +114,11 @@ def test_groupoid_element_matches_search_oracle():
             for right in lassos:
                 for lag in range(-4, 5):
                     want = _outcome(search_groupoid_element, g, left, lag, right)
-                    got = _outcome(groupoid_element, g, left, lag, right)
+                    got = _outcome(_element_and_witness, g, left, lag, right)
                     assert got == want, (left, lag, right)
                     cases += 1
                     merged += want[0] != "no tail"
     assert merged > 1000 and cases - merged > 1000, (cases, merged)
-
-
-def test_witness_excluded_from_equality(g_branch):
-    ef = make_lasso(g_branch, (), ("e", "f"))
-    a = groupoid_element(g_branch, ef, 2, ef)
-    deep = (
-        Ultrapath(("e", "f", "e", "f"), fz("v")),
-        Ultrapath(("e", "f"), fz("v")),
-        ef,
-    )
-    from ultragraph import GroupoidElement
-
-    b = GroupoidElement(left=ef, lag=2, right=ef, witness=deep)
-    assert a == b
-    assert hash(a) == hash(b)
 
 
 def test_compose_and_inverse(g_branch):
@@ -138,33 +135,82 @@ def test_compose_and_inverse(g_branch):
     assert compose(g_branch, inv, a) == unit_at(g_branch, fe)
 
 
-# --- bisections ---
+def _germ(g, s, xi):
+    """The germ [s, xi] of s = (x, y) at xi = y.mu, built from the
+    coordinates as (x.mu, length(x) - length(y), y.mu); None when xi lies
+    outside the domain of s."""
+    if s.is_omega:
+        return None
+    mu = strip_lasso(g, xi, s.right)
+    if mu is None:
+        return None
+    left = concat_lasso(g, s.left, mu)
+    right = concat_lasso(g, s.right, mu)
+    return groupoid_element(g, left, s.left.length - s.right.length, right)
+
+
+def test_compose_matches_germ_product(g_branch):
+    """[s, t.xi] . [t, xi] = [st, xi] with st from the semigroup product,
+    and a zero st leaves no composable pair of members: the groupoid
+    composition is the germ product of the inverse semigroup."""
+    rng = random.Random(31)
+    graphs = [g_branch]
+    while len(graphs) < 6:
+        g = random_ultragraph(rng, max_vertices=3, max_edges=4, sink_free=True)
+        if len(enumerate_lassos(g, 1, 2)) >= 3:
+            graphs.append(g)
+    defined = zero = 0
+    for g in graphs:
+        lat = generate_lattice(g)
+        gens = [s for s in generate_elements(g, lat, 1) if not s.is_omega]
+        lassos = enumerate_lassos(g, 1, 2)
+        for s in gens:
+            for t in gens:
+                st = product(g, s, t)
+                for xi in lassos:
+                    b = _germ(g, t, xi)
+                    a = None if b is None else _germ(g, s, b.left)
+                    if st.is_omega:
+                        assert a is None, (s, t, xi)
+                        zero += b is not None
+                    got = None if a is None else compose(g, a, b)
+                    assert got == _germ(g, st, xi), (s, t, xi)
+                    defined += got is not None
+    assert defined > 1000 and zero > 1000, (defined, zero)
+
+
+# --- slices, each named by its semigroup element ---
 
 
 def test_bisection_membership(g_branch):
     ef = make_lasso(g_branch, (), ("e", "f"))
     fe = make_lasso(g_branch, (), ("f", "e"))
     a = groupoid_element(g_branch, ef, 1, fe)
-    assert bisection_member(g_branch, Bisection(t_edge(g_branch, "e")), a)
-    assert not bisection_member(g_branch, Bisection(t_edge(g_branch, "f")), a)
-    assert not bisection_member(g_branch, Bisection(star(t_edge(g_branch, "e"))), a)
-    assert not bisection_member(g_branch, EMPTY_BISECTION, a)
-    assert EMPTY_BISECTION.is_empty
+    assert bisection_member(g_branch, t_edge(g_branch, "e"), a)
+    assert not bisection_member(g_branch, t_edge(g_branch, "f"), a)
+    assert not bisection_member(g_branch, star(t_edge(g_branch, "e")), a)
+    assert not bisection_member(g_branch, OMEGA, a)
 
 
 def test_units_bisection_is_diagonal(g_branch, branch_lattice):
     els = build_elements(g_branch, branch_lattice, 1, 1, 2)
-    full = Bisection(idempotent(vertex_path("vwu")))
+    full = idempotent(vertex_path("vwu"))
     diagonal = {a for a in els if bisection_member(g_branch, full, a)}
     assert diagonal == {a for a in els if a.lag == 0 and a.left == a.right}
 
 
-def test_bisection_product_and_star(g_branch):
-    te = Bisection(t_edge(g_branch, "e"))
-    assert bisection_product(g_branch, bisection_star(te), te).generator == idempotent(
-        vertex_path(("w", "u"))
-    )
-    assert bisection_product(g_branch, te, te).is_empty
+def test_bisection_product_and_star(g_branch, branch_lattice):
+    te = t_edge(g_branch, "e")
+    range_slice = product(g_branch, star(te), te)
+    assert range_slice == idempotent(vertex_path(("w", "u")))
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    # the units over the boundary points starting in r(e)
+    assert {a for a in els if bisection_member(g_branch, range_slice, a)} == {
+        a
+        for a in els
+        if a.lag == 0 and a.left == a.right and lasso_source(g_branch, a.left) in fz("w", "u")
+    }
+    assert product(g_branch, te, te).is_omega
 
 
 # --- cylinder sets ---
@@ -336,7 +382,7 @@ def test_mutation_dropped_isometry_fails_at_vertex(g_branch, branch_lattice):
 
 def test_mutation_corrupted_meet_projection(g_branch, branch_lattice):
     fam = ck_family(g_branch, branch_lattice)
-    fam.projections[fz("w")] = Bisection(idempotent(vertex_path("vwu")))
+    fam.projections[fz("w")] = idempotent(vertex_path("vwu"))
     rep = check_family(g_branch, branch_lattice, fam, 2)
     failed = {e.name for e in rep.failures()}
     assert "projection_meets" in failed
@@ -356,10 +402,23 @@ def test_mutation_swapped_ranges_fails_range_identity(g_branch, branch_lattice):
 def test_mutation_shrunk_terminal_fails_at_depth_two(g_branch, branch_lattice):
     fam = ck_family(g_branch, branch_lattice)
     shrunk = Ultrapath(("e",), fz("w"))
-    fam.isometries["e"] = Bisection(SGElement(shrunk, Ultrapath((), fz("w"))))
+    fam.isometries["e"] = SGElement(shrunk, Ultrapath((), fz("w")))
     rep = check_family(g_branch, branch_lattice, fam, 2)
     failed = {e.name for e in rep.failures()}
     assert {"isometry_range_identity", "vertex_decomposition"} <= failed
+
+
+def test_mutation_shrunk_join_projection(g_branch, branch_lattice):
+    fam = ck_family(g_branch, branch_lattice)
+    fam.projections[fz("v", "w")] = fam.projections[fz("v")]
+    rep = check_family(g_branch, branch_lattice, fam, 2)
+    joins = {e.name: e for e in rep.failures()}["projection_joins"]
+    assert joins.details == (
+        "{u} + {v w}: [ef eg fe gf] != [ef eg gf]",
+        "{u v} + {v w}: [ef eg fe gf] != [ef eg gf]",
+        "{v} + {w}: [ef eg] != [ef eg fe]",
+        "{v w} + {w}: [ef eg] != [ef eg fe]",
+    )
 
 
 def test_set_identities_fixtures(g_branch, g_loop, g_split):

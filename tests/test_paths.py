@@ -231,6 +231,14 @@ def test_enumerate_lassos_other_fixtures(g_loop, g_split):
     assert {str(x) for x in enumerate_lassos(g_split, 1, 1)} == {"(p)*", "(q)*"}
 
 
+def test_enumerate_lassos_rejects_out_of_range_bounds(g_branch):
+    assert {str(x) for x in enumerate_lassos(g_branch, 0, 2)} == {"(ef)*", "(fe)*"}
+    with pytest.raises(ValueError, match="prefix_bound"):
+        enumerate_lassos(g_branch, -1, 2)
+    with pytest.raises(ValueError, match="cycle_bound"):
+        enumerate_lassos(g_branch, 0, 0)
+
+
 def test_enumerate_lassos_needs_sink_free():
     g = random_ultragraph(random.Random(5), sink_free=False)
     while not any(
