@@ -48,31 +48,6 @@ def loops_at(
     return tuple(Loop(base=v, word=w) for w in words)
 
 
-def _completion_distance(g: Ultragraph, v: Vertex) -> Dict[Vertex, int]:
-    """For each vertex u, the least m >= 1 such that some length-m word from
-    u completes a return to v (v in the range of its last edge) without
-    using v as an intermediate source."""
-    dist: Dict[Vertex, int] = {}
-    frontier = {
-        u for u in g.vertices if any(v in g.range[e] for e in g.out_edges(u))
-    }
-    level = 1
-    while frontier:
-        for u in frontier:
-            dist[u] = level
-        nxt = set()
-        for u in g.vertices:
-            if u in dist:
-                continue
-            for e in g.out_edges(u):
-                if any(w != v and dist.get(w) == level for w in g.range[e]):
-                    nxt.add(u)
-                    break
-        frontier = nxt
-        level += 1
-    return dist
-
-
 def _first_return_words(
     g: Ultragraph, v: Vertex, bound: int
 ) -> Iterator[Tuple[Edge, ...]]:
@@ -83,23 +58,37 @@ def _first_return_words(
         raise ValueError(f"unknown vertex '{v}'")
     if bound < 1:
         return
-    dist = _completion_distance(g, v)
     adj = edge_adjacency(g)
-    # need[f]: least length after f that closes a loop, 0 when f closes one;
-    # edges out of v are left out, since v is never an interior source
-    far = bound + 1
-    need: Dict[Edge, int] = {}
-    for f in g.edges:
-        if g.source[f] != v:
-            rest = min((dist.get(w, far) for w in g.range[f] - {v}), default=far)
-            need[f] = 0 if v in g.range[f] else rest
-    stack: List[Tuple[Edge, ...]] = [(e,) for e in g.out_edges(v)]
+    # need[f]: least length after f that closes a loop, 0 when f closes one
+    # (v in its range); one backward BFS from the closing edges, over edges
+    # whose source is not v, since v is never an interior source
+    pred: Dict[Edge, List[Edge]] = {}
+    for e in g.edges:
+        if g.source[e] != v:
+            for f in adj[e]:
+                pred.setdefault(f, []).append(e)
+    need = {f: 0 for f in g.edges if g.source[f] != v and v in g.range[f]}
+    frontier = list(need)
+    while frontier:
+        nxt = []
+        for f in frontier:
+            for e in pred.get(f, ()):
+                if e not in need:
+                    need[e] = need[f] + 1
+                    nxt.append(e)
+        frontier = nxt
+    # one shared path: an entry (e, depth) puts e at path[depth], and a word
+    # is copied only when it closes a loop
+    path: List[Edge] = []
+    stack: List[Tuple[Edge, int]] = [(e, 0) for e in g.out_edges(v)]
     while stack:
-        word = stack.pop()
-        if v in g.range[word[-1]]:
-            yield word
-        budget = bound - len(word) - 1
-        stack.extend(word + (f,) for f in adj[word[-1]] if need.get(f, far) <= budget)
+        e, depth = stack.pop()
+        del path[depth:]
+        path.append(e)
+        if v in g.range[e]:
+            yield tuple(path)
+        budget = bound - len(path) - 1
+        stack.extend((f, depth + 1) for f in adj[e] if need.get(f, bound) <= budget)
 
 
 def count_first_return_loops(g: Ultragraph, v: Vertex, bound: int) -> int:
@@ -158,7 +147,7 @@ def _restricted_cycle(
                 if f not in allowed:
                     continue
                 c = color.get(f)
-                if c == 1 and f in path:
+                if c == 1:
                     return tuple(path[path.index(f):])
                 if c is None:
                     stack.append((f, False))

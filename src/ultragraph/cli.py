@@ -37,7 +37,7 @@ from .groupoid import (
     check_hausdorff,
     verify_ck,
 )
-from .paths import enumerate_lassos, enumerate_paths
+from .paths import check_lasso_bounds, enumerate_lassos, enumerate_paths
 from .semigroup import (
     generate_elements,
     idempotent_leq,
@@ -91,6 +91,7 @@ def _cmd_lattice(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    check_lasso_bounds(args.prefix_bound, args.cycle_bound)
     lat = generate_lattice(g)
     ps = enumerate_paths(g, lat, args.max_len)
     checks = [

@@ -301,6 +301,14 @@ def concat_lasso(g: Ultragraph, y: Ultrapath, x: LassoPath) -> Optional[LassoPat
     return LassoPath(y.word + x.prefix, x.cycle)
 
 
+def check_lasso_bounds(prefix_bound: int, cycle_bound: int) -> None:
+    """Reject lasso bounds that no enumeration accepts."""
+    if cycle_bound < 1:
+        raise ValueError("cycle_bound must be positive")
+    if prefix_bound < 0:
+        raise ValueError("prefix_bound must not be negative")
+
+
 def enumerate_lassos(
     g: Ultragraph,
     prefix_bound: int,
@@ -314,10 +322,7 @@ def enumerate_lassos(
     deduplicating is exhaustive.
     """
     require_no_sinks(g, "lasso enumeration")
-    if cycle_bound < 1:
-        raise ValueError("cycle_bound must be positive")
-    if prefix_bound < 0:
-        raise ValueError("prefix_bound must not be negative")
+    check_lasso_bounds(prefix_bound, cycle_bound)
     adj = edge_adjacency(g)
 
     def paths_up_to(bound: int) -> List[Tuple[Edge, ...]]:

@@ -293,3 +293,49 @@ def dp_loop_count(g: Ultragraph, v: str, bound: int) -> int:
                     nxt[f] = nxt.get(f, 0) + w
         weight = nxt
     return total
+
+
+def levelled_first_return_words(g: Ultragraph, v: str, bound: int):
+    """Oracle for the pruned first-return walk, kept from its first form:
+    completion distances per vertex by level-synchronous rescans of every
+    vertex, then a depth-first walk that copies the word at every push.
+    Yields the same words in the same order as analysis._first_return_words
+    must."""
+    if v not in g.vertices:
+        raise ValueError(f"unknown vertex '{v}'")
+    if bound < 1:
+        return
+    # dist[u]: least m >= 1 such that some length-m word from u completes a
+    # return to v without using v as an intermediate source
+    dist: Dict[str, int] = {}
+    frontier = {
+        u for u in g.vertices if any(v in g.range[e] for e in g.out_edges(u))
+    }
+    level = 1
+    while frontier:
+        for u in frontier:
+            dist[u] = level
+        nxt = set()
+        for u in g.vertices:
+            if u in dist:
+                continue
+            for e in g.out_edges(u):
+                if any(w != v and dist.get(w) == level for w in g.range[e]):
+                    nxt.add(u)
+                    break
+        frontier = nxt
+        level += 1
+    adj = edge_adjacency(g)
+    far = bound + 1
+    need: Dict[str, int] = {}
+    for f in g.edges:
+        if g.source[f] != v:
+            rest = min((dist.get(w, far) for w in g.range[f] - {v}), default=far)
+            need[f] = 0 if v in g.range[f] else rest
+    stack: List[Tuple[str, ...]] = [(e,) for e in g.out_edges(v)]
+    while stack:
+        word = stack.pop()
+        if v in g.range[word[-1]]:
+            yield word
+        budget = bound - len(word) - 1
+        stack.extend(word + (f,) for f in adj[word[-1]] if need.get(f, far) <= budget)

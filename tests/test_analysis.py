@@ -1,5 +1,6 @@
 """Loops, condition (K), cofinality, verdicts, skew products."""
 
+import itertools
 import random
 
 import pytest
@@ -20,12 +21,29 @@ from ultragraph import (
     skew_product,
     validate,
 )
+from ultragraph.analysis import _first_return_words
 
-from conftest import cofinal_by_lassos, naive_loop_count, random_ultragraph
+from conftest import (
+    cofinal_by_lassos,
+    levelled_first_return_words,
+    naive_loop_count,
+    random_ultragraph,
+)
 
 
 def words(loops):
     return ["".join(l.word) for l in loops]
+
+
+def chain_graph() -> Ultragraph:
+    return Ultragraph.build(
+        ["a", "b", "c"],
+        {"e": ("a", ("b", "c")), "f": ("b", ("c",))},
+    )
+
+
+def sink_graph() -> Ultragraph:
+    return Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
 
 
 def test_loops_at_fixture_bases(g_branch, g_loop, g_split):
@@ -61,6 +79,51 @@ def test_pruned_counter_matches_naive_on_randoms():
                     loops_at(g, v, bound)
             else:
                 assert len(loops_at(g, v, bound)) == naive
+
+
+def test_walk_matches_levelled_oracle(g_branch, g_loop, g_split):
+    # same words in the same order, each run capped so the test stays short
+    rng = random.Random(29)
+    graphs = [g_branch, g_loop, g_split, chain_graph(), sink_graph()]
+    graphs += [random_ultragraph(rng, max_vertices=5, max_edges=7) for _ in range(20)]
+    seen = 0
+    for g in graphs:
+        for v in sorted(g.vertices):
+            for bound in range(9):
+                got = list(itertools.islice(_first_return_words(g, v, bound), 200))
+                want = itertools.islice(levelled_first_return_words(g, v, bound), 200)
+                assert got == list(want), (sorted(g.edges), v, bound)
+                seen += len(got)
+    assert seen > 5000
+    for walk in (_first_return_words, levelled_first_return_words):
+        with pytest.raises(ValueError):
+            next(walk(g_branch, "zz", 3))
+
+
+def test_condition_k_on_a_long_cycle():
+    n = 300
+    vs = [f"v{i}" for i in range(n)]
+    edges = {f"e{i}": (vs[i], (vs[(i + 1) % n],)) for i in range(n)}
+    around = tuple(f"e{i}" for i in range(7, n)) + tuple(f"e{i}" for i in range(7))
+    # the only loop at v_i is the way once around, 300 edges long
+    cycle = Ultragraph.build(vs, edges)
+    k = condition_K(cycle)
+    assert not k.holds and k.bound == 2 * n
+    assert set(k.counts.values()) == {1} and len(k.offenders()) == n
+    assert [l.word for l in loops_at(cycle, "v7", n)] == [around]
+    assert loops_at(cycle, "v7", n - 1) == ()
+    # a loop x at v0: v0 has x and the way around, and every other base has
+    # the way around with x taken at v0 any number of times
+    edges["x"] = ("v0", ("v0",))
+    looped = Ultragraph.build(vs, edges)
+    k = condition_K(looped)
+    assert k.holds and k.bound == 2 * (n + 1)
+    assert set(k.counts.values()) == {2} and len(k.counts) == n
+    assert [l.word for l in loops_at(looped, "v7", n + 1)] == [
+        around,
+        around[: n - 7] + ("x",) + around[n - 7 :],
+    ]
+    assert words(loops_at(looped, "v0", 1)) == ["x"]
 
 
 def test_condition_k_fixtures(g_branch, g_loop, g_split):
@@ -108,7 +171,7 @@ def test_cofinality_fixtures(g_branch, g_loop, g_split):
 
 def test_cofinality_and_verdict_refuse_sinks():
     # boundary paths through a sink are finite, outside what these report on
-    g = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
+    g = sink_graph()
     with pytest.raises(GraphStructureError):
         is_cofinal(g)
     with pytest.raises(GraphStructureError):
@@ -129,10 +192,7 @@ def test_loop_freeness(g_branch, g_loop, g_split):
     assert not is_loop_free(g_branch)
     assert not is_loop_free(g_loop)
     assert not is_loop_free(g_split)
-    chain = Ultragraph.build(
-        ["a", "b", "c"],
-        {"e": ("a", ("b", "c")), "f": ("b", ("c",))},
-    )
+    chain = chain_graph()
     assert is_loop_free(chain)
     assert af_indicator(chain)
 
@@ -195,8 +255,6 @@ def test_singular_equivalence(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
         for k in (1, 2, 3):
             assert check_singular_equivalence(g, skew_product(g, k), k).passed
-    sink_graph = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
+    g = sink_graph()
     for k in (1, 2, 3):
-        assert check_singular_equivalence(
-            sink_graph, skew_product(sink_graph, k), k
-        ).passed
+        assert check_singular_equivalence(g, skew_product(g, k), k).passed

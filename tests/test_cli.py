@@ -79,15 +79,25 @@ def test_analyze_bound_below_one_exits_two(capsys):
         assert err.startswith("error: ") and "--bound" in err
 
 
-def test_negative_bounds_and_pairs_exit_two(capsys):
+def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
+    # paths skips the lassos on a graph with a sink, but not the bound check
+    sink = tmp_path / "sink.ug"
+    sink.write_text("ultragraph\nvertex a\nvertex b\nedge e a { b }\n")
     for argv, flag in (
         (["paths", GX, "--prefix-bound", "-2"], "prefix_bound"),
         (["groupoid", GX, "--prefix-bound", "-2"], "prefix_bound"),
         (["groupoid", GX, "--pairs", "-3"], "--pairs"),
+        (["paths", str(sink), "--prefix-bound", "-2"], "prefix_bound"),
+        (["paths", str(sink), "--cycle-bound", "0"], "cycle_bound"),
+        (["paths", str(sink), "--prefix-bound", "-2", "--cycle-bound", "0"], "cycle_bound"),
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "", argv
         assert err.startswith("error: ") and flag in err, argv
+    code, out, _ = run(["paths", str(sink), "--format", "json"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["lassos"]["details"] == {"skipped": "graph has sinks"}
     code, out, _ = run(["groupoid", GX, "--pairs", "0", "--format", "json"], capsys)
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
