@@ -11,6 +11,7 @@ is pinned to zero to keep reports byte-stable.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -274,7 +275,11 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later one: parse_args keeps no state on it, so main can run many times
+    in one process."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("graph", help="ultragraph file to read")
     common.add_argument(

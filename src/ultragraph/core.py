@@ -38,8 +38,9 @@ def format_set(s: Iterable[str]) -> str:
 class Ultragraph:
     """Vertices, edges, one source vertex per edge, one nonempty range set per edge.
 
-    Never mutate one after construction: its out-edge lists, edge adjacency
-    and reachability sets are derived on first use and cached on it."""
+    Never mutate one after construction: its sorted edges and vertices,
+    out-edge lists, edge adjacency and reachability sets are derived on
+    first use and cached on it."""
 
     vertices: VSet
     edges: FrozenSet[Edge]
@@ -61,13 +62,21 @@ class Ultragraph:
         )
 
     def edges_sorted(self) -> Tuple[Edge, ...]:
-        return tuple(sorted(self.edges))
+        return self._edges_sorted
 
     def vertices_sorted(self) -> Tuple[Vertex, ...]:
-        return tuple(sorted(self.vertices))
+        return self._vertices_sorted
 
     def out_edges(self, v: Vertex) -> Tuple[Edge, ...]:
         return self._out_edges.get(v, ())
+
+    @cached_property
+    def _edges_sorted(self) -> Tuple[Edge, ...]:
+        return tuple(sorted(self.edges))
+
+    @cached_property
+    def _vertices_sorted(self) -> Tuple[Vertex, ...]:
+        return tuple(sorted(self.vertices))
 
     @cached_property
     def _out_edges(self) -> Dict[Vertex, Tuple[Edge, ...]]:

@@ -305,14 +305,24 @@ def check_family(
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
     entries: List[CheckResult] = []
-    words_memo: Dict[Ultrapath, FrozenSet[Tuple[Edge, ...]]] = {}
+    # each depth-d word gets a bit on first sight, so a cylinder's words are
+    # one int mask and joins and decompositions are OR, AND and compare
+    word_bit: Dict[Tuple[Edge, ...], int] = {}
+    words_memo: Dict[Ultrapath, int] = {}
 
-    def words_of(base: Ultrapath) -> FrozenSet[Tuple[Edge, ...]]:
+    def words_of(base: Ultrapath) -> int:
         if base not in words_memo:
-            words_memo[base] = frozenset(
-                _cylinder_words(g, CylinderSet(base=base), depth)
-            )
+            mask = 0
+            for w in _cylinder_words(g, CylinderSet(base=base), depth):
+                mask |= 1 << word_bit.setdefault(w, len(word_bit))
+            words_memo[base] = mask
         return words_memo[base]
+
+    def fmt_mask(mask: int) -> str:
+        words = list(word_bit)
+        return _fmt_words(
+            sorted(words[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        )
 
     # shape: projections sit on their own index, isometries are squares
     shape_bad: List[str] = []
@@ -370,6 +380,7 @@ def check_family(
         pa = fam.projections.get(A)
         if pa is None:
             continue
+        wa = words_of(pa.left)
         for B in nonempty[i:]:
             pb = fam.projections.get(B)
             pj = fam.projections.get(A | B)
@@ -378,11 +389,11 @@ def check_family(
                     bad.append(f"missing projection {format_set(A | B)}")
                 continue
             lhs = words_of(pj.left)
-            rhs = words_of(pa.left) | words_of(pb.left)
+            rhs = wa | words_of(pb.left)
             if lhs != rhs:
                 bad.append(
                     f"{format_set(A)} + {format_set(B)}: "
-                    f"{_fmt_words(sorted(lhs))} != {_fmt_words(sorted(rhs))}"
+                    f"{fmt_mask(lhs)} != {fmt_mask(rhs)}"
                 )
     entries.append(CheckResult("projection_joins", not bad, tuple(bad[:8])))
 
@@ -420,8 +431,8 @@ def check_family(
         if pv is None:
             bad.append(f"vertex {v}: missing projection")
             continue
-        merged: set = set()
-        total = 0
+        merged = 0
+        overlap = False
         for e in g.out_edges(v):
             te = fam.isometries.get(e)
             if te is None:
@@ -430,17 +441,14 @@ def check_family(
             if ee.is_omega:
                 continue
             piece = words_of(ee.left)
+            overlap = overlap or bool(merged & piece)
             merged |= piece
-            total += len(piece)
-        if total != len(merged):
+        if overlap:
             bad.append(f"vertex {v}: edge slices overlap")
             continue
         lhs = words_of(pv.left)
         if lhs != merged:
-            bad.append(
-                f"vertex {v}: "
-                f"{_fmt_words(sorted(lhs))} != {_fmt_words(sorted(merged))}"
-            )
+            bad.append(f"vertex {v}: {fmt_mask(lhs)} != {fmt_mask(merged)}")
     entries.append(CheckResult("vertex_decomposition", not bad, tuple(bad[:8])))
 
     return CheckReport(entries=tuple(entries))

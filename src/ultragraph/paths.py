@@ -21,7 +21,6 @@ from .core import (
     edge_adjacency,
     format_set,
     require_no_sinks,
-    set_key,
 )
 
 
@@ -152,15 +151,20 @@ def enumerate_paths(
 ) -> List[Ultrapath]:
     """All ultrapaths of length up to max_len, terminals ranging over the
     nonempty lattice sets inside the relevant range.  Ordered by length,
-    then edge word, then terminal."""
+    then edge word, then terminal.
+
+    The order comes out of the construction: each level extends the
+    previous one's words, in order, by their sorted successor edges, and
+    the lattice lists its sets in set_key order."""
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    out: List[Ultrapath] = [Ultrapath((), A) for A in lat.nonempty()]
+    nonempty = lat.nonempty()
+    out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
     words: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
     adj = edge_adjacency(g)
-    nonempty = lat.nonempty()
-    for _ in range(max_len):
-        nxt: List[Tuple[Edge, ...]] = []
+    for length in range(1, max_len + 1):
+        if length > 1:
+            words = [w + (f,) for w in words for f in adj[w[-1]]]
         for w in words:
             last_range = g.range[w[-1]]
             for A in nonempty:
@@ -170,9 +174,6 @@ def enumerate_paths(
                         raise SizeLimitError(
                             f"path enumeration exceeded max_count={max_count}"
                         )
-            nxt.extend(w + (f,) for f in adj[w[-1]])
-        words = nxt
-    out.sort(key=lambda p: (p.length, p.word, set_key(p.terminal)))
     return out
 
 

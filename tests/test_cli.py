@@ -104,6 +104,45 @@ def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
     assert checks["hausdorff_separation"]["details"]["pairs"] == 0
 
 
+def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, monkeypatch):
+    assert cli._build_parser() is cli._build_parser()
+    target = tmp_path / "skew.ug"
+    code, _, _ = run(["skew", GX, "--window", "2", "--out", str(target)], capsys)
+    assert code == 0 and target.exists()
+    target.unlink()
+    code, out, _ = run(["skew", GX, "--format", "json"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["loop_free"]["details"]["window"] == 1
+    assert "emitted" not in checks
+    assert list(tmp_path.iterdir()) == []
+    code, out, _ = run(["groupoid", GX, "--pairs", "3", "--format", "json"], capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and checks["hausdorff_separation"]["details"]["pairs"] == 3
+    code, out, _ = run(["groupoid", GX, "--format", "json"], capsys)
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert code == 0 and checks["hausdorff_separation"]["details"]["pairs"] == 50
+    # a usage error leaves nothing behind for the next call
+    monkeypatch.chdir(REPO)
+    with pytest.raises(SystemExit) as exc:
+        main(["skew", "fixtures/GX.ug", "--window", "2", "--no-such-flag"])
+    assert exc.value.code == 2
+    code, out, _ = run(["skew", "fixtures/GX.ug", "--format", "json"], capsys)
+    assert code == 0
+    assert out == (REPO / "tests" / "golden" / "GX_skew.json").read_text()
+
+
+def test_shared_parser_sizes_help_when_it_prints(capsys, monkeypatch):
+    widths = []
+    for columns in ("40", "140", "40"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as exc:
+            main(["paths", "--help"])
+        assert exc.value.code == 0
+        widths.append(max(len(line) for line in capsys.readouterr().out.splitlines()))
+    assert widths[0] == widths[2] < widths[1]
+
+
 def test_json_reports_are_byte_stable(capsys):
     for argv in (["analyze", GW, "--format", "json"], ["ck", GX, "--format", "json"]):
         _, first, _ = run(argv, capsys)

@@ -92,6 +92,14 @@ def test_edge_adjacency_is_built_once_and_skips_undeclared_sources():
     assert edge_adjacency(g) == brute_adjacency(g) == {"e": ("e",), "f": ("e",)}
 
 
+def test_sorted_edges_and_vertices_are_derived_once():
+    g = Ultragraph.build(["w", "v", "u"], {"g": ("u", ("w",)), "e": ("v", ("v", "w"))})
+    assert g.edges_sorted() == ("e", "g")
+    assert g.vertices_sorted() == ("u", "v", "w")
+    assert g.edges_sorted() is g.edges_sorted()
+    assert g.vertices_sorted() is g.vertices_sorted()
+
+
 def test_index_matches_independent_oracles():
     rng = random.Random(59)
     graphs = [random_ultragraph(rng) for _ in range(30)]

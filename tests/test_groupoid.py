@@ -421,6 +421,18 @@ def test_mutation_shrunk_join_projection(g_branch, branch_lattice):
     )
 
 
+def test_mutation_overlapping_edge_slices_fail_vertex_decomposition():
+    g = Ultragraph.build(
+        ["v", "w"], {"a": ("v", ("v",)), "b": ("v", ("w",)), "c": ("w", ("v",))}
+    )
+    lat = generate_lattice(g)
+    fam = ck_family(g, lat)
+    fam.isometries["b"] = fam.isometries["a"]
+    rep = check_family(g, lat, fam, 2)
+    vertex = {e.name: e for e in rep.entries}["vertex_decomposition"]
+    assert vertex.details == ("vertex v: edge slices overlap",)
+
+
 def test_set_identities_fixtures(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
         rep = check_set_identities(g, generate_lattice(g), depths=(1, 2, 3))

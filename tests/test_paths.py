@@ -1,5 +1,6 @@
 """Ultrapaths, concatenation, initial segments, lasso paths."""
 
+import itertools
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from ultragraph import (
     GraphStructureError,
     LassoPath,
     SizeLimitError,
+    Ultragraph,
     Ultrapath,
     comparable,
     concat,
@@ -137,6 +139,36 @@ def test_enumerate_paths_counts_and_order(g_branch, branch_lattice):
     assert keys == sorted(keys)
     with pytest.raises(SizeLimitError):
         enumerate_paths(g_branch, branch_lattice, 3, max_count=10)
+
+
+def _sorted_paths_oracle(g, max_len):
+    """Every ultrapath up to max_len straight from the definition: composable
+    words over all edge tuples, each with every nonempty subset of its last
+    range (the lattice is the power set), sorted by length, word, terminal."""
+    out = []
+    for n in range(max_len + 1):
+        for word in itertools.product(sorted(g.edges), repeat=n):
+            if any(g.source[b] not in g.range[a] for a, b in zip(word, word[1:])):
+                continue
+            bound = sorted(g.range[word[-1]] if word else g.vertices)
+            for k in range(1, len(bound) + 1):
+                for t in itertools.combinations(bound, k):
+                    out.append(Ultrapath(word, frozenset(t)))
+    out.sort(key=lambda p: (p.length, p.word, tuple(sorted(p.terminal))))
+    return out
+
+
+def test_enumerate_paths_matches_sorted_oracle():
+    rng = random.Random(83)
+    graphs = [random_ultragraph(rng, max_edges=12) for _ in range(40)]
+    for g in graphs:
+        lat = generate_lattice(g)
+        for max_len in range(4):
+            assert enumerate_paths(g, lat, max_len) == _sorted_paths_oracle(g, max_len)
+    bouquet = Ultragraph.build(["v"], {f"e{i}": ("v", ("v",)) for i in range(8)})
+    got = enumerate_paths(bouquet, generate_lattice(bouquet), 5)
+    assert len(got) == 1 + 8 + 8**2 + 8**3 + 8**4 + 8**5
+    assert got == _sorted_paths_oracle(bouquet, 5)
 
 
 # --- lasso paths ---
