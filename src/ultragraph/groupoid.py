@@ -86,15 +86,14 @@ class GroupoidElement:
         return f"({self.left}, {self.lag:+d}, {self.right})"
 
 
-def _settle(left: LassoPath, lag: int, right: LassoPath) -> int:
-    """The depth from which both rays are purely periodic, after checking
-    that they agree there.  Two periodic rays that agree from some depth
-    on agree already, so the rays share a tail at all iff they agree at
-    settle.  Raises ValueError when the rays never merge at this lag."""
-    settle = max(len(left.prefix), len(right.prefix) + lag, lag, 0)
-    if shift_n(left, settle) != shift_n(right, settle - lag):
+def _check_tail(left: LassoPath, lag: int, right: LassoPath) -> None:
+    """Raise ValueError unless left and right share a tail at this lag.
+    Past its prefix a lasso's edge j is rep[(j + phase) mod p], so the
+    tails meet iff the reps agree and the phases differ by lag mod p."""
+    rep, phase = left.signature
+    right_rep, right_phase = right.signature
+    if rep != right_rep or (right_phase - phase - lag) % len(rep):
         raise ValueError(f"no shared tail: {left} and {right} at lag {lag}")
-    return settle
 
 
 def groupoid_element(
@@ -102,7 +101,7 @@ def groupoid_element(
 ) -> GroupoidElement:
     """Validated construction: raises ValueError unless left and right share
     a tail at this lag."""
-    _settle(left, lag, right)
+    _check_tail(left, lag, right)
     return GroupoidElement(left, lag, right)
 
 
@@ -113,11 +112,13 @@ def witness(
     matching ranges and lag = length(x) - length(y), at the least strip
     depth n = length(x), so x is the shortest such prefix.
 
-    From the settle depth, where the tails agree, the depth walks back one
-    edge at a time while the unrolled words still agree on the edge before
-    it.  Raises ValueError when a's points share no tail."""
+    From the settle depth, where both rays are purely periodic and so
+    agree, the depth walks back one edge at a time while the unrolled
+    words still agree on the edge before it.  Raises ValueError when a's
+    points share no tail."""
     left, lag, right = a.left, a.lag, a.right
-    settle = _settle(left, lag, right)
+    _check_tail(left, lag, right)
+    settle = max(len(left.prefix), len(right.prefix) + lag, lag, 0)
     lw = unroll(left, settle)
     rw = unroll(right, settle - lag)
     n, lo = settle, max(lag, 0)
@@ -134,10 +135,13 @@ def witness(
 
 
 def compose(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> Optional[GroupoidElement]:
-    """Defined exactly when a's right point equals b's left point; lags add."""
+    """Defined exactly when a's right point equals b's left point; lags add.
+    The shared tail is checked again, since bare triples reach here."""
     if a.right != b.left:
         return None
-    return groupoid_element(g, a.left, a.lag + b.lag, b.right)
+    lag = a.lag + b.lag
+    _check_tail(a.left, lag, b.right)
+    return GroupoidElement(a.left, lag, b.right)
 
 
 def inverse(a: GroupoidElement) -> GroupoidElement:
@@ -567,15 +571,15 @@ def check_groupoid_laws(
         if u is None or u.lag != 0 or u.left != a.left or u.right != a.left:
             bad.append(str(a))
             continue
-        if compose(g, u, a) != a or compose(g, compose(g, a, inverse(a)), a) != a:
+        if compose(g, u, a) != a or compose(g, a, compose(g, inverse(a), a)) != a:
             bad.append(str(a))
     entries.append(CheckResult("units_and_inverses", not bad, tuple(bad[:5])))
 
+    # every key names members of elements, which outlive the memo
     pair_memo: Dict[Tuple[int, int], Optional[GroupoidElement]] = {}
-    index = {id(a): i for i, a in enumerate(elements)}
 
     def mul(a, b):
-        key = (index[id(a)], index[id(b)])
+        key = (id(a), id(b))
         if key not in pair_memo:
             pair_memo[key] = compose(g, a, b)
         return pair_memo[key]

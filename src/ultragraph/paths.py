@@ -10,6 +10,7 @@ infinite edge words they unroll to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .core import (
@@ -212,6 +213,18 @@ class LassoPath:
         p, c = _canonical(tuple(self.prefix), tuple(self.cycle))
         object.__setattr__(self, "prefix", p)
         object.__setattr__(self, "cycle", c)
+
+    @cached_property
+    def signature(self) -> Tuple[Tuple[Edge, ...], int]:
+        """Tail signature (rep, phase).  rep is the least rotation of the
+        cycle, here the cycle rotated by i; so the cycle is rep rotated by
+        k = -i, and phase = (k - len(prefix)) mod p makes edge j, from the
+        end of the prefix on, rep[(j + phase) mod p].  The cycle is
+        primitive, so its rotations are distinct and the rep is unique."""
+        c = self.cycle
+        p = len(c)
+        rep, i = min((c[i:] + c[:i], i) for i in range(p))
+        return rep, (-i - len(self.prefix)) % p
 
     def __str__(self) -> str:
         head = "".join(self.prefix)

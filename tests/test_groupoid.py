@@ -490,6 +490,52 @@ def test_triple_budget_fires_before_any_compose(g_branch, branch_lattice, monkey
     assert calls
 
 
+def test_units_and_inverses_checks_the_right_unit_law(g_branch, branch_lattice, monkeypatch):
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    real = groupoid_module.compose
+
+    def is_unit(a):
+        return a.lag == 0 and a.left == a.right
+
+    def broken(g, a, b):
+        # a . d(a) goes missing for every non-unit a
+        if not is_unit(a) and is_unit(b) and b.left == a.right:
+            return None
+        return real(g, a, b)
+
+    assert any(not is_unit(a) for a in els)
+    monkeypatch.setattr(groupoid_module, "compose", broken)
+    failed = [e.name for e in check_groupoid_laws(g_branch, els).failures()]
+    assert "units_and_inverses" in failed
+
+
+def test_groupoid_laws_make_no_shift(g_branch, branch_lattice, monkeypatch):
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    calls = []
+    real = groupoid_module.shift_n
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groupoid_module, "shift_n", counting)
+    assert check_groupoid_laws(g_branch, els).passed
+    assert calls == []
+
+
+def test_compose_rejects_bare_triples_without_shared_tail(g_branch):
+    ef = make_lasso(g_branch, (), ("e", "f"))
+    fe = make_lasso(g_branch, (), ("f", "e"))
+    egf = make_lasso(g_branch, (), ("e", "g", "f"))
+    assert ef.signature[0] == fe.signature[0] != egf.signature[0]
+    # equal reps at the wrong phase, then different reps
+    for right in (fe, egf):
+        a = GroupoidElement(ef, 0, right)
+        with pytest.raises(ValueError) as err:
+            compose(g_branch, a, unit_at(g_branch, right))
+        assert str(err.value) == f"no shared tail: {ef} and {right} at lag 0"
+
+
 def test_bisection_homomorphism_small(g_branch, branch_lattice):
     els = build_elements(g_branch, branch_lattice, 1, 1, 2)
     gens = [s for s in generate_elements(g_branch, branch_lattice, 1) if not s.is_omega]

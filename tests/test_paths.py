@@ -198,6 +198,7 @@ def test_lasso_equality_is_unrolled_equality(prefix, cycle, reps):
     assert LassoPath(prefix, cycle * reps) == x
     horizon = len(prefix) + 3 * len(cycle)
     assert unroll(LassoPath(prefix + cycle, cycle * reps), horizon) == unroll(x, horizon)
+    assert LassoPath(prefix + cycle, cycle * reps).signature == x.signature
 
 
 @settings(max_examples=200, deadline=None)
@@ -214,6 +215,11 @@ def test_shift_matches_unroll(prefix, cycle, n):
     for y in (shift(x), shift_n(x, n)):
         again = LassoPath(y.prefix, y.cycle)
         assert (y.prefix, y.cycle) == (again.prefix, again.cycle)
+    # the signature: rep is the least rotation, and shifting advances the phase
+    rep, phase = x.signature
+    p = len(x.cycle)
+    assert rep == min(x.cycle[i:] + x.cycle[:i] for i in range(p))
+    assert shift_n(x, n).signature == (rep, (phase + n) % p)
 
 
 def test_make_lasso_validates(g_branch):
