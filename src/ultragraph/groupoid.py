@@ -11,9 +11,8 @@ a fixed depth, which makes the Cuntz-Krieger relations decidable.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Edge,
@@ -72,11 +71,10 @@ class CheckReport:
         return tuple(e for e in self.entries if not e.passed)
 
 
-@dataclass(frozen=True)
-class GroupoidElement:
+class GroupoidElement(NamedTuple):
     """Triple (left, lag, right) of boundary points sharing a tail:
-    shift^n(left) = shift^(n-lag)(right) for some depth n >= max(lag, 0).
-    witness(g, a) gives a germ representative."""
+    shift^n(left) = shift^(n-lag)(right) for some depth n >= max(lag, 0),
+    as an immutable named tuple.  witness(g, a) gives a germ representative."""
 
     left: LassoPath
     lag: int
@@ -295,6 +293,31 @@ def _fmt_words(words, cap: int = 12) -> str:
     return "[" + " ".join(shown) + "]" + tail
 
 
+def _word_masks(g: Ultragraph, depth: int):
+    """words_of(base), a cylinder's depth-d words as one int mask, memoised
+    per base, and fmt_mask, which decodes a mask to its sorted words.  Each
+    word gets a bit on first sight, so joins, meets and decompositions are
+    OR, AND and compare."""
+    word_bit: Dict[Tuple[Edge, ...], int] = {}
+    memo: Dict[Ultrapath, int] = {}
+
+    def words_of(base: Ultrapath) -> int:
+        if base not in memo:
+            mask = 0
+            for w in _cylinder_words(g, CylinderSet(base=base), depth):
+                mask |= 1 << word_bit.setdefault(w, len(word_bit))
+            memo[base] = mask
+        return memo[base]
+
+    def fmt_mask(mask: int) -> str:
+        words = list(word_bit)
+        return _fmt_words(
+            sorted(words[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        )
+
+    return words_of, fmt_mask
+
+
 def check_family(
     g: Ultragraph, lat: LatticeG0, fam: CKFamily, depth: int
 ) -> CheckReport:
@@ -309,24 +332,7 @@ def check_family(
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
     entries: List[CheckResult] = []
-    # each depth-d word gets a bit on first sight, so a cylinder's words are
-    # one int mask and joins and decompositions are OR, AND and compare
-    word_bit: Dict[Tuple[Edge, ...], int] = {}
-    words_memo: Dict[Ultrapath, int] = {}
-
-    def words_of(base: Ultrapath) -> int:
-        if base not in words_memo:
-            mask = 0
-            for w in _cylinder_words(g, CylinderSet(base=base), depth):
-                mask |= 1 << word_bit.setdefault(w, len(word_bit))
-            words_memo[base] = mask
-        return words_memo[base]
-
-    def fmt_mask(mask: int) -> str:
-        words = list(word_bit)
-        return _fmt_words(
-            sorted(words[i] for i in range(mask.bit_length()) if mask >> i & 1)
-        )
+    words_of, fmt_mask = _word_masks(g, depth)
 
     # shape: projections sit on their own index, isometries are squares
     shape_bad: List[str] = []
@@ -358,19 +364,23 @@ def check_family(
     zero_ok = not zero_words and frozenset() not in fam.projections
     entries.append(CheckResult("projection_of_empty_set_is_zero", zero_ok))
 
+    # per-set lists, so the all-pairs loops below hash no Ultrapath
     nonempty = lat.nonempty()
+    n = len(nonempty)
+    projs = [fam.projections.get(A) for A in nonempty]
 
     bad: List[str] = []
     for i, A in enumerate(nonempty):
-        pa = fam.projections.get(A)
+        pa = projs[i]
         if pa is None:
             bad.append(f"missing projection {format_set(A)}")
             continue
-        for B in nonempty[i:]:
-            pb = fam.projections.get(B)
+        for j in range(i, n):
+            pb = projs[j]
             if pb is None:
                 continue
             got = product(g, pa, pb)
+            B = nonempty[j]
             meet = A & B
             want = fam.projections.get(meet) if meet else OMEGA
             if got != want:
@@ -379,21 +389,21 @@ def check_family(
                 )
     entries.append(CheckResult("projection_meets", not bad, tuple(bad[:8])))
 
+    masks = [None if p is None else words_of(p.left) for p in projs]
+    mask_of = dict(zip(nonempty, masks))
     bad = []
     for i, A in enumerate(nonempty):
-        pa = fam.projections.get(A)
-        if pa is None:
+        wa = masks[i]
+        if wa is None:
             continue
-        wa = words_of(pa.left)
-        for B in nonempty[i:]:
-            pb = fam.projections.get(B)
-            pj = fam.projections.get(A | B)
-            if pb is None or pj is None:
-                if pj is None:
+        for j in range(i, n):
+            B = nonempty[j]
+            lhs = mask_of.get(A | B)
+            if masks[j] is None or lhs is None:
+                if lhs is None:
                     bad.append(f"missing projection {format_set(A | B)}")
                 continue
-            lhs = words_of(pj.left)
-            rhs = wa | words_of(pb.left)
+            rhs = wa | masks[j]
             if lhs != rhs:
                 bad.append(
                     f"{format_set(A)} + {format_set(B)}: "
@@ -472,22 +482,16 @@ def check_set_identities(
     require_no_sinks(g, "set identity checks")
     entries: List[CheckResult] = []
     for depth in depths:
-        memo: Dict[VSet, frozenset] = {}
-
-        def words_for(A: VSet, depth=depth, memo=memo) -> frozenset:
-            if A not in memo:
-                memo[A] = frozenset(
-                    _cylinder_words(g, CylinderSet(Ultrapath((), A)), depth)
-                )
-            return memo[A]
-
+        words_of, _ = _word_masks(g, depth)
+        masks = [words_of(Ultrapath((), A)) for A in lat.sets]
         bad_meet: List[str] = []
         bad_join: List[str] = []
         for i, A in enumerate(lat.sets):
-            for B in lat.sets[i:]:
-                if words_for(A & B) != words_for(A) & words_for(B):
+            for j in range(i, len(masks)):
+                B = lat.sets[j]
+                if words_of(Ultrapath((), A & B)) != masks[i] & masks[j]:
                     bad_meet.append(f"{format_set(A)} ^ {format_set(B)}")
-                if words_for(A | B) != words_for(A) | words_for(B):
+                if words_of(Ultrapath((), A | B)) != masks[i] | masks[j]:
                     bad_join.append(f"{format_set(A)} v {format_set(B)}")
         entries.append(
             CheckResult(f"meet_identity_depth_{depth}", not bad_meet, tuple(bad_meet[:8]))
@@ -496,15 +500,11 @@ def check_set_identities(
             CheckResult(f"join_identity_depth_{depth}", not bad_join, tuple(bad_join[:8]))
         )
         bad_cover: List[str] = []
-        for A in lat.sets:
-            cover: set = set()
+        for A, mask in zip(lat.sets, masks):
+            cover = 0
             for e in sorted(emitted_edges(g, A)):
-                cover.update(
-                    _cylinder_words(
-                        g, CylinderSet(base=Ultrapath((e,), g.range[e])), depth
-                    )
-                )
-            if frozenset(cover) != words_for(A):
+                cover |= words_of(Ultrapath((e,), g.range[e]))
+            if cover != mask:
                 bad_cover.append(format_set(A))
         entries.append(
             CheckResult(f"edge_cover_depth_{depth}", not bad_cover, tuple(bad_cover[:8]))
@@ -701,10 +701,12 @@ def _separated(g: Ultragraph, a: GroupoidElement, b: GroupoidElement) -> bool:
         raise RuntimeError(f"{a} is not in its own witness slice")
     if not bisection_member(g, base, b):
         return True
+    # Fine-Wilf: past both prefixes, tails with periods p and q that agree
+    # on p + q - gcd(p, q) letters agree everywhere
     ra, rb = a.left, b.left
     bound = (
         max(len(ra.prefix), len(rb.prefix))
-        + math.lcm(len(ra.cycle), len(rb.cycle))
+        + len(ra.cycle) + len(rb.cycle)
         + 1
     )
     for k in range(1, bound + 1):

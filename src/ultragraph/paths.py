@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Edge,
@@ -25,8 +25,10 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class Ultrapath:
+class Ultrapath(NamedTuple):
+    """Edge word and terminal set, an immutable named tuple: it compares
+    and hashes by its fields."""
+
     word: Tuple[Edge, ...]
     terminal: VSet
 
@@ -125,7 +127,7 @@ def initial_segment(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultra
     """
     if not y.word:
         if not x.word:
-            return Ultrapath((), x.terminal) if x.terminal <= y.terminal else None
+            return x if x.terminal <= y.terminal else None
         return x if g.source[x.word[0]] in y.terminal else None
     n = len(y.word)
     if len(x.word) < n or x.word[:n] != y.word:

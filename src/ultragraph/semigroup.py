@@ -10,7 +10,7 @@ the constant-one character.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import LatticeG0, SizeLimitError, Ultragraph, set_key
 from .paths import (
@@ -23,9 +23,9 @@ from .paths import (
 )
 
 
-@dataclass(frozen=True)
-class SGElement:
-    """A pair of range-matched ultrapaths, or the absorbing zero (both None)."""
+class SGElement(NamedTuple):
+    """A pair of range-matched ultrapaths, or the absorbing zero (both None),
+    as an immutable named tuple."""
 
     left: Optional[Ultrapath]
     right: Optional[Ultrapath]
@@ -83,8 +83,8 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
         out = _agree(out, SGElement(w, grown))
 
     if not z.word and not x.word and (z.terminal & x.terminal):
-        a = concat(g, w, Ultrapath((), x.terminal))
-        b = concat(g, y, Ultrapath((), z.terminal))
+        a = concat(g, w, x)
+        b = concat(g, y, z)
         if a is None or b is None:
             raise RuntimeError("overlapping length-zero sets do not extend")
         out = _agree(out, SGElement(a, b))

@@ -8,11 +8,14 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from ultragraph import (
+    OMEGA,
     GroupoidElement,
     LassoPath,
     LatticeG0,
+    SGElement,
     Ultragraph,
     Ultrapath,
+    bisection_member,
     edge_adjacency,
     enumerate_lassos,
     generate_lattice,
@@ -23,6 +26,7 @@ from ultragraph import (
     reaches,
     shift_n,
     unroll,
+    witness,
 )
 
 
@@ -339,3 +343,63 @@ def levelled_first_return_words(g: Ultragraph, v: str, bound: int):
             yield word
         budget = bound - len(word) - 1
         stack.extend(word + (f,) for f in adj[word[-1]] if need.get(f, far) <= budget)
+
+
+def product_by_rules(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
+    """Oracle for semigroup.product: the paper's three rewrite rules on the
+    raw edge words and terminal sets, with no initial_segment or concat.
+
+    For s = (w, z) and t = (x, y): if x = z.x' the product is (w.x', y), if
+    z = x.z' it is (w, y.z'), and if z and x are overlapping sets it is
+    (w.x, y.z).  Here a.b glues the words, and the terminal is b's when b
+    has edges, else terminal(a) n b.  Every rule that applies must give the
+    same element; none gives the zero."""
+    if s.is_omega or t.is_omega:
+        return OMEGA
+
+    def remainder(long: Ultrapath, short: Ultrapath):
+        # (word, terminal) with long = short.remainder, or None
+        n = len(short.word)
+        if long.word[:n] != short.word:
+            return None
+        rest = long.word[n:]
+        if rest:
+            return (rest, long.terminal) if g.source[rest[0]] in short.terminal else None
+        return ((), long.terminal) if long.terminal <= short.terminal else None
+
+    def glue(a: Ultrapath, word, terminal) -> Ultrapath:
+        return Ultrapath(a.word + word, terminal if word else a.terminal & terminal)
+
+    w, z = s.left, s.right
+    x, y = t.left, t.right
+    found = set()
+    rest = remainder(x, z)
+    if rest is not None:
+        found.add(SGElement(glue(w, *rest), y))
+    rest = remainder(z, x)
+    if rest is not None:
+        found.add(SGElement(w, glue(y, *rest)))
+    if not z.word and not x.word and z.terminal & x.terminal:
+        found.add(SGElement(glue(w, (), x.terminal), glue(y, (), z.terminal)))
+    if len(found) > 1:
+        raise AssertionError(f"rules disagree on {s} * {t}: {found}")
+    return found.pop() if found else OMEGA
+
+
+def separation_depth(
+    g: Ultragraph, a: GroupoidElement, b: GroupoidElement, bound: int
+) -> Optional[int]:
+    """Oracle for the deepening in check_hausdorff: 0 when a's witness slice
+    (x, y) already misses b, else the least k <= bound at which the slice
+    (x.u, y.u), u the first k edges of a's tail, misses b; None when none
+    does.  The slices are built from raw words, with no concat."""
+    x, y, mu = witness(g, a)
+    if not bisection_member(g, SGElement(x, y), b):
+        return 0
+    for k in range(1, bound + 1):
+        u = unroll(mu, k)
+        T = g.range[u[-1]]
+        deeper = SGElement(Ultrapath(x.word + u, T), Ultrapath(y.word + u, T))
+        if not bisection_member(g, deeper, b):
+            return k
+    return None

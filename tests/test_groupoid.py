@@ -1,5 +1,6 @@
 """Groupoid elements, slices, cylinder refinement, Cuntz-Krieger checks."""
 
+import math
 import random
 
 import pytest
@@ -48,7 +49,12 @@ from ultragraph import (
     witness,
 )
 
-from conftest import random_ultragraph, search_groupoid_element
+from conftest import (
+    random_ultragraph,
+    search_groupoid_element,
+    separation_depth,
+    sparse_sink_free,
+)
 
 
 def fz(*names):
@@ -180,6 +186,25 @@ def test_compose_matches_germ_product(g_branch):
 
 
 # --- slices, each named by its semigroup element ---
+
+
+def test_groupoid_element_is_an_immutable_value(g_branch, branch_lattice):
+    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    with pytest.raises(AttributeError):
+        els[0].lag = 1
+    with pytest.raises(AttributeError):
+        els[0].left = els[0].right
+    for a in els:
+        for b in els:
+            ab = compose(g_branch, a, b)
+            if ab is None:
+                continue
+            fresh = GroupoidElement(
+                make_lasso(g_branch, ab.left.prefix, ab.left.cycle),
+                ab.lag,
+                make_lasso(g_branch, ab.right.prefix, ab.right.cycle),
+            )
+            assert ab == fresh and hash(ab) == hash(fresh)
 
 
 def test_bisection_membership(g_branch):
@@ -559,6 +584,27 @@ def test_hausdorff_separation_cases(g_branch, branch_lattice):
         i, j = rng.sample(range(len(els)), 2)
         pairs.append((els[i], els[j]))
     assert check_hausdorff(g_branch, pairs).passed
+
+
+def test_separation_bound_keeps_hausdorff_verdicts(g_branch, g_loop, g_split):
+    """The deepening in check_hausdorff stops after the longer prefix plus
+    p + q edges, p and q the cycle lengths (Fine-Wilf).  The lcm(p, q)
+    bound, also enough, finds the same separating depth on every ordered
+    pair."""
+    graphs = [g_branch, g_loop, g_split]
+    graphs += [sparse_sink_free(random.Random(seed), 600) for seed in (7, 10)]
+    deepened = 0
+    for g in graphs:
+        els = build_elements(g, generate_lattice(g), 1, 1, 3)
+        pairs = [(a, b) for a in els for b in els if a != b]
+        assert check_hausdorff(g, pairs).passed
+        for a, b in pairs:
+            reach = max(len(a.left.prefix), len(b.left.prefix)) + 1
+            p, q = len(a.left.cycle), len(b.left.cycle)
+            depth = separation_depth(g, a, b, reach + p + q)
+            assert depth == separation_depth(g, a, b, reach + math.lcm(p, q))
+            deepened += bool(depth)
+    assert deepened > 0
 
 
 def test_orbit_density(g_branch, g_loop, g_split):

@@ -130,6 +130,27 @@ def test_incomparable_siblings(g_branch):
     assert comparable(g_branch, a, a)
 
 
+def test_ultrapath_is_an_immutable_value(g_branch, branch_lattice):
+    x = Ultrapath(("e",), fz("w"))
+    with pytest.raises(AttributeError):
+        x.word = ("f",)
+    with pytest.raises(AttributeError):
+        x.terminal = fz("u")
+    # a path handed back, possibly one of the operands, is the same value
+    # as one built fresh from copies of its fields
+    paths = enumerate_paths(g_branch, branch_lattice, 2)
+    handed = 0
+    for a in paths:
+        for b in paths:
+            for got in (initial_segment(g_branch, a, b), concat(g_branch, a, b)):
+                if got is None:
+                    continue
+                handed += 1
+                fresh = Ultrapath(tuple(list(got.word)), frozenset(set(got.terminal)))
+                assert got == fresh and hash(got) == hash(fresh)
+    assert handed > 0
+
+
 def test_enumerate_paths_counts_and_order(g_branch, branch_lattice):
     p2 = enumerate_paths(g_branch, branch_lattice, 2)
     p3 = enumerate_paths(g_branch, branch_lattice, 3)
