@@ -12,7 +12,6 @@ from .analysis import (
     KReport,
     Loop,
     StructureReport,
-    af_indicator,
     check_singular_equivalence,
     condition_2,
     condition_K,
@@ -33,10 +32,8 @@ from .core import (
     emitted_edges,
     format_set,
     generate_lattice,
-    is_ultraset,
     reachable_from,
     reaches,
-    reaches_set,
     require_no_sinks,
     validate,
 )
@@ -64,7 +61,6 @@ from .groupoid import (
     make_cylinder,
     refine_to_depth,
     refine_words,
-    split_through,
     unit_at,
     verify_ck,
     witness,
@@ -72,7 +68,6 @@ from .groupoid import (
 from .paths import (
     LassoPath,
     Ultrapath,
-    comparable,
     concat,
     concat_lasso,
     edge_path,
@@ -82,7 +77,6 @@ from .paths import (
     lasso_source,
     make_lasso,
     make_path,
-    path_source,
     shift,
     shift_n,
     strip_lasso,

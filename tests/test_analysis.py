@@ -9,7 +9,6 @@ from ultragraph import (
     GraphStructureError,
     SizeLimitError,
     Ultragraph,
-    af_indicator,
     check_singular_equivalence,
     condition_2,
     condition_K,
@@ -194,7 +193,6 @@ def test_loop_freeness(g_branch, g_loop, g_split):
     assert not is_loop_free(g_split)
     chain = chain_graph()
     assert is_loop_free(chain)
-    assert af_indicator(chain)
 
 
 def test_simplicity_verdicts(g_branch, g_loop, g_split):

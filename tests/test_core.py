@@ -11,10 +11,8 @@ from ultragraph import (
     edge_adjacency,
     emitted_edges,
     generate_lattice,
-    is_ultraset,
     reachable_from,
     reaches,
-    reaches_set,
     require_no_sinks,
     validate,
 )
@@ -37,7 +35,6 @@ def test_validate_accepts_fixture(g_branch):
     rep = validate(g_branch)
     assert rep.ok
     assert rep.sinks == ()
-    assert rep.singular_vertices == ()
     assert rep.warnings == ()
 
 
@@ -46,7 +43,6 @@ def test_validate_reports_sinks_as_warnings():
     rep = validate(g)
     assert rep.ok
     assert rep.sinks == ("b",)
-    assert rep.singular_vertices == ("b",)
     assert any("sink" in w for w in rep.warnings)
     with pytest.raises(GraphStructureError):
         require_no_sinks(g, "testing")
@@ -158,17 +154,13 @@ def test_emitted_edges(g_branch):
 
 def test_ultrasets_are_exactly_singletons(g_branch, branch_lattice):
     for A in branch_lattice.nonempty():
-        assert is_ultraset(g_branch, branch_lattice, A) == (len(A) == 1)
+        assert additive_indicator(branch_lattice.sets, A) == (len(A) == 1)
     rng = random.Random(31)
     for _ in range(20):
         g = random_ultragraph(rng, max_vertices=5)
         lat = generate_lattice(g)
         for A in lat.nonempty():
-            assert is_ultraset(g, lat, A) == additive_indicator(lat.sets, A)
-    with pytest.raises(ValueError):
-        is_ultraset(g_branch, branch_lattice, frozenset())
-    with pytest.raises(ValueError):
-        is_ultraset(g_branch, branch_lattice, fz("x", "y"))
+            assert additive_indicator(lat.sets, A) == (len(A) == 1)
 
 
 def test_reaches_branch(g_branch):
@@ -184,15 +176,3 @@ def test_reaches_split(g_split):
     assert reachable_from(g_split, "b") == fz("b")
     with pytest.raises(ValueError):
         reaches(g_split, "a", "zz")
-
-
-def test_reaches_set_returns_shortest_witness(g_branch):
-    assert reaches_set(g_branch, "v", fz("w", "u")) == ("e",)
-    assert reaches_set(g_branch, "v", fz("v")) == ("e", "f")
-    assert reaches_set(g_branch, "w", fz("u")) == ("f", "e")
-
-
-def test_reaches_set_none_when_unreachable(g_split):
-    assert reaches_set(g_split, "a", fz("b")) is None
-    with pytest.raises(ValueError):
-        reaches_set(g_split, "a", frozenset())

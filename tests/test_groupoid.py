@@ -446,6 +446,16 @@ def test_mutation_shrunk_join_projection(g_branch, branch_lattice):
     )
 
 
+def test_mutation_missing_projection_fails_meets_and_joins(g_branch, branch_lattice):
+    fam = ck_family(g_branch, branch_lattice)
+    del fam.projections[fz("v", "w")]
+    rep = check_family(g_branch, branch_lattice, fam, 2)
+    failed = {e.name: e.details for e in rep.failures()}
+    assert failed["projection_meets"] == ("missing projection {v w}",)
+    # {v} + {w} and {w} + {v w} both union to the missing set
+    assert failed["projection_joins"] == ("missing projection {v w}",) * 2
+
+
 def test_mutation_overlapping_edge_slices_fail_vertex_decomposition():
     g = Ultragraph.build(
         ["v", "w"], {"a": ("v", ("v",)), "b": ("v", ("w",)), "c": ("w", ("v",))}
@@ -584,6 +594,17 @@ def test_hausdorff_separation_cases(g_branch, branch_lattice):
         i, j = rng.sample(range(len(els)), 2)
         pairs.append((els[i], els[j]))
     assert check_hausdorff(g_branch, pairs).passed
+
+
+def test_hausdorff_deepens_past_the_longer_period():
+    # abaaba has periods 3 and 5 (Fine-Wilf extremal, 3 + 5 - 2 letters),
+    # so the units on (aba)* and (abaab)* first differ at edge 7: one
+    # cycle length, either one, is not enough depth to split them
+    g = Ultragraph.build(["v", "w"], {"a": ("v", ("v", "w")), "b": ("w", ("v",))})
+    a = unit_at(g, make_lasso(g, (), ("a", "b", "a")))
+    b = unit_at(g, make_lasso(g, (), ("a", "b", "a", "a", "b")))
+    assert separation_depth(g, a, b, 20) == separation_depth(g, b, a, 20) == 7
+    assert check_hausdorff(g, [(a, b)]).passed
 
 
 def test_separation_bound_keeps_hausdorff_verdicts(g_branch, g_loop, g_split):

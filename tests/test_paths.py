@@ -13,7 +13,6 @@ from ultragraph import (
     SizeLimitError,
     Ultragraph,
     Ultrapath,
-    comparable,
     concat,
     concat_lasso,
     edge_path,
@@ -24,7 +23,6 @@ from ultragraph import (
     lasso_source,
     make_lasso,
     make_path,
-    path_source,
     shift,
     shift_n,
     strip_lasso,
@@ -60,8 +58,6 @@ def test_vertex_and_edge_paths(g_branch):
     assert a.length == 0 and a.range == fz("v", "w")
     e = edge_path(g_branch, "e")
     assert e.word == ("e",) and e.range == fz("w", "u")
-    assert path_source(g_branch, e) == fz("v")
-    assert path_source(g_branch, a) == fz("v", "w")
 
 
 def test_concat_cases(g_branch):
@@ -119,15 +115,6 @@ def test_initial_segment_agrees_with_concat(g_branch, branch_lattice):
                     for r in paths
                     if r.length <= x.length
                 )
-
-
-def test_incomparable_siblings(g_branch):
-    # same word, disjoint terminals: neither extends the other
-    a = Ultrapath(("e",), fz("w"))
-    b = Ultrapath(("e",), fz("u"))
-    assert not comparable(g_branch, a, b)
-    assert comparable(g_branch, a, Ultrapath(("e",), fz("u", "w")))
-    assert comparable(g_branch, a, a)
 
 
 def test_ultrapath_is_an_immutable_value(g_branch, branch_lattice):
