@@ -59,7 +59,6 @@ from .groupoid import (
     groupoid_element,
     inverse,
     make_cylinder,
-    refine_to_depth,
     refine_words,
     unit_at,
     verify_ck,

@@ -93,8 +93,7 @@ def _cmd_lattice(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     check_lasso_bounds(args.prefix_bound, args.cycle_bound)
-    lat = generate_lattice(g)
-    ps = enumerate_paths(g, lat, args.max_len)
+    ps = enumerate_paths(g, args.max_len)
     checks = [
         _check(
             "paths",
@@ -122,8 +121,7 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
-    lat = generate_lattice(g)
-    elems = generate_elements(g, lat, args.max_len)
+    elems = generate_elements(g, args.max_len)
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
     checks = [_check("involution", not bad_inv, bad_inv[:5], count=len(elems))]
     # (s, t) and its mirror (t*, s*) ask one equation, so the products are
@@ -169,10 +167,7 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     if args.pairs < 0:
         raise ValueError("--pairs must not be negative")
-    lat = generate_lattice(g)
-    elements = build_elements(
-        g, lat, args.witness_len, args.prefix_bound, args.cycle_bound
-    )
+    elements = build_elements(g, args.witness_len, args.prefix_bound, args.cycle_bound)
     checks = [_check("elements", True, count=len(elements))]
     laws = check_groupoid_laws(g, elements)
     for entry in laws.entries:
@@ -194,8 +189,7 @@ def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_ck(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
-    lat = generate_lattice(g)
-    rep = verify_ck(g, lat, depth=args.depth)
+    rep = verify_ck(g, depth=args.depth)
     checks = [
         _check(entry.name, entry.passed, entry.details, depth=args.depth)
         for entry in rep.entries

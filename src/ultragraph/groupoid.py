@@ -16,13 +16,13 @@ from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequen
 
 from .core import (
     Edge,
-    LatticeG0,
     SizeLimitError,
     Ultragraph,
     VSet,
     edge_adjacency,
     emitted_edges,
     format_set,
+    generate_lattice,
     reachable_from,
     require_no_sinks,
     set_key,
@@ -178,7 +178,6 @@ class CylinderSet:
 
 def make_cylinder(
     g: Ultragraph,
-    lat: LatticeG0,
     base: Ultrapath,
     excluded_edges: Iterable[Edge] = (),
     excluded_sets: Iterable[VSet] = (),
@@ -190,7 +189,7 @@ def make_cylinder(
         if e not in allowed:
             raise ValueError(f"excluded edge '{e}' is not emitted by the base range")
     for C in Q:
-        if C not in lat:
+        if not C <= g.vertices:
             raise ValueError(f"excluded set {format_set(C)} is not a lattice set")
         if base.terminal <= C:
             raise ValueError(
@@ -257,17 +256,6 @@ def refine_words(
     return tuple(sorted(words))
 
 
-def refine_to_depth(
-    g: Ultragraph, cylinders: Sequence[CylinderSet], depth: int
-) -> Tuple[CylinderSet, ...]:
-    """Canonical disjoint normal form: pure depth-d cylinders with maximal
-    terminals."""
-    return tuple(
-        CylinderSet(base=Ultrapath(w, g.range[w[-1]]))
-        for w in refine_words(g, cylinders, depth)
-    )
-
-
 @dataclass
 class CKFamily:
     """Projections indexed by the nonempty lattice sets, one isometry slice
@@ -277,9 +265,10 @@ class CKFamily:
     isometries: Dict[Edge, SGElement]
 
 
-def ck_family(g: Ultragraph, lat: LatticeG0) -> CKFamily:
+def ck_family(g: Ultragraph) -> CKFamily:
+    nonempty = generate_lattice(g).nonempty()
     require_no_sinks(g, "Cuntz-Krieger family construction")
-    projections = {A: idempotent(vertex_path(A)) for A in lat.nonempty()}
+    projections = {A: idempotent(vertex_path(A)) for A in nonempty}
     isometries = {
         e: SGElement(Ultrapath((e,), g.range[e]), Ultrapath((), g.range[e]))
         for e in g.edges_sorted()
@@ -347,9 +336,7 @@ def _join_failures(
     return bad
 
 
-def check_family(
-    g: Ultragraph, lat: LatticeG0, fam: CKFamily, depth: int
-) -> CheckReport:
+def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     """Decide the Cuntz-Krieger relations for the given family by semigroup
     products and depth-d refinement.
 
@@ -357,6 +344,7 @@ def check_family(
     visible; all identities are exact, and failures carry the offending
     indices and both refinements.
     """
+    nonempty = generate_lattice(g).nonempty()
     require_no_sinks(g, "Cuntz-Krieger verification")
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
@@ -383,6 +371,9 @@ def check_family(
         )
         if not good:
             shape_bad.append(f"isometry {e} carries {gen}")
+    for e in g.edges_sorted():
+        if e not in fam.isometries:
+            shape_bad.append(f"missing isometry {e}")
     entries.append(
         CheckResult("family_shape", not shape_bad, tuple(shape_bad))
     )
@@ -394,7 +385,6 @@ def check_family(
     entries.append(CheckResult("projection_of_empty_set_is_zero", zero_ok))
 
     # per-set lists, so the all-pairs loops below hash no Ultrapath
-    nonempty = lat.nonempty()
     n = len(nonempty)
     projs = [fam.projections.get(A) for A in nonempty]
 
@@ -479,29 +469,28 @@ def check_family(
     return CheckReport(entries=tuple(entries))
 
 
-def verify_ck(g: Ultragraph, lat: LatticeG0, depth: int = 2) -> CheckReport:
-    return check_family(g, lat, ck_family(g, lat), depth)
+def verify_ck(g: Ultragraph, depth: int = 2) -> CheckReport:
+    return check_family(g, ck_family(g), depth)
 
 
-def check_set_identities(
-    g: Ultragraph, lat: LatticeG0, depths: Iterable[int]
-) -> CheckReport:
+def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:
     """Refinement-level laws of the unit-space slices: binary meets and
     joins match set intersection and union of refinements, and a set's
     slice splits over the edges it emits (there are no finite boundary
     points to add on a finite graph)."""
+    sets = generate_lattice(g).sets
     require_no_sinks(g, "set identity checks")
     entries: List[CheckResult] = []
     for depth in depths:
         words_of, fmt_mask = _word_masks(g, depth)
-        masks = [words_of(Ultrapath((), A)) for A in lat.sets]
+        masks = [words_of(Ultrapath((), A)) for A in sets]
         bad_meet: List[str] = []
-        for i, A in enumerate(lat.sets):
+        for i, A in enumerate(sets):
             for j in range(i, len(masks)):
-                B = lat.sets[j]
+                B = sets[j]
                 if words_of(Ultrapath((), A & B)) != masks[i] & masks[j]:
                     bad_meet.append(f"{format_set(A)} ^ {format_set(B)}")
-        bad_join = _join_failures(lat.sets, masks, fmt_mask)
+        bad_join = _join_failures(sets, masks, fmt_mask)
         entries.append(
             CheckResult(f"meet_identity_depth_{depth}", not bad_meet, tuple(bad_meet[:8]))
         )
@@ -509,7 +498,7 @@ def check_set_identities(
             CheckResult(f"join_identity_depth_{depth}", not bad_join, tuple(bad_join[:8]))
         )
         bad_cover: List[str] = []
-        for A, mask in zip(lat.sets, masks):
+        for A, mask in zip(sets, masks):
             cover = 0
             for e in sorted(emitted_edges(g, A)):
                 cover |= words_of(Ultrapath((e,), g.range[e]))
@@ -523,7 +512,6 @@ def check_set_identities(
 
 def build_elements(
     g: Ultragraph,
-    lat: LatticeG0,
     witness_len: int,
     prefix_bound: int,
     cycle_bound: int,
@@ -531,9 +519,10 @@ def build_elements(
 ) -> Tuple[GroupoidElement, ...]:
     """Groupoid elements generated by semigroup pairs up to witness_len
     acting on all lassos within the bounds."""
+    generate_lattice(g)  # its size guard comes before the sink and bound checks
     lassos = enumerate_lassos(g, prefix_bound, cycle_bound)
     out = set()
-    for s in generate_elements(g, lat, witness_len):
+    for s in generate_elements(g, witness_len):
         if s.is_omega:
             continue
         x, y = s.left, s.right

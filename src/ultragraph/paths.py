@@ -15,12 +15,12 @@ from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Edge,
-    LatticeG0,
     SizeLimitError,
     Ultragraph,
     VSet,
     edge_adjacency,
     format_set,
+    generate_lattice,
     require_no_sinks,
 )
 
@@ -60,15 +60,11 @@ def edge_path(g: Ultragraph, e: Edge) -> Ultrapath:
 
 
 def make_path(
-    g: Ultragraph,
-    word: Iterable[Edge],
-    terminal: Iterable[str],
-    lat: Optional[LatticeG0] = None,
+    g: Ultragraph, word: Iterable[Edge], terminal: Iterable[str]
 ) -> Ultrapath:
     """Validated construction: consecutive edges must be composable and the
     terminal must be a nonempty subset of the last range (of the vertex set
-    for length zero).  When a lattice is supplied the terminal must belong
-    to it."""
+    for length zero)."""
     w = tuple(word)
     t = frozenset(terminal)
     if not t:
@@ -84,8 +80,6 @@ def make_path(
         raise ValueError(
             f"terminal {format_set(t)} escapes {format_set(bound)}"
         )
-    if lat is not None and t not in lat:
-        raise ValueError(f"terminal {format_set(t)} is not a lattice set")
     return Ultrapath(word=w, terminal=t)
 
 
@@ -131,10 +125,7 @@ def initial_segment(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultra
 
 
 def enumerate_paths(
-    g: Ultragraph,
-    lat: LatticeG0,
-    max_len: int,
-    max_count: int = 200_000,
+    g: Ultragraph, max_len: int, max_count: int = 200_000
 ) -> List[Ultrapath]:
     """All ultrapaths of length up to max_len, terminals ranging over the
     nonempty lattice sets inside the relevant range.  Ordered by length,
@@ -143,9 +134,9 @@ def enumerate_paths(
     The order comes out of the construction: each level extends the
     previous one's words, in order, by their sorted successor edges, and
     the lattice lists its sets in set_key order."""
+    nonempty = generate_lattice(g).nonempty()
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    nonempty = lat.nonempty()
     out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
     words: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
     adj = edge_adjacency(g)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import LatticeG0, SizeLimitError, Ultragraph, set_key
+from .core import SizeLimitError, Ultragraph, set_key
 from .paths import (
     LassoPath,
     Ultrapath,
@@ -141,10 +141,10 @@ def idempotent_leq_by_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
 
 
 def generate_elements(
-    g: Ultragraph, lat: LatticeG0, max_len: int, max_count: int = 200_000
+    g: Ultragraph, max_len: int, max_count: int = 200_000
 ) -> List[SGElement]:
     """The zero plus every range-matched pair of ultrapaths up to max_len."""
-    paths = enumerate_paths(g, lat, max_len, max_count=max_count)
+    paths = enumerate_paths(g, max_len, max_count=max_count)
     by_range = {}
     for p in paths:
         by_range.setdefault(p.terminal, []).append(p)

@@ -137,6 +137,34 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "enumerate_paths: drop the maximal terminal",
+        "paths.py",
+        "if A <= last_range:",
+        "if A < last_range:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "check_family: no zero for an empty meet",
+        "groupoid.py",
+        "want = fam.projections.get(meet) if meet else OMEGA",
+        "want = fam.projections.get(meet)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: never flag overlapping edge slices",
+        "groupoid.py",
+        "overlap = overlap or bool(merged & piece)",
+        "overlap = False",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: drop the missing-isometry report",
+        "groupoid.py",
+        "        if e not in fam.isometries:\n",
+        "        if False:\n",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "shift_n: rotate the cycle one step too far",
         "paths.py",
         "k = (n - len(x.prefix)) % len(x.cycle)",

@@ -84,9 +84,8 @@ def test_criterion_01_inverse_semigroup_laws():
     """
     start = time.monotonic()
     g = gx()
-    lat = generate_lattice(g)
 
-    elems = generate_elements(g, lat, 2)
+    elems = generate_elements(g, 2)
     assert len(elems) == 63
     mul = _product_table(g, elems)
     for s in elems:
@@ -102,7 +101,7 @@ def test_criterion_01_inverse_semigroup_laws():
     for s, t, u in itertools.product(elems, repeat=3):
         assert mul(mul(s, t), u) == mul(s, mul(t, u))
 
-    big = generate_elements(g, lat, 3)
+    big = generate_elements(g, 3)
     assert len(big) == 154 >= 100
     mulb = _product_table(g, big)
     for s in big:
@@ -125,8 +124,7 @@ def test_criterion_01_inverse_semigroup_laws():
 
 def test_criterion_02_idempotent_order_two_routes():
     g = gx()
-    lat = generate_lattice(g)
-    idems = [s for s in generate_elements(g, lat, 2) if is_idempotent(s)]
+    idems = [s for s in generate_elements(g, 2) if is_idempotent(s)]
     assert len(idems) == 19
     pairs = 0
     for e in idems:
@@ -148,10 +146,9 @@ def test_criterion_02_idempotent_order_two_routes():
 
 def test_criterion_03_semicharacter_filters_distinguish_points():
     g = gx()
-    lat = generate_lattice(g)
-    universe = [idempotent(x) for x in enumerate_paths(g, lat, 3)]
+    universe = [idempotent(x) for x in enumerate_paths(g, 3)]
     assert len(universe) == 27
-    paths = enumerate_paths(g, lat, 2)
+    paths = enumerate_paths(g, 2)
     lassos = enumerate_lassos(g, 1, 3)
     assert len(paths) == 18 and len(lassos) == 7
     chars = [("path", str(x), Semicharacter(path=x)) for x in paths]
@@ -198,41 +195,38 @@ def test_criterion_05_cylinder_set_identities():
         for _ in range(20)
     ]
     for g in graphs:
-        lat = generate_lattice(g)
-        rep = check_set_identities(g, lat, depths=(1, 2, 3))
+        rep = check_set_identities(g, depths=(1, 2, 3))
         assert rep.passed, (g, rep.failures())
     print("CRITERION 05 PASS: meet/join/cover identities at depths 1-3 on 23 graphs")
 
 
 def test_criterion_06_ck_verification_and_mutations():
     for g in (gx(), gy(), gw()):
-        lat = generate_lattice(g)
-        assert verify_ck(g, lat, depth=2).passed
+        assert verify_ck(g, depth=2).passed
 
     g = gx()
-    lat = generate_lattice(g)
 
-    fam = ck_family(g, lat)
+    fam = ck_family(g)
     del fam.isometries["e"]
-    rep = check_family(g, lat, fam, 2)
-    assert [e.name for e in rep.failures()] == ["vertex_decomposition"]
+    rep = check_family(g, fam, 2)
+    assert [e.name for e in rep.failures()] == ["family_shape", "vertex_decomposition"]
 
-    fam = ck_family(g, lat)
+    fam = ck_family(g)
     fam.projections[fz("w")] = idempotent(Ultrapath((), fz("v", "w", "u")))
-    rep = check_family(g, lat, fam, 2)
+    rep = check_family(g, fam, 2)
     assert "projection_meets" in {e.name for e in rep.failures()}
 
     other = Ultragraph.build(
         ["v", "w", "u"],
         {"e": ("v", ("v",)), "f": ("w", ("w", "u")), "g": ("u", ("w",))},
     )
-    fam = ck_family(other, generate_lattice(other))
-    rep = check_family(g, lat, fam, 2)
+    fam = ck_family(other)
+    rep = check_family(g, fam, 2)
     assert "isometry_range_identity" in {e.name for e in rep.failures()}
 
-    fam = ck_family(g, lat)
+    fam = ck_family(g)
     fam.isometries["e"] = SGElement(Ultrapath(("e",), fz("w")), Ultrapath((), fz("w")))
-    rep = check_family(g, lat, fam, 2)
+    rep = check_family(g, fam, 2)
     assert {"isometry_range_identity", "vertex_decomposition"} <= {
         e.name for e in rep.failures()
     }
@@ -339,13 +333,12 @@ def test_criterion_10_skew_products():
 def test_criterion_11_groupoid_laws_and_homomorphism():
     start = time.monotonic()
     g = gx()
-    lat = generate_lattice(g)
-    els = build_elements(g, lat, 2, 2, 3)
+    els = build_elements(g, 2, 2, 3)
     assert len(els) >= 100
     laws = check_groupoid_laws(g, els)
     assert laws.passed, laws.failures()
 
-    gens = [s for s in generate_elements(g, lat, 2) if not s.is_omega]
+    gens = [s for s in generate_elements(g, 2) if not s.is_omega]
     hom = check_bisection_homomorphism(g, gens, els)
     assert hom.passed, hom.entries[0].details
 

@@ -14,7 +14,6 @@ from ultragraph import (
     OMEGA,
     emit,
     generate_elements,
-    generate_lattice,
     gw,
     gx,
     gy,
@@ -191,6 +190,21 @@ def test_size_limit_exits_one(capsys):
     assert "size_limit" in out
 
 
+def test_lattice_size_guard_comes_before_the_sink_check(tmp_path, capsys):
+    # a 13-vertex chain ending in a sink: 2^13 lattice sets pass the 4096 cap
+    chain = tmp_path / "chain.ug"
+    chain.write_text(
+        "ultragraph\n"
+        + "".join(f"vertex v{i}\n" for i in range(13))
+        + "".join(f"edge e{i} v{i} {{ v{i + 1} }}\n" for i in range(12))
+    )
+    for command in ("paths", "semigroup", "groupoid", "ck"):
+        code, out, err = run([command, str(chain), "--format", "json"], capsys)
+        assert code == 1, (command, err)
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+
+
 def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
     # one vertex with 8 loops: 585 ultrapaths of length <= 3, so 585^2
     # range-matched pairs, past generate_elements' default max_count
@@ -225,7 +239,7 @@ def _all_pairs_star_witnesses(g, elems, prod, inv):
 
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     g = parse_file(GX)
-    n = len(generate_elements(g, generate_lattice(g), 2))
+    n = len(generate_elements(g, 2))
     calls = []
 
     def counting(*args):
@@ -243,7 +257,7 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
 @pytest.mark.parametrize("zeroed", ["one pair", "one row"])
 def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch, capsys):
     g = parse_file(GX)
-    elems = generate_elements(g, generate_lattice(g), 2)
+    elems = generate_elements(g, 2)
     nonzero = [(s, t) for s in elems for t in elems if product(g, s, t) != OMEGA]
     s0, t0 = nonzero[len(nonzero) // 2]
 
@@ -263,7 +277,7 @@ def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch,
 
 def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys):
     g = parse_file(GX)
-    elems = generate_elements(g, generate_lattice(g), 2)
+    elems = generate_elements(g, 2)
     e0 = next(s for s in elems[1:] if star(s) != s)
 
     def broken_star(s):

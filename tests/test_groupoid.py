@@ -30,8 +30,8 @@ from ultragraph import (
     cylinder_member,
     edge_path,
     enumerate_lassos,
+    enumerate_paths,
     generate_elements,
-    generate_lattice,
     groupoid_element,
     idempotent,
     inverse,
@@ -39,7 +39,6 @@ from ultragraph import (
     make_cylinder,
     make_lasso,
     product,
-    refine_to_depth,
     refine_words,
     star,
     strip_lasso,
@@ -167,8 +166,7 @@ def test_compose_matches_germ_product(g_branch):
             graphs.append(g)
     defined = zero = 0
     for g in graphs:
-        lat = generate_lattice(g)
-        gens = [s for s in generate_elements(g, lat, 1) if not s.is_omega]
+        gens = [s for s in generate_elements(g, 1) if not s.is_omega]
         lassos = enumerate_lassos(g, 1, 2)
         for s in gens:
             for t in gens:
@@ -188,8 +186,8 @@ def test_compose_matches_germ_product(g_branch):
 # --- slices, each named by its semigroup element ---
 
 
-def test_groupoid_element_is_an_immutable_value(g_branch, branch_lattice):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_groupoid_element_is_an_immutable_value(g_branch):
+    els = build_elements(g_branch, 1, 1, 2)
     with pytest.raises(AttributeError):
         els[0].lag = 1
     with pytest.raises(AttributeError):
@@ -217,18 +215,18 @@ def test_bisection_membership(g_branch):
     assert not bisection_member(g_branch, OMEGA, a)
 
 
-def test_units_bisection_is_diagonal(g_branch, branch_lattice):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_units_bisection_is_diagonal(g_branch):
+    els = build_elements(g_branch, 1, 1, 2)
     full = idempotent(vertex_path("vwu"))
     diagonal = {a for a in els if bisection_member(g_branch, full, a)}
     assert diagonal == {a for a in els if a.lag == 0 and a.left == a.right}
 
 
-def test_bisection_product_and_star(g_branch, branch_lattice):
+def test_bisection_product_and_star(g_branch):
     te = t_edge(g_branch, "e")
     range_slice = product(g_branch, star(te), te)
     assert range_slice == idempotent(vertex_path(("w", "u")))
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+    els = build_elements(g_branch, 1, 1, 2)
     # the units over the boundary points starting in r(e)
     assert {a for a in els if bisection_member(g_branch, range_slice, a)} == {
         a
@@ -241,18 +239,18 @@ def test_bisection_product_and_star(g_branch, branch_lattice):
 # --- cylinder sets ---
 
 
-def test_make_cylinder_validation(g_branch, branch_lattice):
+def test_make_cylinder_validation(g_branch):
     base = Ultrapath(("e",), fz("u", "w"))
-    make_cylinder(g_branch, branch_lattice, base, ("f",), (fz("w"),))
+    make_cylinder(g_branch, base, ("f",), (fz("w"),))
     with pytest.raises(ValueError):
-        make_cylinder(g_branch, branch_lattice, base, ("e",), ())  # e not emitted
+        make_cylinder(g_branch, base, ("e",), ())  # e not emitted
     with pytest.raises(ValueError):
-        make_cylinder(g_branch, branch_lattice, base, (), (fz("u", "w"),))
+        make_cylinder(g_branch, base, (), (fz("u", "w"),))
     with pytest.raises(ValueError):
-        make_cylinder(g_branch, branch_lattice, base, (), (fz("x"),))
+        make_cylinder(g_branch, base, (), (fz("x"),))
 
 
-def test_cylinder_membership(g_branch, branch_lattice):
+def test_cylinder_membership(g_branch):
     base = Ultrapath(("e",), fz("u", "w"))
     plain = CylinderSet(base=base)
     ef = make_lasso(g_branch, (), ("e", "f"))
@@ -261,10 +259,10 @@ def test_cylinder_membership(g_branch, branch_lattice):
     assert cylinder_member(g_branch, ef, plain)
     assert cylinder_member(g_branch, egf, plain)
     assert not cylinder_member(g_branch, fe, plain)
-    no_f = make_cylinder(g_branch, branch_lattice, base, ("f",), ())
+    no_f = make_cylinder(g_branch, base, ("f",), ())
     assert not cylinder_member(g_branch, ef, no_f)
     assert cylinder_member(g_branch, egf, no_f)
-    not_w = make_cylinder(g_branch, branch_lattice, base, (), (fz("w"),))
+    not_w = make_cylinder(g_branch, base, (), (fz("w"),))
     assert not cylinder_member(g_branch, ef, not_w)
     assert cylinder_member(g_branch, egf, not_w)
 
@@ -275,15 +273,9 @@ def test_refinement_words(g_branch):
     assert refine_words(g_branch, [d_v], 2) == (("e", "f"), ("e", "g"))
     narrow = CylinderSet(base=Ultrapath(("e",), fz("w")))
     assert refine_words(g_branch, [narrow], 2) == (("e", "f"),)
-    pure = refine_to_depth(g_branch, [d_v], 2)
-    assert [c.base for c in pure] == [
-        Ultrapath(("e", "f"), fz("v")),
-        Ultrapath(("e", "g"), fz("w")),
-    ]
-    assert all(not c.excluded_edges and not c.excluded_sets for c in pure)
 
 
-def test_refinement_depth_rules(g_branch, branch_lattice):
+def test_refinement_depth_rules(g_branch):
     maximal = CylinderSet(base=Ultrapath(("e",), fz("u", "w")))
     assert refine_words(g_branch, [maximal], 1) == (("e",),)
     narrow = CylinderSet(base=Ultrapath(("e",), fz("w")))
@@ -291,13 +283,13 @@ def test_refinement_depth_rules(g_branch, branch_lattice):
         refine_words(g_branch, [narrow], 1)
     with pytest.raises(ValueError):
         refine_words(g_branch, [CylinderSet(base=vertex_path("v"))], 0)
-    carved = make_cylinder(g_branch, branch_lattice, maximal.base, ("f",), ())
+    carved = make_cylinder(g_branch, maximal.base, ("f",), ())
     with pytest.raises(ValueError):
         refine_words(g_branch, [carved], 1)
     assert refine_words(g_branch, [carved], 2) == (("e", "g"),)
 
 
-def test_refinement_matches_membership(g_branch, branch_lattice):
+def test_refinement_matches_membership(g_branch):
     """A lasso lies in a cylinder iff its depth-d unrolling is one of the
     refinement words: refinement is sound and complete."""
     lassos = enumerate_lassos(g_branch, 2, 3)
@@ -312,10 +304,10 @@ def test_refinement_matches_membership(g_branch, branch_lattice):
     ]
     cyls = [CylinderSet(base=b) for b in bases]
     cyls.append(
-        make_cylinder(g_branch, branch_lattice, Ultrapath(("e",), fz("u", "w")), ("f",), ())
+        make_cylinder(g_branch, Ultrapath(("e",), fz("u", "w")), ("f",), ())
     )
     cyls.append(
-        make_cylinder(g_branch, branch_lattice, vertex_path("vw"), (), (fz("v"),))
+        make_cylinder(g_branch, vertex_path("vw"), (), (fz("v"),))
     )
     for cyl in cyls:
         for depth in (3, 4):
@@ -332,7 +324,7 @@ def test_refinement_requires_sink_free():
         refine_words(g, [CylinderSet(base=vertex_path("a"))], 1)
 
 
-def test_nonempty_refinement_contains_bounded_lasso(g_branch, branch_lattice):
+def test_nonempty_refinement_contains_bounded_lasso(g_branch):
     """A cylinder with a nonempty depth-d refinement contains a canonical
     lasso with prefix at most d plus the edge count and cycle at most the
     edge count: lassos are dense among boundary paths.  The edge-count slack
@@ -344,9 +336,9 @@ def test_nonempty_refinement_contains_bounded_lasso(g_branch, branch_lattice):
         CylinderSet(base=Ultrapath(("e",), fz("u", "w"))),
         CylinderSet(base=Ultrapath(("e", "f"), fz("v"))),
         make_cylinder(
-            g_branch, branch_lattice, Ultrapath(("e",), fz("u", "w")), ("f",), ()
+            g_branch, Ultrapath(("e",), fz("u", "w")), ("f",), ()
         ),
-        make_cylinder(g_branch, branch_lattice, vertex_path("vw"), (), (fz("v"),)),
+        make_cylinder(g_branch, vertex_path("vw"), (), (fz("v"),)),
     ]
     for cyl in cyls:
         for depth in (3, 4):
@@ -384,59 +376,60 @@ def test_nonempty_refinement_contains_bounded_lasso(g_branch, branch_lattice):
 
 def test_verify_ck_fixtures(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
-        rep = verify_ck(g, generate_lattice(g), depth=2)
+        rep = verify_ck(g, depth=2)
         assert rep.passed, rep.failures()
-    rep3 = verify_ck(g_branch, generate_lattice(g_branch), depth=3)
+    rep3 = verify_ck(g_branch, depth=3)
     assert rep3.passed
 
 
-def test_verify_ck_depth_guard(g_branch, branch_lattice):
+def test_verify_ck_depth_guard(g_branch):
     with pytest.raises(ValueError):
-        verify_ck(g_branch, branch_lattice, depth=1)
+        verify_ck(g_branch, depth=1)
 
 
-def test_mutation_dropped_isometry_fails_at_vertex(g_branch, branch_lattice):
-    fam = ck_family(g_branch, branch_lattice)
+def test_mutation_dropped_isometry_fails_at_vertex(g_branch):
+    fam = ck_family(g_branch)
     del fam.isometries["e"]
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    rep = check_family(g_branch, fam, 2)
     assert not rep.passed
-    names = [e.name for e in rep.failures()]
-    assert names == ["vertex_decomposition"]
-    assert any("vertex v" in d for d in rep.failures()[0].details)
+    failed = {e.name: e.details for e in rep.failures()}
+    assert list(failed) == ["family_shape", "vertex_decomposition"]
+    assert failed["family_shape"] == ("missing isometry e",)
+    assert any("vertex v" in d for d in failed["vertex_decomposition"])
 
 
-def test_mutation_corrupted_meet_projection(g_branch, branch_lattice):
-    fam = ck_family(g_branch, branch_lattice)
+def test_mutation_corrupted_meet_projection(g_branch):
+    fam = ck_family(g_branch)
     fam.projections[fz("w")] = idempotent(vertex_path("vwu"))
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    rep = check_family(g_branch, fam, 2)
     failed = {e.name for e in rep.failures()}
     assert "projection_meets" in failed
 
 
-def test_mutation_swapped_ranges_fails_range_identity(g_branch, branch_lattice):
+def test_mutation_swapped_ranges_fails_range_identity(g_branch):
     other = Ultragraph.build(
         ["v", "w", "u"],
         {"e": ("v", ("v",)), "f": ("w", ("w", "u")), "g": ("u", ("w",))},
     )
-    fam = ck_family(other, generate_lattice(other))
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    fam = ck_family(other)
+    rep = check_family(g_branch, fam, 2)
     failed = {e.name for e in rep.failures()}
     assert "isometry_range_identity" in failed
 
 
-def test_mutation_shrunk_terminal_fails_at_depth_two(g_branch, branch_lattice):
-    fam = ck_family(g_branch, branch_lattice)
+def test_mutation_shrunk_terminal_fails_at_depth_two(g_branch):
+    fam = ck_family(g_branch)
     shrunk = Ultrapath(("e",), fz("w"))
     fam.isometries["e"] = SGElement(shrunk, Ultrapath((), fz("w")))
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    rep = check_family(g_branch, fam, 2)
     failed = {e.name for e in rep.failures()}
     assert {"isometry_range_identity", "vertex_decomposition"} <= failed
 
 
-def test_mutation_shrunk_join_projection(g_branch, branch_lattice):
-    fam = ck_family(g_branch, branch_lattice)
+def test_mutation_shrunk_join_projection(g_branch):
+    fam = ck_family(g_branch)
     fam.projections[fz("v", "w")] = fam.projections[fz("v")]
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    rep = check_family(g_branch, fam, 2)
     joins = {e.name: e for e in rep.failures()}["projection_joins"]
     assert joins.details == (
         "{u} + {v w}: [ef eg fe gf] != [ef eg gf]",
@@ -446,31 +439,39 @@ def test_mutation_shrunk_join_projection(g_branch, branch_lattice):
     )
 
 
-def test_mutation_missing_projection_fails_meets_and_joins(g_branch, branch_lattice):
-    fam = ck_family(g_branch, branch_lattice)
+def test_mutation_missing_projection_fails_meets_and_joins(g_branch):
+    fam = ck_family(g_branch)
     del fam.projections[fz("v", "w")]
-    rep = check_family(g_branch, branch_lattice, fam, 2)
+    rep = check_family(g_branch, fam, 2)
     failed = {e.name: e.details for e in rep.failures()}
     assert failed["projection_meets"] == ("missing projection {v w}",)
     # {v} + {w} and {w} + {v w} both union to the missing set
     assert failed["projection_joins"] == ("missing projection {v w}",) * 2
 
 
+def test_mutation_missing_isometry_fails_family_shape(g_branch):
+    fam = ck_family(g_branch)
+    del fam.isometries["g"]
+    rep = check_family(g_branch, fam, 2)
+    shape = {e.name: e for e in rep.entries}["family_shape"]
+    assert not shape.passed
+    assert shape.details == ("missing isometry g",)
+
+
 def test_mutation_overlapping_edge_slices_fail_vertex_decomposition():
     g = Ultragraph.build(
         ["v", "w"], {"a": ("v", ("v",)), "b": ("v", ("w",)), "c": ("w", ("v",))}
     )
-    lat = generate_lattice(g)
-    fam = ck_family(g, lat)
+    fam = ck_family(g)
     fam.isometries["b"] = fam.isometries["a"]
-    rep = check_family(g, lat, fam, 2)
+    rep = check_family(g, fam, 2)
     vertex = {e.name: e for e in rep.entries}["vertex_decomposition"]
     assert vertex.details == ("vertex v: edge slices overlap",)
 
 
 def test_set_identities_fixtures(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
-        rep = check_set_identities(g, generate_lattice(g), depths=(1, 2, 3))
+        rep = check_set_identities(g, depths=(1, 2, 3))
         assert rep.passed, rep.failures()
 
 
@@ -479,30 +480,43 @@ def test_set_identities_fixtures(g_branch, g_loop, g_split):
 
 def test_groupoid_laws_on_fixtures(g_branch, g_loop, g_split):
     for g in (g_branch, g_loop, g_split):
-        lat = generate_lattice(g)
-        els = build_elements(g, lat, 1, 1, 2)
+        els = build_elements(g, 1, 1, 2)
         rep = check_groupoid_laws(g, els)
         assert rep.passed, rep.failures()
 
 
-def test_build_elements_deterministic(g_branch, branch_lattice):
-    a = build_elements(g_branch, branch_lattice, 1, 1, 2)
-    b = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_build_elements_deterministic(g_branch):
+    a = build_elements(g_branch, 1, 1, 2)
+    b = build_elements(g_branch, 1, 1, 2)
     assert a == b
     assert len(a) == len(set(a))
 
 
-def test_element_budgets_raise_size_limit(g_branch, branch_lattice):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_element_budgets_raise_size_limit(g_branch):
+    els = build_elements(g_branch, 1, 1, 2)
     with pytest.raises(SizeLimitError, match="max_count=3"):
-        build_elements(g_branch, branch_lattice, 1, 1, 2, max_count=3)
+        build_elements(g_branch, 1, 1, 2, max_count=3)
     assert check_groupoid_laws(g_branch, els).passed
     with pytest.raises(SizeLimitError, match="composable triples"):
         check_groupoid_laws(g_branch, els, max_triples=5)
 
 
-def test_triple_budget_fires_before_any_compose(g_branch, branch_lattice, monkeypatch):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_lattice_budget_raises_size_limit_on_thirteen_vertices():
+    n = 13
+    ring = Ultragraph.build(
+        [f"v{i}" for i in range(n)],
+        {f"e{i}": (f"v{i}", (f"v{(i + 1) % n}",)) for i in range(n)},
+    )
+    with pytest.raises(SizeLimitError):
+        enumerate_paths(ring, 1)
+    with pytest.raises(SizeLimitError):
+        build_elements(ring, 1, 1, 2)
+    with pytest.raises(SizeLimitError):
+        verify_ck(ring)
+
+
+def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
+    els = build_elements(g_branch, 1, 1, 2)
     triples = sum(
         1
         for a in els
@@ -525,8 +539,8 @@ def test_triple_budget_fires_before_any_compose(g_branch, branch_lattice, monkey
     assert calls
 
 
-def test_units_and_inverses_checks_the_right_unit_law(g_branch, branch_lattice, monkeypatch):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_units_and_inverses_checks_the_right_unit_law(g_branch, monkeypatch):
+    els = build_elements(g_branch, 1, 1, 2)
     real = groupoid_module.compose
 
     def is_unit(a):
@@ -544,8 +558,8 @@ def test_units_and_inverses_checks_the_right_unit_law(g_branch, branch_lattice, 
     assert "units_and_inverses" in failed
 
 
-def test_groupoid_laws_make_no_shift(g_branch, branch_lattice, monkeypatch):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
+def test_groupoid_laws_make_no_shift(g_branch, monkeypatch):
+    els = build_elements(g_branch, 1, 1, 2)
     calls = []
     real = groupoid_module.shift_n
 
@@ -571,14 +585,14 @@ def test_compose_rejects_bare_triples_without_shared_tail(g_branch):
         assert str(err.value) == f"no shared tail: {ef} and {right} at lag 0"
 
 
-def test_bisection_homomorphism_small(g_branch, branch_lattice):
-    els = build_elements(g_branch, branch_lattice, 1, 1, 2)
-    gens = [s for s in generate_elements(g_branch, branch_lattice, 1) if not s.is_omega]
+def test_bisection_homomorphism_small(g_branch):
+    els = build_elements(g_branch, 1, 1, 2)
+    gens = [s for s in generate_elements(g_branch, 1) if not s.is_omega]
     rep = check_bisection_homomorphism(g_branch, gens, els)
     assert rep.passed, rep.entries[0].details
 
 
-def test_hausdorff_separation_cases(g_branch, branch_lattice):
+def test_hausdorff_separation_cases(g_branch):
     ef = make_lasso(g_branch, (), ("e", "f"))
     egf = make_lasso(g_branch, (), ("e", "g", "f"))
     a = unit_at(g_branch, ef)
@@ -587,7 +601,7 @@ def test_hausdorff_separation_cases(g_branch, branch_lattice):
     # contain both and separation must deepen along the tails
     rep = check_hausdorff(g_branch, [(a, b)])
     assert rep.passed
-    els = build_elements(g_branch, branch_lattice, 2, 2, 3)
+    els = build_elements(g_branch, 2, 2, 3)
     rng = random.Random(0)
     pairs = []
     for _ in range(150):
@@ -616,7 +630,7 @@ def test_separation_bound_keeps_hausdorff_verdicts(g_branch, g_loop, g_split):
     graphs += [sparse_sink_free(random.Random(seed), 600) for seed in (7, 10)]
     deepened = 0
     for g in graphs:
-        els = build_elements(g, generate_lattice(g), 1, 1, 3)
+        els = build_elements(g, 1, 1, 3)
         pairs = [(a, b) for a in els for b in els if a != b]
         assert check_hausdorff(g, pairs).passed
         for a, b in pairs:
@@ -642,6 +656,5 @@ def test_random_graphs_pass_ck_and_identities():
     rng = random.Random(99)
     for _ in range(10):
         g = random_ultragraph(rng, max_vertices=4, max_edges=5, sink_free=True)
-        lat = generate_lattice(g)
-        assert verify_ck(g, lat, depth=2).passed
-        assert check_set_identities(g, lat, depths=(1, 2)).passed
+        assert verify_ck(g, depth=2).passed
+        assert check_set_identities(g, depths=(1, 2)).passed

@@ -18,7 +18,6 @@ from ultragraph import (
     edge_path,
     enumerate_lassos,
     enumerate_paths,
-    generate_lattice,
     initial_segment,
     lasso_source,
     make_lasso,
@@ -40,17 +39,17 @@ def fz(*names):
 # --- finite ultrapaths ---
 
 
-def test_make_path_validates(g_branch, branch_lattice):
-    p = make_path(g_branch, ("e", "f"), fz("v"), branch_lattice)
+def test_make_path_validates(g_branch):
+    p = make_path(g_branch, ("e", "f"), fz("v"))
     assert p.length == 2 and p.range == fz("v")
     with pytest.raises(ValueError):
-        make_path(g_branch, ("f", "e"), fz("v"), branch_lattice)  # wrong terminal
+        make_path(g_branch, ("f", "e"), fz("v"))  # wrong terminal
     with pytest.raises(ValueError):
-        make_path(g_branch, ("f", "g"), fz("w"), branch_lattice)  # edges do not chain
+        make_path(g_branch, ("f", "g"), fz("w"))  # edges do not chain
     with pytest.raises(ValueError):
-        make_path(g_branch, ("e",), frozenset(), branch_lattice)
+        make_path(g_branch, ("e",), frozenset())
     with pytest.raises(ValueError):
-        make_path(g_branch, ("zz",), fz("v"), branch_lattice)
+        make_path(g_branch, ("zz",), fz("v"))
 
 
 def test_vertex_and_edge_paths(g_branch):
@@ -74,8 +73,8 @@ def test_concat_cases(g_branch):
     assert concat(g_branch, f, vertex_path("w")) is None
 
 
-def test_concat_associative_on_samples(g_branch, branch_lattice):
-    paths = enumerate_paths(g_branch, branch_lattice, 2)
+def test_concat_associative_on_samples(g_branch):
+    paths = enumerate_paths(g_branch, 2)
     for x in paths:
         for y in paths:
             xy = concat(g_branch, x, y)
@@ -102,8 +101,8 @@ def test_initial_segment_examples(g_branch):
     assert initial_segment(g_branch, vertex_path("w"), vertex_path("wu")) == vertex_path("w")
 
 
-def test_initial_segment_agrees_with_concat(g_branch, branch_lattice):
-    paths = enumerate_paths(g_branch, branch_lattice, 2)
+def test_initial_segment_agrees_with_concat(g_branch):
+    paths = enumerate_paths(g_branch, 2)
     for x in paths:
         for y in paths:
             rem = initial_segment(g_branch, x, y)
@@ -117,7 +116,7 @@ def test_initial_segment_agrees_with_concat(g_branch, branch_lattice):
                 )
 
 
-def test_ultrapath_is_an_immutable_value(g_branch, branch_lattice):
+def test_ultrapath_is_an_immutable_value(g_branch):
     x = Ultrapath(("e",), fz("w"))
     with pytest.raises(AttributeError):
         x.word = ("f",)
@@ -125,7 +124,7 @@ def test_ultrapath_is_an_immutable_value(g_branch, branch_lattice):
         x.terminal = fz("u")
     # a path handed back, possibly one of the operands, is the same value
     # as one built fresh from copies of its fields
-    paths = enumerate_paths(g_branch, branch_lattice, 2)
+    paths = enumerate_paths(g_branch, 2)
     handed = 0
     for a in paths:
         for b in paths:
@@ -138,15 +137,15 @@ def test_ultrapath_is_an_immutable_value(g_branch, branch_lattice):
     assert handed > 0
 
 
-def test_enumerate_paths_counts_and_order(g_branch, branch_lattice):
-    p2 = enumerate_paths(g_branch, branch_lattice, 2)
-    p3 = enumerate_paths(g_branch, branch_lattice, 3)
+def test_enumerate_paths_counts_and_order(g_branch):
+    p2 = enumerate_paths(g_branch, 2)
+    p3 = enumerate_paths(g_branch, 3)
     assert len(p2) == 18
     assert len(p3) == 27
     keys = [(p.length, p.word, tuple(sorted(p.terminal))) for p in p3]
     assert keys == sorted(keys)
     with pytest.raises(SizeLimitError):
-        enumerate_paths(g_branch, branch_lattice, 3, max_count=10)
+        enumerate_paths(g_branch, 3, max_count=10)
 
 
 def _sorted_paths_oracle(g, max_len):
@@ -170,11 +169,10 @@ def test_enumerate_paths_matches_sorted_oracle():
     rng = random.Random(83)
     graphs = [random_ultragraph(rng, max_edges=12) for _ in range(40)]
     for g in graphs:
-        lat = generate_lattice(g)
         for max_len in range(4):
-            assert enumerate_paths(g, lat, max_len) == _sorted_paths_oracle(g, max_len)
+            assert enumerate_paths(g, max_len) == _sorted_paths_oracle(g, max_len)
     bouquet = Ultragraph.build(["v"], {f"e{i}": ("v", ("v",)) for i in range(8)})
-    got = enumerate_paths(bouquet, generate_lattice(bouquet), 5)
+    got = enumerate_paths(bouquet, 5)
     assert len(got) == 1 + 8 + 8**2 + 8**3 + 8**4 + 8**5
     assert got == _sorted_paths_oracle(bouquet, 5)
 

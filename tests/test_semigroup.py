@@ -18,7 +18,6 @@ from ultragraph import (
     eval_char,
     filter_of,
     generate_elements,
-    generate_lattice,
     idempotent,
     idempotent_leq,
     idempotent_leq_by_shape,
@@ -78,15 +77,15 @@ def test_omega_absorbs(g_branch):
     assert OMEGA.is_omega and not te.is_omega
 
 
-def test_full_vertex_projection_is_identity(g_branch, branch_lattice):
+def test_full_vertex_projection_is_identity(g_branch):
     one = idempotent(vertex_path("vwu"))
-    for s in generate_elements(g_branch, branch_lattice, 2):
+    for s in generate_elements(g_branch, 2):
         assert product(g_branch, one, s) == s
         assert product(g_branch, s, one) == s
 
 
-def test_generate_elements_count_and_shape(g_branch, branch_lattice):
-    els = generate_elements(g_branch, branch_lattice, 2)
+def test_generate_elements_count_and_shape(g_branch):
+    els = generate_elements(g_branch, 2)
     assert len(els) == 63
     assert OMEGA in els
     for s in els:
@@ -95,11 +94,11 @@ def test_generate_elements_count_and_shape(g_branch, branch_lattice):
     assert len(set(els)) == len(els)
     # 18 paths fit the budget, their 62 pairs do not
     with pytest.raises(SizeLimitError, match="element generation"):
-        generate_elements(g_branch, branch_lattice, 2, max_count=30)
+        generate_elements(g_branch, 2, max_count=30)
 
 
-def test_involution_laws(g_branch, branch_lattice):
-    els = generate_elements(g_branch, branch_lattice, 2)
+def test_involution_laws(g_branch):
+    els = generate_elements(g_branch, 2)
     for s in els:
         assert star(star(s)) == s
         # s s* s = s on a sample of the elements
@@ -114,8 +113,8 @@ def test_involution_laws(g_branch, branch_lattice):
             )
 
 
-def test_associativity_sampled(g_branch, branch_lattice):
-    els = generate_elements(g_branch, branch_lattice, 2)
+def test_associativity_sampled(g_branch):
+    els = generate_elements(g_branch, 2)
     sample = random.Random(3).sample(els, 18)
     for s, t, u in itertools.product(sample, repeat=3):
         lhs = product(g_branch, product(g_branch, s, t), u)
@@ -123,8 +122,8 @@ def test_associativity_sampled(g_branch, branch_lattice):
         assert lhs == rhs
 
 
-def test_idempotents_commute_and_order_routes_agree(g_branch, branch_lattice):
-    els = generate_elements(g_branch, branch_lattice, 2)
+def test_idempotents_commute_and_order_routes_agree(g_branch):
+    els = generate_elements(g_branch, 2)
     idems = [s for s in els if is_idempotent(s)]
     assert len(idems) == 19  # 18 path idempotents plus the zero
     for e in idems:
@@ -184,9 +183,9 @@ def test_eval_char_on_rays(g_branch):
     assert eval_char(g_branch, chi, idempotent(Ultrapath(("e",), fz("u")))) == 0
 
 
-def test_filters_are_proper_filters(g_branch, branch_lattice):
-    paths = enumerate_paths(g_branch, branch_lattice, 2)
-    universe = [idempotent(x) for x in enumerate_paths(g_branch, branch_lattice, 3)]
+def test_filters_are_proper_filters(g_branch):
+    paths = enumerate_paths(g_branch, 2)
+    universe = [idempotent(x) for x in enumerate_paths(g_branch, 3)]
     chars = [Semicharacter(path=x) for x in paths]
     chars += [Semicharacter(ray=x) for x in enumerate_lassos(g_branch, 1, 3)]
     for chi in chars:
@@ -202,12 +201,12 @@ def test_filters_are_proper_filters(g_branch, branch_lattice):
                 assert product(g_branch, e, f) in accepted
 
 
-def test_product_matches_rule_oracle(g_branch, branch_lattice):
-    cases = [(g_branch, generate_elements(g_branch, branch_lattice, 2))]
+def test_product_matches_rule_oracle(g_branch):
+    cases = [(g_branch, generate_elements(g_branch, 2))]
     # two, four and two vertices, with 82, 220 and 28 elements
     for seed in (4, 9, 8):
         g = random_ultragraph(random.Random(seed), max_vertices=4, max_edges=4)
-        cases.append((g, generate_elements(g, generate_lattice(g), 2)))
+        cases.append((g, generate_elements(g, 2)))
     for g, els in cases:
         nonzero = 0
         for s in els:
@@ -223,7 +222,7 @@ def copied(x):
     return Ultrapath(tuple(list(x.word)), frozenset(set(x.terminal)))
 
 
-def test_sgelement_is_an_immutable_value(g_branch, branch_lattice):
+def test_sgelement_is_an_immutable_value(g_branch):
     s = idempotent(vertex_path("v"))
     with pytest.raises(AttributeError):
         s.left = vertex_path("w")
@@ -232,7 +231,7 @@ def test_sgelement_is_an_immutable_value(g_branch, branch_lattice):
     # the zero comes back as the OMEGA object itself, which _agree tests
     # by identity
     assert star(OMEGA) is OMEGA and star(SGElement(None, None)) is OMEGA
-    els = generate_elements(g_branch, branch_lattice, 2)
+    els = generate_elements(g_branch, 2)
     zeros = 0
     for a in els:
         for b in els:

@@ -40,3 +40,25 @@ def test_unchecked_construction_stays_in_paths():
             and node.value.id == "object"
         ]
     assert not found, found
+
+
+def test_only_generate_lattice_handles_a_lattice():
+    """On a finite graph the lattice is the power set, so every consumer
+    derives it from the graph: no other function takes one as input."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name == "generate_lattice":
+                continue
+            a = node.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [
+                p for p in (a.vararg, a.kwarg) if p is not None
+            ]
+            for p in params:
+                annotation = ast.unparse(p.annotation) if p.annotation else ""
+                if p.arg == "lat" or "LatticeG0" in annotation:
+                    found.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
+    assert not found, found
