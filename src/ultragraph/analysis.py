@@ -235,15 +235,23 @@ def _level_tag(n: int) -> str:
     return f"m{-n}" if n < 0 else f"p{n}"
 
 
-def skew_product(g: Ultragraph, k: int) -> Ultragraph:
+def skew_product(g: Ultragraph, k: int, max_count: int = 200_000) -> Ultragraph:
     """Window [-k, k] of the skew product by the integers.
 
     Vertices are (v, n) for |n| <= k, edges (e, n) for -k <= n < k, with
     source (s(e), n) and range r(e) x {n+1}.  Every edge raises the level,
-    so the result is always loop-free.
+    so the result is always loop-free.  Raises SizeLimitError, before
+    building anything, when either count passes max_count.
     """
     if k < 1:
         raise ValueError("window radius must be at least 1")
+    n_vertices = (2 * k + 1) * len(g.vertices)
+    n_edges = 2 * k * len(g.edges)
+    if max(n_vertices, n_edges) > max_count:
+        raise SizeLimitError(
+            f"skew window {k} has {n_vertices} vertices and {n_edges} edges, "
+            f"past max_count={max_count}"
+        )
     vertices = [
         f"{v}__{_level_tag(n)}"
         for v in g.vertices_sorted()

@@ -282,11 +282,33 @@ def _fmt_words(words, cap: int = 12) -> str:
     return "[" + " ".join(shown) + "]" + tail
 
 
-def _word_masks(g: Ultragraph, depth: int):
+def _word_masks(g: Ultragraph, depth: int, max_count: int = 200_000):
     """words_of(base), a cylinder's depth-d words as one int mask, memoised
     per base, and fmt_mask, which decodes a mask to its sorted words.  Each
     word gets a bit on first sight, so joins, meets and decompositions are
-    OR, AND and compare."""
+    OR, AND and compare.
+
+    Before any word is built, the depth-d edge words are counted by their
+    last edge, one level at a time; past max_count this raises
+    SizeLimitError.  The graph has no sinks, so every word extends and no
+    level has fewer words than the one before: the count may stop at the
+    first level past the limit."""
+    adj = edge_adjacency(g)
+    ending = dict.fromkeys(g.edges, 1)
+    count = len(ending)
+    for _ in range(depth - 1):
+        if count > max_count:
+            break
+        nxt = dict.fromkeys(ending, 0)
+        for e, n in ending.items():
+            for f in adj[e]:
+                nxt[f] += n
+        ending = nxt
+        count = sum(nxt.values())
+    if count > max_count:
+        raise SizeLimitError(
+            f"depth-{depth} refinement exceeded max_count={max_count} words"
+        )
     word_bit: Dict[Tuple[Edge, ...], int] = {}
     memo: Dict[Ultrapath, int] = {}
 

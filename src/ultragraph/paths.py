@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Edge,
@@ -133,25 +133,29 @@ def enumerate_paths(
 
     The order comes out of the construction: each level extends the
     previous one's words, in order, by their sorted successor edges, and
-    the lattice lists its sets in set_key order."""
+    the lattice lists its sets in set_key order.  The terminals inside
+    one range are listed once per distinct range."""
     nonempty = generate_lattice(g).nonempty()
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
     out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
     words: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
     adj = edge_adjacency(g)
+    inside: Dict[VSet, List[VSet]] = {}
     for length in range(1, max_len + 1):
         if length > 1:
             words = [w + (f,) for w in words for f in adj[w[-1]]]
         for w in words:
             last_range = g.range[w[-1]]
-            for A in nonempty:
-                if A <= last_range:
-                    out.append(Ultrapath(w, A))
-                    if len(out) > max_count:
-                        raise SizeLimitError(
-                            f"path enumeration exceeded max_count={max_count}"
-                        )
+            terminals = inside.get(last_range)
+            if terminals is None:
+                terminals = [A for A in nonempty if A <= last_range]
+                inside[last_range] = terminals
+            out.extend([Ultrapath(w, A) for A in terminals])
+            if len(out) > max_count:
+                raise SizeLimitError(
+                    f"path enumeration exceeded max_count={max_count}"
+                )
     return out
 
 

@@ -61,13 +61,49 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     and when both inner coordinates are length zero with overlapping sets
     the product is (w . range(y), y . range(w)).  When several rules apply
     their results coincide, which is checked.
+
+    Inner coordinates of length zero, as in every Cuntz-Krieger meet, take
+    one inline branch.  There z and x are sets, C = z n x, and every rule
+    glues a set onto w or y, so each result is built from w n x and y n z:
+    rule 1 applies iff x lies in z, rule 2 iff z lies in x, and the overlap
+    rule iff C is nonempty.  The errors fire in the order of the general
+    path, on hand-built elements whose ranges do not match too.
     """
     w, z = s.left, s.right
     x, y = t.left, t.right
     if w is None or x is None:
         return OMEGA
-    out = OMEGA
 
+    if not z.word and not x.word:
+        zt, xt = z.terminal, x.terminal
+        meet = zt & xt
+        if not meet:
+            # a containment rule still applies when one set is empty
+            if not xt:
+                raise RuntimeError("remainder of x does not extend w")
+            if not zt:
+                raise RuntimeError("remainder of z does not extend y")
+            return OMEGA
+        wt, yt = w.terminal, y.terminal
+        left_t = meet if wt is zt else wt & xt
+        right_t = meet if yt is xt else yt & zt
+        rule1 = meet == xt
+        rule2 = meet == zt
+        if rule1 and not left_t:
+            raise RuntimeError("remainder of x does not extend w")
+        if rule2 and not right_t:
+            raise RuntimeError("remainder of z does not extend y")
+        if not left_t or not right_t:
+            raise RuntimeError("overlapping length-zero sets do not extend")
+        # rule 1 keeps y and rule 2 keeps w, where the overlap rule cuts both
+        if (rule1 and right_t != yt) or (rule2 and left_t != wt):
+            raise RuntimeError("overlapping rules disagree")
+        cut_w = Ultrapath(w.word, left_t)
+        if right_t is left_t and y.word == w.word:
+            return SGElement(cut_w, cut_w)
+        return SGElement(cut_w, Ultrapath(y.word, right_t))
+
+    out = OMEGA
     rem = initial_segment(g, x, z)
     if rem is not None:
         grown = concat(g, w, rem)
@@ -81,13 +117,6 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
         if grown is None:
             raise RuntimeError("remainder of z does not extend y")
         out = _agree(out, SGElement(w, grown))
-
-    if not z.word and not x.word and (z.terminal & x.terminal):
-        a = concat(g, w, x)
-        b = concat(g, y, z)
-        if a is None or b is None:
-            raise RuntimeError("overlapping length-zero sets do not extend")
-        out = _agree(out, SGElement(a, b))
     return out
 
 

@@ -46,10 +46,24 @@ class Mutant(NamedTuple):
 
 MUTANTS = (
     Mutant(
-        "product: drop the overlap rule",
+        "product: the union in place of the meet",
         "semigroup.py",
-        "if not z.word and not x.word and (z.terminal & x.terminal):",
+        "meet = zt & xt",
+        "meet = zt | xt",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "product: skip the containment-agreement check",
+        "semigroup.py",
+        "if (rule1 and right_t != yt) or (rule2 and left_t != wt):",
         "if False:",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "product: keep w uncut",
+        "semigroup.py",
+        "cut_w = Ultrapath(w.word, left_t)",
+        "cut_w = w",
         PRODUCT_TESTS,
     ),
     Mutant(
@@ -137,11 +151,39 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
-        "enumerate_paths: drop the maximal terminal",
+        "enumerate_paths: drop the maximal terminal from the per-range list",
         "paths.py",
-        "if A <= last_range:",
-        "if A < last_range:",
+        "if A <= last_range]",
+        "if A < last_range]",
         PATHS_TESTS,
+    ),
+    Mutant(
+        "enumerate_paths: raise on reaching max_count",
+        "paths.py",
+        "if len(out) > max_count:",
+        "if len(out) >= max_count:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_word_masks: drop the word budget",
+        "groupoid.py",
+        "    if count > max_count:\n        raise",
+        "    if False:\n        raise",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_word_masks: count words one edge short",
+        "groupoid.py",
+        "for _ in range(depth - 1):",
+        "for _ in range(depth - 2):",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "skew_product: drop the size guard",
+        "analysis.py",
+        "if max(n_vertices, n_edges) > max_count:",
+        "if False:",
+        ANALYSIS_TESTS,
     ),
     Mutant(
         "check_family: no zero for an empty meet",

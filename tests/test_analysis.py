@@ -238,6 +238,16 @@ def test_skew_product_counts(g_branch):
         assert validate(sk).ok
 
 
+def test_skew_product_size_guard(g_branch):
+    # window 2 on three vertices and three edges: 15 vertices, 12 edges
+    assert len(skew_product(g_branch, 2, max_count=15).vertices) == 15
+    with pytest.raises(SizeLimitError, match="15 vertices and 12 edges"):
+        skew_product(g_branch, 2, max_count=14)
+    # the default budget: 66,665 levels of 3 vertices fit, 66,667 do not
+    with pytest.raises(SizeLimitError, match="max_count=200000"):
+        skew_product(g_branch, 33_333)
+
+
 def test_skew_product_always_loop_free(g_branch, g_loop, g_split):
     rng = random.Random(7)
     graphs = [g_branch, g_loop, g_split]

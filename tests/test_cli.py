@@ -5,6 +5,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -215,6 +216,21 @@ def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
     code, out, err = run(
         ["semigroup", str(bouquet), "--max-len", "3", "--format", "json"], capsys
     )
+    assert code == 1, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+    assert "max_count=200000" in checks[0]["witnesses"][0]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["ck", GX, "--depth", "60"], ["skew", GX, "--window", "300000"]],
+    ids=["ck depth", "skew window"],
+)
+def test_depth_and_window_guards_fail_fast(argv, capsys):
+    start = time.perf_counter()
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert time.perf_counter() - start < 1.0
     assert code == 1, err
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]

@@ -53,6 +53,7 @@ from conftest import (
     search_groupoid_element,
     separation_depth,
     sparse_sink_free,
+    word_count_up_to,
 )
 
 
@@ -513,6 +514,32 @@ def test_lattice_budget_raises_size_limit_on_thirteen_vertices():
         build_elements(ring, 1, 1, 2)
     with pytest.raises(SizeLimitError):
         verify_ck(ring)
+
+
+def test_word_budget_fires_before_any_word_is_built(g_branch, monkeypatch):
+    depth = 12
+    words = word_count_up_to(g_branch, depth) - word_count_up_to(g_branch, depth - 1)
+    built = []
+    real = groupoid_module._cylinder_words
+
+    def counting(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(groupoid_module, "_cylinder_words", counting)
+    with pytest.raises(SizeLimitError, match=f"max_count={words - 1} words"):
+        groupoid_module._word_masks(g_branch, depth, max_count=words - 1)
+    assert built == []
+    words_of, _ = groupoid_module._word_masks(g_branch, depth, max_count=words)
+    full = words_of(Ultrapath((), g_branch.vertices))
+    assert bin(full).count("1") == words
+    # past the default budget both public routes refuse before any word
+    built.clear()
+    with pytest.raises(SizeLimitError, match="depth-60 refinement"):
+        verify_ck(g_branch, 60)
+    with pytest.raises(SizeLimitError, match="depth-60 refinement"):
+        check_set_identities(g_branch, [60])
+    assert built == []
 
 
 def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):

@@ -148,6 +148,13 @@ def test_enumerate_paths_counts_and_order(g_branch):
         enumerate_paths(g_branch, 3, max_count=10)
 
 
+def test_enumerate_paths_max_count_boundary(g_branch):
+    # 27 paths: the limit is passed only by the 27th, not reached
+    assert enumerate_paths(g_branch, 3, max_count=27) == enumerate_paths(g_branch, 3)
+    with pytest.raises(SizeLimitError, match="max_count=26"):
+        enumerate_paths(g_branch, 3, max_count=26)
+
+
 def _sorted_paths_oracle(g, max_len):
     """Every ultrapath up to max_len straight from the definition: composable
     words over all edge tuples, each with every nonempty subset of its last

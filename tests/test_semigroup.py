@@ -11,6 +11,7 @@ from ultragraph import (
     SGElement,
     Semicharacter,
     SizeLimitError,
+    ck_family,
     Ultrapath,
     edge_path,
     enumerate_lassos,
@@ -243,3 +244,131 @@ def test_sgelement_is_an_immutable_value(g_branch):
                 fresh = SGElement(copied(got.left), copied(got.right))
                 assert got == fresh and hash(got) == hash(fresh)
     assert zeros > 0
+
+
+def up(word, *vs):
+    """A hand-built ultrapath; nothing checks that it lies in a graph."""
+    return Ultrapath(tuple(word), frozenset(vs))
+
+
+@pytest.mark.parametrize(
+    "s, t, want",
+    [
+        # disjoint sets: no rule applies
+        (idempotent(up((), "v")), idempotent(up((), "w", "u")), OMEGA),
+        # nested and overlapping sets meet in the intersection
+        (idempotent(up((), "v", "w")), idempotent(up((), "w")), idempotent(up((), "w"))),
+        (idempotent(up((), "w")), idempotent(up((), "v", "w")), idempotent(up((), "w"))),
+        (idempotent(up((), "v", "w")), idempotent(up((), "w", "u")), idempotent(up((), "w"))),
+        (idempotent(up((), "v", "w")), idempotent(up((), "v", "w")), idempotent(up((), "v", "w"))),
+        # an isometry's range cut down by a smaller projection, both sides
+        (
+            SGElement(up("e", "w", "u"), up((), "w", "u")),
+            idempotent(up((), "w")),
+            SGElement(up("e", "w"), up((), "w")),
+        ),
+        (
+            idempotent(up((), "w")),
+            SGElement(up((), "w", "u"), up("e", "w", "u")),
+            SGElement(up((), "w"), up("e", "w")),
+        ),
+        # ranges that do not match, but every rule that applies agrees
+        (
+            SGElement(up("e", "w", "u"), up((), "v", "w")),
+            idempotent(up((), "w")),
+            SGElement(up("e", "w"), up((), "w")),
+        ),
+        (
+            SGElement(up("e", "w"), up((), "v", "w")),
+            idempotent(up((), "u")),
+            OMEGA,
+        ),
+    ],
+)
+def test_length_zero_products_pinned(s, t, want):
+    got = product(None, s, t)
+    assert got == want
+    if want.is_omega:
+        assert got is OMEGA
+
+
+@pytest.mark.parametrize(
+    "s, t, message",
+    [
+        # rule 1 applies, but the remainder {v} misses w's terminal {w}
+        (
+            SGElement(up("e", "w"), up((), "v", "w")),
+            idempotent(up((), "v")),
+            "remainder of x does not extend w",
+        ),
+        # its mirror image: rule 2 applies and misses y's terminal
+        (
+            idempotent(up((), "v")),
+            SGElement(up((), "v", "w"), up("e", "w")),
+            "remainder of z does not extend y",
+        ),
+        # rules 1 and 2 both apply and give different elements
+        (
+            SGElement(up((), "v", "w"), up((), "v")),
+            idempotent(up((), "v")),
+            "overlapping rules disagree",
+        ),
+        # only the overlap rule applies, and w's terminal misses x
+        (
+            SGElement(up((), "v"), up((), "v", "w")),
+            idempotent(up((), "w", "u")),
+            "overlapping length-zero sets do not extend",
+        ),
+        # ... and y's terminal misses z
+        (
+            idempotent(up((), "w", "u")),
+            SGElement(up((), "v", "w"), up((), "v")),
+            "overlapping length-zero sets do not extend",
+        ),
+        # rule 1 and the overlap rule disagree on the right coordinate
+        (
+            SGElement(up((), "w"), up((), "v", "w")),
+            SGElement(up((), "w"), up((), "w", "u")),
+            "overlapping rules disagree",
+        ),
+        # rule 2 and the overlap rule disagree on the left coordinate
+        (
+            SGElement(up((), "w", "u"), up((), "w")),
+            SGElement(up((), "v", "w"), up((), "w")),
+            "overlapping rules disagree",
+        ),
+        # an empty set lies inside every set, so a containment rule fires
+        (
+            idempotent(up((), "v")),
+            SGElement(up(()), up((), "v")),
+            "remainder of x does not extend w",
+        ),
+        (
+            SGElement(up((), "v"), up(())),
+            idempotent(up((), "v")),
+            "remainder of z does not extend y",
+        ),
+    ],
+)
+def test_length_zero_product_faults_pinned(s, t, message):
+    with pytest.raises(RuntimeError) as info:
+        product(None, s, t)
+    assert str(info.value) == message
+
+
+def test_product_matches_rule_oracle_on_ck_families():
+    rng = random.Random(29)
+    pairs = nonzero = 0
+    for _ in range(30):
+        g = random_ultragraph(rng, sink_free=True)
+        fam = ck_family(g)
+        slices = list(fam.isometries.values())
+        els = list(fam.projections.values()) + slices + [star(s) for s in slices]
+        for s in els:
+            for t in els:
+                got = product(g, s, t)
+                assert got == product_by_rules(g, s, t), (s, t)
+                pairs += 1
+                nonzero += not got.is_omega
+    # up to 63 projections and 8 slices with their stars per graph
+    assert pairs > 40_000 and 0 < nonzero < pairs
