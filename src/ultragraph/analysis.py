@@ -235,16 +235,17 @@ def _level_tag(n: int) -> str:
     return f"m{-n}" if n < 0 else f"p{n}"
 
 
-def skew_product(g: Ultragraph, k: int, max_count: int = 200_000) -> Ultragraph:
+def skew_product(g: Ultragraph, k: int) -> Ultragraph:
     """Window [-k, k] of the skew product by the integers.
 
     Vertices are (v, n) for |n| <= k, edges (e, n) for -k <= n < k, with
     source (s(e), n) and range r(e) x {n+1}.  Every edge raises the level,
     so the result is always loop-free.  Raises SizeLimitError, before
-    building anything, when either count passes max_count.
+    building anything, when either count passes 200,000.
     """
     if k < 1:
         raise ValueError("window radius must be at least 1")
+    max_count = 200_000
     n_vertices = (2 * k + 1) * len(g.vertices)
     n_edges = 2 * k * len(g.edges)
     if max(n_vertices, n_edges) > max_count:

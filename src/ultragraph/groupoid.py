@@ -282,17 +282,18 @@ def _fmt_words(words, cap: int = 12) -> str:
     return "[" + " ".join(shown) + "]" + tail
 
 
-def _word_masks(g: Ultragraph, depth: int, max_count: int = 200_000):
+def _word_masks(g: Ultragraph, depth: int):
     """words_of(base), a cylinder's depth-d words as one int mask, memoised
     per base, and fmt_mask, which decodes a mask to its sorted words.  Each
     word gets a bit on first sight, so joins, meets and decompositions are
     OR, AND and compare.
 
     Before any word is built, the depth-d edge words are counted by their
-    last edge, one level at a time; past max_count this raises
+    last edge, one level at a time; past 200,000 words this raises
     SizeLimitError.  The graph has no sinks, so every word extends and no
     level has fewer words than the one before: the count may stop at the
     first level past the limit."""
+    max_count = 200_000
     adj = edge_adjacency(g)
     ending = dict.fromkeys(g.edges, 1)
     count = len(ending)

@@ -62,8 +62,8 @@ MUTANTS = (
     Mutant(
         "product: keep w uncut",
         "semigroup.py",
-        "cut_w = Ultrapath(w.word, left_t)",
-        "cut_w = w",
+        "return SGElement(Ultrapath(w.word, left_t), Ultrapath(y.word, right_t))",
+        "return SGElement(w, Ultrapath(y.word, right_t))",
         PRODUCT_TESTS,
     ),
     Mutant(

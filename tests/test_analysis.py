@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import ultragraph.analysis as analysis_module
+
 from ultragraph import (
     GraphStructureError,
     SizeLimitError,
@@ -238,14 +240,22 @@ def test_skew_product_counts(g_branch):
         assert validate(sk).ok
 
 
-def test_skew_product_size_guard(g_branch):
-    # window 2 on three vertices and three edges: 15 vertices, 12 edges
-    assert len(skew_product(g_branch, 2, max_count=15).vertices) == 15
-    with pytest.raises(SizeLimitError, match="15 vertices and 12 edges"):
-        skew_product(g_branch, 2, max_count=14)
-    # the default budget: 66,665 levels of 3 vertices fit, 66,667 do not
-    with pytest.raises(SizeLimitError, match="max_count=200000"):
+def test_skew_product_size_guard(g_branch, monkeypatch):
+    # three vertices and three edges: window 33,333 has 200,001 vertices
+    with pytest.raises(SizeLimitError, match="200001 vertices and 199998 edges"):
         skew_product(g_branch, 33_333)
+
+    # window 33,332 has 199,995 vertices and passes the guard; the build is
+    # stopped at its first vertex name rather than run to the end
+    class Building(Exception):
+        pass
+
+    def stop(n):
+        raise Building
+
+    monkeypatch.setattr(analysis_module, "_level_tag", stop)
+    with pytest.raises(Building):
+        skew_product(g_branch, 33_332)
 
 
 def test_skew_product_always_loop_free(g_branch, g_loop, g_split):

@@ -5,7 +5,6 @@ import os
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
@@ -228,9 +227,7 @@ def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
     ids=["ck depth", "skew window"],
 )
 def test_depth_and_window_guards_fail_fast(argv, capsys):
-    start = time.perf_counter()
     code, out, err = run(argv + ["--format", "json"], capsys)
-    assert time.perf_counter() - start < 1.0
     assert code == 1, err
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]

@@ -517,8 +517,9 @@ def test_lattice_budget_raises_size_limit_on_thirteen_vertices():
 
 
 def test_word_budget_fires_before_any_word_is_built(g_branch, monkeypatch):
-    depth = 12
-    words = word_count_up_to(g_branch, depth) - word_count_up_to(g_branch, depth - 1)
+    # GX has 170,625 words of length 40 and 226,030 of length 41
+    assert word_count_up_to(g_branch, 41) - word_count_up_to(g_branch, 40) > 200_000
+    assert word_count_up_to(g_branch, 40) - word_count_up_to(g_branch, 39) <= 200_000
     built = []
     real = groupoid_module._cylinder_words
 
@@ -527,13 +528,17 @@ def test_word_budget_fires_before_any_word_is_built(g_branch, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(groupoid_module, "_cylinder_words", counting)
-    with pytest.raises(SizeLimitError, match=f"max_count={words - 1} words"):
-        groupoid_module._word_masks(g_branch, depth, max_count=words - 1)
+    with pytest.raises(SizeLimitError, match="depth-41 .* max_count=200000 words"):
+        groupoid_module._word_masks(g_branch, 41)
+    groupoid_module._word_masks(g_branch, 40)
     assert built == []
-    words_of, _ = groupoid_module._word_masks(g_branch, depth, max_count=words)
+    # the words the masks are built from are the ones the guard counts
+    words_of, _ = groupoid_module._word_masks(g_branch, 12)
     full = words_of(Ultrapath((), g_branch.vertices))
-    assert bin(full).count("1") == words
-    # past the default budget both public routes refuse before any word
+    assert bin(full).count("1") == word_count_up_to(g_branch, 12) - word_count_up_to(
+        g_branch, 11
+    )
+    # past the budget both public routes refuse before any word
     built.clear()
     with pytest.raises(SizeLimitError, match="depth-60 refinement"):
         verify_ck(g_branch, 60)
