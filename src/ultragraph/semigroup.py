@@ -85,8 +85,10 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
                 raise RuntimeError("remainder of z does not extend y")
             return OMEGA
         wt, yt = w.terminal, y.terminal
-        left_t = wt & xt
-        right_t = yt & zt
+        # in a Cuntz-Krieger meet w is z and y is x: both cuts are the meet,
+        # and one Ultrapath serves both sides
+        left_t = meet if wt is zt else wt & xt
+        right_t = meet if yt is xt else yt & zt
         rule1 = meet == xt
         rule2 = meet == zt
         if rule1 and not left_t:
@@ -98,7 +100,10 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
         # rule 1 keeps y and rule 2 keeps w, where the overlap rule cuts both
         if (rule1 and right_t != yt) or (rule2 and left_t != wt):
             raise RuntimeError("overlapping rules disagree")
-        return SGElement(Ultrapath(w.word, left_t), Ultrapath(y.word, right_t))
+        cut_w = Ultrapath(w.word, left_t)
+        if right_t is left_t and y.word == w.word:
+            return SGElement(cut_w, cut_w)
+        return SGElement(cut_w, Ultrapath(y.word, right_t))
 
     out = OMEGA
     rem = initial_segment(g, x, z)

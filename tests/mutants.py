@@ -62,8 +62,22 @@ MUTANTS = (
     Mutant(
         "product: keep w uncut",
         "semigroup.py",
-        "return SGElement(Ultrapath(w.word, left_t), Ultrapath(y.word, right_t))",
-        "return SGElement(w, Ultrapath(y.word, right_t))",
+        "cut_w = Ultrapath(w.word, left_t)",
+        "cut_w = w",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "product: take the meet as w's cut",
+        "semigroup.py",
+        "left_t = meet if wt is zt else wt & xt",
+        "left_t = meet",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "product: share one Ultrapath whatever the words",
+        "semigroup.py",
+        "if right_t is left_t and y.word == w.word:",
+        "if right_t is left_t:",
         PRODUCT_TESTS,
     ),
     Mutant(
