@@ -40,6 +40,8 @@ from .groupoid import (
 )
 from .paths import check_lasso_bounds, enumerate_lassos, enumerate_paths
 from .semigroup import (
+    OMEGA,
+    SGElement,
     generate_elements,
     idempotent_leq,
     idempotent_leq_by_shape,
@@ -131,10 +133,47 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     starred = [star(s) for s in elems]
     mirror = [index.get(s) for s in starred]
     mirror = [k if k is not None and mirror[k] == i else None for i, k in enumerate(mirror)]
+    # For s = (w, z) and t = (x, y) whether s t is zero hangs on z and x
+    # alone, and t* s* has inner coordinates (x, z).  So where star swaps
+    # the coordinates of s and t, the pairs fall into (z, x) blocks, and the
+    # idempotent pair ((z, z), (x, x)) answers its block and the mirror
+    # block (x, z) when both its products are zero and star fixes the zero.
+    # Rows and columns of the zero and of elements off the involution, and
+    # every other block, run through the loop pair by pair.
+    on = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
+    by_left = {}
+    for j, t in enumerate(elems):
+        if on[j]:
+            by_left.setdefault(t.left, []).append(j)
+    off = [j for j in range(len(elems)) if not on[j]]
+    star_fixes_zero = star(OMEGA) == OMEGA
+    answered = {}
+
+    def live_columns(z) -> List[int]:
+        cols = list(off)
+        for x, js in by_left.items():
+            zero = answered.get((z, x))
+            if zero is None:
+                ez, ex = SGElement(z, z), SGElement(x, x)
+                st, ts = product(g, ez, ex), product(g, ex, ez)
+                zero = star_fixes_zero and st == OMEGA and ts == OMEGA
+                answered[z, x] = answered[x, z] = zero
+            if not zero:
+                cols.extend(js)
+        return cols
+
+    live = {}
+    every = range(len(elems))
     bad_pairs = []
     for i, s in enumerate(elems):
         mi = mirror[i]
-        for j, t in enumerate(elems):
+        cols = every
+        if on[i]:
+            cols = live.get(s.right)
+            if cols is None:
+                cols = live[s.right] = live_columns(s.right)
+        for j in cols:
+            t = elems[j]
             mj = mirror[j]
             paired = mi is not None and mj is not None
             if paired and (mj, mi) < (i, j):

@@ -9,7 +9,6 @@ infinite edge words they unroll to.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
 
@@ -178,22 +177,24 @@ def _canonical(prefix: Tuple[Edge, ...], cycle: Tuple[Edge, ...]):
     return p, c
 
 
-@dataclass(frozen=True)
-class LassoPath:
-    """Eventually periodic infinite path prefix . cycle^infinity.
-
-    Instances normalize on construction: the cycle is never a proper power
-    and the prefix is as short as possible, so two lassos are equal exactly
-    when they unroll to the same infinite edge word.
-    """
-
+class _LassoFields(NamedTuple):
     prefix: Tuple[Edge, ...]
     cycle: Tuple[Edge, ...]
 
-    def __post_init__(self):
-        p, c = _canonical(tuple(self.prefix), tuple(self.cycle))
-        object.__setattr__(self, "prefix", p)
-        object.__setattr__(self, "cycle", c)
+
+class LassoPath(_LassoFields):
+    """Eventually periodic infinite path prefix . cycle^infinity, an
+    immutable named tuple (prefix, cycle): it compares and hashes by its
+    fields.
+
+    Instances normalize on construction: the cycle is never a proper power
+    and the prefix is as short as possible, so two lassos are equal exactly
+    when they unroll to the same infinite edge word.  The subclass keeps an
+    instance dict, which holds the cached signature.
+    """
+
+    def __new__(cls, prefix: Iterable[Edge], cycle: Iterable[Edge]) -> LassoPath:
+        return tuple.__new__(cls, _canonical(tuple(prefix), tuple(cycle)))
 
     @cached_property
     def signature(self) -> Tuple[Tuple[Edge, ...], int]:
@@ -242,10 +243,7 @@ def unroll(x: LassoPath, n: int) -> Tuple[Edge, ...]:
 
 def _canonical_lasso(prefix: Tuple[Edge, ...], cycle: Tuple[Edge, ...]) -> LassoPath:
     """A LassoPath from fields already in canonical form, set directly."""
-    x = object.__new__(LassoPath)
-    object.__setattr__(x, "prefix", prefix)
-    object.__setattr__(x, "cycle", cycle)
-    return x
+    return tuple.__new__(LassoPath, (prefix, cycle))
 
 
 def shift(x: LassoPath) -> LassoPath:

@@ -34,6 +34,7 @@ PATHS_TESTS = ("tests/test_paths.py", "tests/test_semigroup.py")
 PRODUCT_TESTS = ("tests/test_semigroup.py", "tests/test_groupoid.py")
 GROUPOID_TESTS = ("tests/test_groupoid.py", "tests/test_acceptance.py")
 ANALYSIS_TESTS = ("tests/test_analysis.py",)
+CLI_TESTS = ("tests/test_cli.py",)
 
 
 class Mutant(NamedTuple):
@@ -219,6 +220,34 @@ MUTANTS = (
         "        if e not in fam.isometries:\n",
         "        if False:\n",
         GROUPOID_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: decide a block from s t alone",
+        "cli.py",
+        "zero = star_fixes_zero and st == OMEGA and ts == OMEGA",
+        "zero = star_fixes_zero and st == OMEGA",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: drop the swap guard",
+        "cli.py",
+        "s.left is not None and starred[i] == (s.right, s.left)",
+        "s.left is not None",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: a nonzero representative does not expand its block",
+        "cli.py",
+        "            if not zero:\n                cols.extend(js)",
+        "            if False:\n                cols.extend(js)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "LassoPath: skip canonicalization",
+        "paths.py",
+        "tuple.__new__(cls, _canonical(tuple(prefix), tuple(cycle)))",
+        "tuple.__new__(cls, (tuple(prefix), tuple(cycle)))",
+        PATHS_TESTS,
     ),
     Mutant(
         "shift_n: rotate the cycle one step too far",

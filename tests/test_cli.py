@@ -12,6 +12,7 @@ import pytest
 import ultragraph.cli as cli
 from ultragraph import (
     OMEGA,
+    SGElement,
     emit,
     generate_elements,
     gw,
@@ -23,6 +24,8 @@ from ultragraph import (
     star,
 )
 from ultragraph.cli import main
+
+from conftest import product_by_rules
 
 REPO = Path(__file__).resolve().parent.parent
 FIXDIR = REPO / "fixtures"
@@ -250,9 +253,26 @@ def _all_pairs_star_witnesses(g, elems, prod, inv):
     return bad[:5]
 
 
+def _zero_block(g, z, x):
+    """Whether the (z, x) block is zero: s t = 0 for every s = (w, z) and
+    t = (x, y), read off the rule oracle on the idempotents (z, z), (x, x)."""
+    return product_by_rules(g, SGElement(z, z), SGElement(x, x)) == OMEGA
+
+
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     g = parse_file(GX)
-    n = len(generate_elements(g, 2))
+    elems = generate_elements(g, 2)
+    index = {s: i for i, s in enumerate(elems)}
+    paths = list(dict.fromkeys(s.left for s in elems[1:]))
+    # a pair is asked in the loop when the zero is in it or its block is
+    # nonzero, and once per mirror pair; every unordered pair of inner
+    # coordinates {z, x} costs one more pair of products on its idempotents
+    asked = set()
+    for s in elems:
+        for t in elems:
+            if s == OMEGA or t == OMEGA or not _zero_block(g, s.right, t.left):
+                asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
+    blocks = len(paths) * (len(paths) + 1) // 2
     calls = []
 
     def counting(*args):
@@ -263,8 +283,30 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["antimultiplicative_star"]["pass"]
-    # one product pair per mirror pair; asking each ordered pair apart forms 2 * n^2
-    assert n * n <= len(calls) <= n * n + n
+    assert (len(elems), len(paths), len(asked), blocks) == (63, 18, 817, 171)
+    assert len(calls) == 2 * len(asked) + 2 * blocks == 1976
+
+
+@pytest.mark.parametrize("turned", [False, True], ids=["block", "mirror block"])
+def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, capsys):
+    g = parse_file(GX)
+    elems = generate_elements(g, 2)
+    paths = list(dict.fromkeys(s.left for s in elems[1:]))
+    z0, x0 = next((z, x) for z in paths for x in paths if _zero_block(g, z, x))
+    if turned:
+        z0, x0 = x0, z0
+
+    def faulty(g, s, t):
+        if s.right == z0 and t.left == x0:
+            return s
+        return product(g, s, t)
+
+    want = _all_pairs_star_witnesses(g, elems, faulty, star)
+    assert len(want) == 5
+    monkeypatch.setattr(cli, "product", faulty)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 1
+    assert checks["antimultiplicative_star"]["witnesses"] == want
 
 
 @pytest.mark.parametrize("zeroed", ["one pair", "one row"])

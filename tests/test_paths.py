@@ -235,6 +235,46 @@ def test_shift_matches_unroll(prefix, cycle, n):
     assert shift_n(x, n).signature == (rep, (phase + n) % p)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.lists(st.sampled_from("ab"), max_size=4).map(tuple),
+    cycle=st.lists(st.sampled_from("ab"), min_size=1, max_size=4).map(tuple),
+)
+def test_lasso_is_a_named_tuple_of_its_canonical_fields(prefix, cycle):
+    x = LassoPath(prefix, cycle)
+    # the hash of the frozen dataclass it replaced, so set orders stay put
+    assert hash(x) == hash((x.prefix, x.cycle))
+    assert x == (x.prefix, x.cycle)
+    # canonical: the prefix ends off the cycle, and the cycle is no proper power
+    c = x.cycle
+    assert not x.prefix or x.prefix[-1] != c[-1]
+    assert all(c != c[:d] * (len(c) // d) for d in range(1, len(c)) if len(c) % d == 0)
+    for y in (LassoPath(prefix=prefix, cycle=cycle), LassoPath(prefix, cycle=cycle)):
+        assert (y.prefix, y.cycle) == (x.prefix, x.cycle)
+    for field in ("prefix", "cycle"):
+        with pytest.raises(AttributeError):
+            setattr(x, field, ())
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    prefix=st.lists(st.sampled_from("abc"), max_size=4).map(tuple),
+    cycle=st.lists(st.sampled_from("abc"), min_size=1, max_size=4).map(tuple),
+    n=st.integers(min_value=0, max_value=12),
+)
+def test_shifted_lasso_is_the_canonical_lasso(prefix, cycle, n):
+    x = LassoPath(prefix, cycle)
+    # the shifted infinite word, read as a long raw prefix and one period
+    # after it, rebuilt through the canonicalizing constructor
+    m, p = len(x.prefix) + len(x.cycle), len(x.cycle)
+    word = unroll(x, n + m + p)[n:]
+    fresh = LassoPath(word[:m], word[m:])
+    y = shift_n(x, n)
+    assert y == fresh
+    assert hash(y) == hash(fresh)
+    assert y.signature == fresh.signature
+
+
 def test_make_lasso_validates(g_branch):
     x = make_lasso(g_branch, ("e",), ("f", "e"))
     assert x == LassoPath((), ("e", "f"))
