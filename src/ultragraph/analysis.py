@@ -1,9 +1,13 @@
 """Structural criteria over finite ultragraphs.
 
-First-return loop counts per base vertex decide condition (K); cofinality
-reduces to cycle detection inside the set of edges a vertex cannot reach;
-both feed a conservative simplicity verdict.  A windowed skew product by
-the integers gives the loop-free cover used to probe AF behaviour.
+Condition (K) and cofinality are both read off the strongly connected
+components of the edge adjacency, computed once per graph: a vertex's
+first-return loop count, capped at 2, follows from the components its
+out-edges lie in, and a graph is cofinal when every vertex reaches a
+source of every cyclic component.  Both feed a conservative simplicity
+verdict.  The pruned first-return walk stays for explicit loop bounds and
+for listing loops.  A windowed skew product by the integers gives the
+loop-free cover used to probe AF behaviour.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from .core import (
     Ultragraph,
     Vertex,
     edge_adjacency,
+    edge_components,
     reaches,
     require_no_sinks,
     validate,
@@ -108,14 +113,73 @@ class KReport:
         return tuple(v for v in sorted(self.counts) if self.counts[v] == 1)
 
 
+def _cycle_kinds(g: Ultragraph) -> Dict[Edge, bool]:
+    """The cyclic components of the edge adjacency, keyed by their least
+    edge, each mapped to whether it is a simple cycle: every member has
+    exactly one successor inside the component."""
+    adj = edge_adjacency(g)
+    kinds: Dict[Edge, bool] = {}
+    for comp in edge_components(g).values():
+        head = comp[0]
+        if head in kinds or (len(comp) == 1 and head not in adj[head]):
+            continue
+        members = set(comp)
+        kinds[head] = all(sum(f in members for f in adj[e]) == 1 for e in comp)
+    return kinds
+
+
+def _component_loop_counts(g: Ultragraph) -> Dict[Vertex, int]:
+    """min(first-return loops at v within 2|E| edges, 2) for every vertex
+    v, from the components of the edge adjacency H alone.
+
+    A loop at v is a word e_1 ... e_n with source(e_1) = v, v in
+    range(e_n) and v never an interior source.  Then e_n -> e_1 in H, so
+    the loop is a closed walk and e_1 lies in a cyclic component C.
+    Conversely a shortest closed walk from such an e_1 has at most |C|
+    edges, and cut where v first lies in a range it is a loop.  Hence:
+
+    - No out-edge of v in a cyclic component: 0 loops.
+    - Two such out-edges: two loops with different first edges, each of
+      length at most |E|, so 2.
+    - Exactly one, e in C: every loop starts with e and lies in C, and e
+      is the only edge of C with source v.  So the loops at v are exactly
+      the closed walks in H from e back to e that do not meet e in
+      between.  If C is a simple cycle, the walk from e is forced and
+      there is one such walk, of length |C| <= |E|: count 1.  Otherwise
+      some x in C has two successors y1 != y2 in C.  Take a shortest path
+      P from e to x and shortest paths Q_i from y_i back to e, all inside
+      C; each meets e only at its ends.  P, x -> y_i, Q_i for i = 1, 2 are
+      two different such walks, each of length at most
+      (|C| - 1) + 1 + (|C| - 1) <= 2|E| - 1: the default bound sees the
+      second loop, and the count is 2.
+    """
+    comps = edge_components(g)
+    kinds = _cycle_kinds(g)
+    counts: Dict[Vertex, int] = {}
+    for v in g.vertices_sorted():
+        heads = [comps[e][0] for e in g.out_edges(v) if comps[e][0] in kinds]
+        if not heads:
+            counts[v] = 0
+        elif len(heads) == 1 and kinds[heads[0]]:
+            counts[v] = 1
+        else:
+            counts[v] = 2
+    return counts
+
+
 def condition_K(g: Ultragraph, bound: Optional[int] = None) -> KReport:
     """Condition (K): no vertex is the base of exactly one first-return
-    loop within the bound (default twice the edge count)."""
+    loop within the bound (default twice the edge count).
+
+    The default bound is decided from the edge components in linear time;
+    an explicit bound runs the pruned walk at every vertex."""
     if bound is None:
         bound = 2 * len(g.edges)
-    counts = {
-        v: count_first_return_loops(g, v, bound) for v in g.vertices_sorted()
-    }
+        counts = _component_loop_counts(g)
+    else:
+        counts = {
+            v: count_first_return_loops(g, v, bound) for v in g.vertices_sorted()
+        }
     holds = all(c != 1 for c in counts.values())
     return KReport(holds=holds, counts=counts, bound=bound)
 
@@ -171,15 +235,36 @@ def is_cofinal(g: Ultragraph) -> CofinalityReport:
 
     An infinite path escapes v exactly when it eventually stays inside the
     edges whose sources v cannot reach, which on a finite graph means a
-    cycle of such edges; a found cycle is returned as the counterexample.
+    cycle of such edges, inside one cyclic component of the edge
+    adjacency.  The sources of a component all reach one another, so v
+    fails exactly when it misses the source of one edge of some cyclic
+    component.  One backward search per such source, over "x is the source
+    of an edge whose range holds y", finds every vertex that reaches it.
+    For the least vertex that misses one, a cycle among the edges it
+    cannot reach is returned as the counterexample.
     """
     require_no_sinks(g, "cofinality")
-    for v in g.vertices_sorted():
-        bad = {f for f in g.edges if not reaches(g, v, g.source[f])}
-        cyc = _restricted_cycle(g, bad)
-        if cyc is not None:
-            return CofinalityReport(cofinal=False, counterexample=(v, cyc))
-    return CofinalityReport(cofinal=True, counterexample=None)
+    targets = sorted({g.source[head] for head in _cycle_kinds(g)})
+    sources: Dict[Vertex, List[Vertex]] = {}
+    for e in g.edges_sorted():
+        for y in g.range[e]:
+            sources.setdefault(y, []).append(g.source[e])
+    missed: Set[Vertex] = set()
+    for t in targets:
+        seen = {t}
+        frontier = [t]
+        while frontier:
+            for x in sources.get(frontier.pop(), ()):
+                if x not in seen:
+                    seen.add(x)
+                    frontier.append(x)
+        missed |= g.vertices - seen
+    if not missed:
+        return CofinalityReport(cofinal=True, counterexample=None)
+    v = min(missed)
+    bad = {f for f in g.edges if not reaches(g, v, g.source[f])}
+    cyc = _restricted_cycle(g, bad)
+    return CofinalityReport(cofinal=False, counterexample=(v, cyc))
 
 
 def condition_2(g: Ultragraph) -> Tuple[bool, str]:

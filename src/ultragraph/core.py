@@ -39,8 +39,8 @@ class Ultragraph:
     """Vertices, edges, one source vertex per edge, one nonempty range set per edge.
 
     Never mutate one after construction: its sorted edges and vertices,
-    out-edge lists, edge adjacency and reachability sets are derived on
-    first use and cached on it."""
+    out-edge lists, edge adjacency, edge components and reachability sets
+    are derived on first use and cached on it."""
 
     vertices: VSet
     edges: FrozenSet[Edge]
@@ -95,6 +95,48 @@ class Ultragraph:
         return adj
 
     @cached_property
+    def _components(self) -> Dict[Edge, Tuple[Edge, ...]]:
+        # Tarjan's pass with an explicit stack of (edge, successor iterator)
+        # frames, so no component size meets the recursion limit
+        adj = self._adjacency
+        index: Dict[Edge, int] = {}
+        low: Dict[Edge, int] = {}
+        open_edges: List[Edge] = []
+        on_stack = set()
+        comp: Dict[Edge, Tuple[Edge, ...]] = {}
+        for root in self.edges_sorted():
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            open_edges.append(root)
+            on_stack.add(root)
+            frames = [(root, iter(adj[root]))]
+            while frames:
+                e, succ = frames[-1]
+                for f in succ:
+                    if f not in index:
+                        index[f] = low[f] = len(index)
+                        open_edges.append(f)
+                        on_stack.add(f)
+                        frames.append((f, iter(adj[f])))
+                        break
+                    if f in on_stack and index[f] < low[e]:
+                        low[e] = index[f]
+                else:
+                    frames.pop()
+                    if frames and low[e] < low[frames[-1][0]]:
+                        low[frames[-1][0]] = low[e]
+                    if low[e] == index[e]:
+                        popped = [open_edges.pop()]
+                        while popped[-1] != e:
+                            popped.append(open_edges.pop())
+                        on_stack.difference_update(popped)
+                        members = tuple(sorted(popped))
+                        for f in members:
+                            comp[f] = members
+        return comp
+
+    @cached_property
     def _reachable(self) -> Dict[Vertex, VSet]:
         """Memo filled by reachable_from, one entry per start vertex."""
         return {}
@@ -106,6 +148,17 @@ def edge_adjacency(g: Ultragraph) -> Dict[Edge, Tuple[Edge, ...]]:
     The map is built once per graph and shared by every caller: do not
     mutate it."""
     return g._adjacency
+
+
+def edge_components(g: Ultragraph) -> Dict[Edge, Tuple[Edge, ...]]:
+    """Strongly connected components of edge_adjacency: each edge maps to
+    the sorted tuple of its component, one tuple shared by every member.
+
+    A component is cyclic, holding a closed walk, when it has two or more
+    edges or its one edge follows itself.  Built once per graph by an
+    iterative Tarjan pass, linear in the edges plus adjacency entries, and
+    shared by every caller: do not mutate it."""
+    return g._components
 
 
 @dataclass(frozen=True)

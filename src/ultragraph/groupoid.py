@@ -11,6 +11,7 @@ a fixed depth, which makes the Cuntz-Krieger relations decidable.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -233,11 +234,28 @@ def _cylinder_words(g, cyl: CylinderSet, depth: int) -> List[Tuple[Edge, ...]]:
         for e in g.edges_sorted()
         if g.source[e] in ok_sources and e not in cyl.excluded_edges
     ]
-    words = [base.word + (e,) for e in firsts]
+    # levels[k][i] is the last edge of a word k + 1 edges past the base, and
+    # parents[k][i] is the index in levels[k] of the word that levels[k + 1][i]
+    # extends.  The words one edge short of the depth are read back from
+    # these lists once, so no level copies the words before it, and the
+    # last edge is appended to each of them.
     adj = edge_adjacency(g)
-    for _ in range(depth - n - 1):
-        words = [w + (f,) for w in words for f in adj[w[-1]]]
-    return words
+    levels = [firsts]
+    parents = []
+    for _ in range(depth - n - 2):
+        succ = [adj[e] for e in levels[-1]]
+        parents.append([i for i, fs in enumerate(succ) for _ in fs])
+        levels.append([f for fs in succ for f in fs])
+    rows = range(len(levels[-1]))
+    columns = [levels[-1]]
+    for k in range(len(parents) - 1, -1, -1):
+        rows = list(map(parents[k].__getitem__, rows))
+        columns.append(map(levels[k].__getitem__, rows))
+    columns.reverse()
+    words = zip(*map(itertools.repeat, base.word), *columns)
+    if depth == n + 1:
+        return list(words)
+    return [w + (f,) for w in words for f in adj[w[-1]]]
 
 
 def refine_words(

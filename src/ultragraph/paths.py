@@ -196,6 +196,12 @@ class LassoPath(_LassoFields):
     def __new__(cls, prefix: Iterable[Edge], cycle: Iterable[Edge]) -> LassoPath:
         return tuple.__new__(cls, _canonical(tuple(prefix), tuple(cycle)))
 
+    @classmethod
+    def _make(cls, iterable: Iterable) -> LassoPath:
+        """The named-tuple helper, through the canonicalizing constructor;
+        the inherited _replace builds its result with _make."""
+        return cls(*iterable)
+
     @cached_property
     def signature(self) -> Tuple[Tuple[Edge, ...], int]:
         """Tail signature (rep, phase).  rep is the least rotation of the

@@ -24,10 +24,12 @@ from ultragraph import (
     gy,
     lasso_source,
     reaches,
+    require_no_sinks,
     shift_n,
     unroll,
     witness,
 )
+from ultragraph.analysis import _restricted_cycle
 
 
 @pytest.fixture
@@ -70,6 +72,22 @@ def random_ultragraph(
         size = rng.randint(1, min(3, nv))
         rng_set = tuple(rng.sample(vs, size))
         edges[f"e{i}"] = (src, rng_set)
+    return Ultragraph.build(vs, edges)
+
+
+def ring_ultragraph(n: int) -> Ultragraph:
+    """The ring family of the ROADMAP: a directed n-cycle of edges
+    e_i: v_i -> {v_(i+1 mod n)} plus n extra edges x_j, each drawing its
+    source with rng.choice and then its range with rng.sample(vs, min(3, n))
+    from one random.Random(0).  Sink-free."""
+    vs = [f"v{i}" for i in range(n)]
+    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {
+        f"e{i}": (vs[i], (vs[(i + 1) % n],)) for i in range(n)
+    }
+    rng = random.Random(0)
+    for j in range(n):
+        src = rng.choice(vs)
+        edges[f"x{j}"] = (src, tuple(rng.sample(vs, min(3, n))))
     return Ultragraph.build(vs, edges)
 
 
@@ -165,6 +183,29 @@ def sparse_sink_free(
     raise AssertionError("no sparse draw within the attempt budget")
 
 
+def cylinder_words_by_levels(g: Ultragraph, cyl, depth: int) -> List[Tuple[str, ...]]:
+    """Oracle for groupoid._cylinder_words below a cylinder's base: the
+    words of `depth` edges that extend the base, by its first form, which
+    appends one edge to every word at each level.  The first edge starts in
+    the base terminal outside every excluded set and is not an excluded
+    edge; each later edge f follows the one before, source(f) in its range.
+    Same words in the same order; copies every word at every level, so it
+    is quadratic in the depth."""
+    base = cyl.base
+    ok = base.terminal - frozenset().union(*cyl.excluded_sets)
+    edges = sorted(g.edges)
+    words = [
+        base.word + (e,)
+        for e in edges
+        if g.source[e] in ok and e not in cyl.excluded_edges
+    ]
+    for _ in range(depth - len(base.word) - 1):
+        words = [
+            w + (f,) for w in words for f in edges if g.source[f] in g.range[w[-1]]
+        ]
+    return words
+
+
 def powerset_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
     """Brute-force oracle for the vertex-set lattice.
 
@@ -242,6 +283,22 @@ def cofinal_by_lassos(g: Ultragraph) -> Tuple[bool, Optional[tuple]]:
         for x in cycles:
             if not any(can_reach(v, g.source[e]) for e in x.cycle):
                 return False, (v, x)
+    return True, None
+
+
+def cofinal_by_vertex_search(g: Ultragraph) -> Tuple[bool, Optional[tuple]]:
+    """Cofinality oracle, the per-vertex loop is_cofinal ran before it read
+    the edge components: for each vertex v in sorted order, look for a cycle
+    of the edge adjacency among the edges whose sources v cannot reach; the
+    first one found, with its v, is the counterexample.  The cycle search
+    is analysis._restricted_cycle, so a counterexample compares equal to
+    is_cofinal's exactly.  Refuses graphs with sinks, as is_cofinal does."""
+    require_no_sinks(g, "cofinality")
+    for v in g.vertices_sorted():
+        bad = {f for f in g.edges if not reaches(g, v, g.source[f])}
+        cyc = _restricted_cycle(g, bad)
+        if cyc is not None:
+            return False, (v, cyc)
     return True, None
 
 

@@ -194,6 +194,34 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "_cycle_kinds: count every cyclic component as a simple cycle",
+        "analysis.py",
+        "kinds[head] = all(sum(f in members for f in adj[e]) == 1 for e in comp)",
+        "kinds[head] = True",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "_cycle_kinds: take a one-edge component that follows itself as acyclic",
+        "analysis.py",
+        "if head in kinds or (len(comp) == 1 and head not in adj[head]):",
+        "if head in kinds or len(comp) == 1:",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "_component_loop_counts: read only the first out-edge of each vertex",
+        "analysis.py",
+        "for e in g.out_edges(v) if comps[e][0] in kinds]",
+        "for e in g.out_edges(v)[:1] if comps[e][0] in kinds]",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "is_cofinal: search back from the first cyclic component only",
+        "analysis.py",
+        "    for t in targets:\n",
+        "    for t in targets[:1]:\n",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
         "skew_product: drop the size guard",
         "analysis.py",
         "if max(n_vertices, n_edges) > max_count:",

@@ -4,6 +4,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultragraph.analysis as analysis_module
 
@@ -26,9 +28,11 @@ from ultragraph.analysis import _first_return_words
 
 from conftest import (
     cofinal_by_lassos,
+    cofinal_by_vertex_search,
     levelled_first_return_words,
     naive_loop_count,
     random_ultragraph,
+    ring_ultragraph,
 )
 
 
@@ -161,13 +165,60 @@ def test_condition_k_stable_under_longer_bound():
         assert dict(short.counts) == dict(long.counts)
 
 
+def assert_components_match_oracles(g: Ultragraph) -> None:
+    # the default bound reads the edge components, an explicit one walks
+    assert condition_K(g) == condition_K(g, 2 * len(g.edges))
+    if validate(g).sinks:
+        for decide in (is_cofinal, cofinal_by_vertex_search):
+            with pytest.raises(GraphStructureError):
+                decide(g)
+    else:
+        rep = is_cofinal(g)
+        assert (rep.cofinal, rep.counterexample) == cofinal_by_vertex_search(g)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rng=st.randoms(use_true_random=False), sink_free=st.booleans())
+def test_components_match_walk_and_vertex_search(rng, sink_free):
+    assert_components_match_oracles(
+        random_ultragraph(rng, max_vertices=6, max_edges=9, sink_free=sink_free)
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 20, 60, 200])
+def test_components_match_walk_and_vertex_search_on_rings(n):
+    assert_components_match_oracles(ring_ultragraph(n))
+
+
+def test_condition_k_reads_every_out_edge():
+    # v's first out-edge a leads off to w and never back; its second, b, is
+    # a loop at v, and w has its own loop c
+    g = Ultragraph.build(
+        ["v", "w"],
+        {"a": ("v", ("w",)), "b": ("v", ("v",)), "c": ("w", ("w",))},
+    )
+    k = condition_K(g)
+    assert dict(k.counts) == {"v": 1, "w": 1} and k.offenders() == ("v", "w")
+    assert k == condition_K(g, 2 * len(g.edges))
+
+
+def test_cofinality_searches_every_cyclic_component():
+    # every vertex reaches a's loop p, but only c reaches c's loop s
+    g = Ultragraph.build(
+        ["a", "b", "c"],
+        {"p": ("a", ("a",)), "q": ("b", ("a",)), "s": ("c", ("c", "a"))},
+    )
+    rep = is_cofinal(g)
+    assert not rep.cofinal and rep.counterexample == ("a", ("s",))
+    assert (rep.cofinal, rep.counterexample) == cofinal_by_vertex_search(g)
+
+
 def test_cofinality_fixtures(g_branch, g_loop, g_split):
     assert is_cofinal(g_branch).cofinal
     assert is_cofinal(g_loop).cofinal
     rep = is_cofinal(g_split)
     assert not rep.cofinal
-    v, cyc = rep.counterexample
-    assert (v, cyc) in {("a", ("q",)), ("b", ("p",))}
+    assert rep.counterexample == ("a", ("q",))
 
 
 def test_cofinality_and_verdict_refuse_sinks():

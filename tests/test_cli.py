@@ -25,7 +25,7 @@ from ultragraph import (
 )
 from ultragraph.cli import main
 
-from conftest import product_by_rules
+from conftest import product_by_rules, ring_ultragraph
 
 REPO = Path(__file__).resolve().parent.parent
 FIXDIR = REPO / "fixtures"
@@ -79,6 +79,19 @@ def test_analyze_bound_below_one_exits_two(capsys):
         code, out, err = run(["analyze", GX, "--bound", bound], capsys)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and "--bound" in err
+
+
+def test_analyze_default_bound_prints_as_the_explicit_one(capsys, tmp_path):
+    # the default bound is decided from the edge components, --bound N by
+    # the pruned walk; with N = 2|E| the reports are the same bytes
+    ring = tmp_path / "ring20.ug"
+    ring.write_text(emit(ring_ultragraph(20)))
+    graphs = [(GX, gx()), (GY, gy()), (GW, gw()), (str(ring), ring_ultragraph(20))]
+    for path, g in graphs:
+        argv = ["analyze", path, "--bound", str(2 * len(g.edges))]
+        for fmt in ("json", "text"):
+            default = run(argv[:2] + ["--format", fmt], capsys)
+            assert run(argv + ["--format", fmt], capsys) == default
 
 
 def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):

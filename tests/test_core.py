@@ -17,6 +17,8 @@ from ultragraph import (
     validate,
 )
 
+from ultragraph.core import edge_components
+
 from conftest import (
     additive_indicator,
     brute_adjacency,
@@ -107,6 +109,38 @@ def test_index_matches_independent_oracles():
             assert reachable_from(g, w) == closure[w]
             for v in sorted(g.vertices):
                 assert reaches(g, w, v) == (v in closure[w])
+
+
+def test_edge_components_match_mutual_reachability(g_branch, g_loop, g_split):
+    rng = random.Random(61)
+    graphs = [g_branch, g_loop, g_split] + [random_ultragraph(rng) for _ in range(40)]
+    for g in graphs:
+        adj = brute_adjacency(g)
+        # Warshall's closure on edges, each edge reaching itself
+        reach = {e: {e, *adj[e]} for e in g.edges}
+        for k in sorted(g.edges):
+            for e in sorted(g.edges):
+                if k in reach[e]:
+                    reach[e] |= reach[k]
+        comps = edge_components(g)
+        assert comps is edge_components(g)
+        for e in g.edges:
+            assert comps[e] == tuple(sorted(f for f in reach[e] if e in reach[f]))
+            assert all(comps[f] is comps[e] for f in comps[e])
+    assert edge_components(g_branch) == dict.fromkeys("efg", ("e", "f", "g"))
+    assert edge_components(g_split) == {"p": ("p",), "q": ("q",)}
+
+
+def test_edge_components_of_a_long_chain_and_a_long_cycle():
+    # far past the recursion limit: the pass keeps its own stack
+    n = 5000
+    vs = [f"v{i}" for i in range(n + 1)]
+    chain = {f"e{i}": (vs[i], (vs[i + 1],)) for i in range(n)}
+    comps = edge_components(Ultragraph.build(vs, chain))
+    assert all(comps[e] == (e,) for e in chain)
+    cycle = {f"e{i}": (vs[i], (vs[(i + 1) % n],)) for i in range(n)}
+    comps = edge_components(Ultragraph.build(vs[:n], cycle))
+    assert comps["e0"] == tuple(sorted(cycle)) and len(set(map(id, comps.values()))) == 1
 
 
 def test_lattice_branch_is_full_power_set(g_branch, branch_lattice):

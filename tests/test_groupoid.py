@@ -49,6 +49,7 @@ from ultragraph import (
 )
 
 from conftest import (
+    cylinder_words_by_levels,
     random_ultragraph,
     search_groupoid_element,
     separation_depth,
@@ -274,6 +275,30 @@ def test_refinement_words(g_branch):
     assert refine_words(g_branch, [d_v], 2) == (("e", "f"), ("e", "g"))
     narrow = CylinderSet(base=Ultrapath(("e",), fz("w")))
     assert refine_words(g_branch, [narrow], 2) == (("e", "f"),)
+
+
+def test_cylinder_words_match_level_oracle(g_branch, g_loop, g_split):
+    rng = random.Random(13)
+    graphs = [g_branch, g_loop, g_split]
+    graphs += [random_ultragraph(rng, 4, 6, sink_free=True) for _ in range(8)]
+    seen = 0
+    for g in graphs:
+        for base in enumerate_paths(g, 2):
+            emitted = [e for e in sorted(g.edges) if g.source[e] in base.terminal]
+            cylinders = [CylinderSet(base=base)]
+            cylinders.append(make_cylinder(g, base, emitted[:1], ()))
+            if len(base.terminal) > 1:
+                one = frozenset(sorted(base.terminal)[:1])
+                cylinders.append(make_cylinder(g, base, (), (one,)))
+            for cyl in cylinders:
+                for depth in range(base.length + 1, base.length + 5):
+                    got = groupoid_module._cylinder_words(g, cyl, depth)
+                    assert got == cylinder_words_by_levels(g, cyl, depth)
+                    seen += len(got)
+    assert seen > 10_000
+    # GY keeps one word per level: at depth 20,000 it is e repeated
+    d_v = CylinderSet(base=vertex_path("v"))
+    assert groupoid_module._cylinder_words(g_loop, d_v, 20_000) == [("e",) * 20_000]
 
 
 def test_refinement_depth_rules(g_branch):

@@ -196,6 +196,12 @@ def test_lasso_canonical_form():
     assert str(a) == "(ef)*"
     with pytest.raises(ValueError):
         LassoPath(("e",), ())
+    # the named-tuple helpers canonicalize as the constructor does
+    c = LassoPath((), ("a",))._replace(prefix=("a",))
+    assert c == LassoPath((), ("a",)) and str(c) == "(a)*"
+    assert LassoPath._make((("g", "e"), ("e",))) == LassoPath(("g",), ("e",))
+    with pytest.raises(ValueError):
+        c._replace(cycle=())
 
 
 @settings(max_examples=200, deadline=None)
@@ -249,7 +255,13 @@ def test_lasso_is_a_named_tuple_of_its_canonical_fields(prefix, cycle):
     c = x.cycle
     assert not x.prefix or x.prefix[-1] != c[-1]
     assert all(c != c[:d] * (len(c) // d) for d in range(1, len(c)) if len(c) % d == 0)
-    for y in (LassoPath(prefix=prefix, cycle=cycle), LassoPath(prefix, cycle=cycle)):
+    for y in (
+        LassoPath(prefix=prefix, cycle=cycle),
+        LassoPath(prefix, cycle=cycle),
+        LassoPath._make((prefix, cycle)),
+        LassoPath((), ("c",))._replace(prefix=prefix, cycle=cycle),
+        LassoPath(prefix, ("c",))._replace(cycle=cycle),
+    ):
         assert (y.prefix, y.cycle) == (x.prefix, x.cycle)
     for field in ("prefix", "cycle"):
         with pytest.raises(AttributeError):
