@@ -138,8 +138,11 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     # the coordinates of s and t, the pairs fall into (z, x) blocks, and the
     # idempotent pair ((z, z), (x, x)) answers its block and the mirror
     # block (x, z) when both its products are zero and star fixes the zero.
-    # Rows and columns of the zero and of elements off the involution, and
-    # every other block, run through the loop pair by pair.
+    # The diagonal block (z, z) is never answered whole: (z, z) is
+    # idempotent, so a correct product is nonzero there anyway, and a faulty
+    # zero must not hide the block.  Rows and columns of the zero and of
+    # elements off the involution, and every other block, run through the
+    # loop pair by pair.
     on = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
     by_left = {}
     for j, t in enumerate(elems):
@@ -152,7 +155,7 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     def live_columns(z) -> List[int]:
         cols = list(off)
         for x, js in by_left.items():
-            zero = answered.get((z, x))
+            zero = False if x == z else answered.get((z, x))
             if zero is None:
                 ez, ex = SGElement(z, z), SGElement(x, x)
                 st, ts = product(g, ez, ex), product(g, ex, ez)

@@ -39,8 +39,8 @@ class Ultragraph:
     """Vertices, edges, one source vertex per edge, one nonempty range set per edge.
 
     Never mutate one after construction: its sorted edges and vertices,
-    out-edge lists, edge adjacency, edge components and reachability sets
-    are derived on first use and cached on it."""
+    out-edge lists, edge adjacency, edge components, reachability sets and
+    lattice are derived on first use and cached on it."""
 
     vertices: VSet
     edges: FrozenSet[Edge]
@@ -137,6 +137,32 @@ class Ultragraph:
         return comp
 
     @cached_property
+    def _lattice(self) -> "LatticeG0":
+        # read by generate_lattice only, after its size guards
+        vs = self.vertices_sorted()
+        # subsets in set_key order, built from the last vertex back: with
+        # first vertex v the order is the empty set, v prepended to each
+        # subset of the later vertices, then the nonempty subsets of the
+        # later vertices; each mask gains v's bit where v is prepended
+        keys: List[Tuple[Vertex, ...]] = [()]
+        masks = [0]
+        for k in range(len(vs) - 1, -1, -1):
+            v, bit = vs[k], 1 << k
+            keys = [()] + [(v,) + s for s in keys] + keys[1:]
+            masks = [0] + [bit | m for m in masks] + masks[1:]
+        ordered = tuple(frozenset(k) for k in keys)
+        flags = {}
+        ranges = {self.range[e] for e in self.edges}
+        for s in ordered:
+            if len(s) == 1:
+                flags[s] = "singleton"
+            elif s in ranges:
+                flags[s] = "edge-range"
+            else:
+                flags[s] = "derived"
+        return LatticeG0(sets=ordered, generator_flags=flags, masks=tuple(masks))
+
+    @cached_property
     def _reachable(self) -> Dict[Vertex, VSet]:
         """Memo filled by reachable_from, one entry per start vertex."""
         return {}
@@ -213,10 +239,16 @@ def require_no_sinks(g: Ultragraph, operation: str) -> None:
 class LatticeG0:
     """The smallest family of vertex sets containing every singleton, every
     edge range and the empty set, closed under pairwise union and
-    intersection."""
+    intersection.
+
+    The sets are listed in set_key order, so the empty set comes first.
+    masks[i] is the vertex mask of sets[i]: bit k is set iff the k-th
+    vertex of vertices_sorted lies in it, so a meet or join of two sets
+    has the mask of their masks' & or |."""
 
     sets: Tuple[VSet, ...]
     generator_flags: Mapping[VSet, str]
+    masks: Tuple[int, ...]
 
     def __contains__(self, s: object) -> bool:
         return s in self.generator_flags
@@ -228,7 +260,7 @@ class LatticeG0:
         return len(self.sets)
 
     def nonempty(self) -> Tuple[VSet, ...]:
-        return tuple(s for s in self.sets if s)
+        return self.sets[1:]
 
 
 def generate_lattice(g: Ultragraph, max_size: int = 4096) -> LatticeG0:
@@ -238,29 +270,16 @@ def generate_lattice(g: Ultragraph, max_size: int = 4096) -> LatticeG0:
     every subset, so on a finite ultragraph the closure is the full power
     set.  Its size 2^|V| is checked against max_size before any set is
     built: crossing it raises SizeLimitError.
+
+    The lattice is built once per graph and shared by every caller: do not
+    mutate its generator_flags.
     """
     floor = len(g.vertices) + len(g.edges) + 1
     if max_size < floor:
         raise ValueError(f"max_size must be at least {floor} for this graph")
     if 2 ** len(g.vertices) > max_size:
         raise SizeLimitError(f"lattice closure exceeded max_size={max_size}")
-    # subsets in set_key order, built from the last vertex back: with first
-    # vertex v the order is the empty set, v prepended to each subset of the
-    # later vertices, then the nonempty subsets of the later vertices
-    keys: List[Tuple[Vertex, ...]] = [()]
-    for v in reversed(g.vertices_sorted()):
-        keys = [()] + [(v,) + k for k in keys] + keys[1:]
-    ordered = tuple(frozenset(k) for k in keys)
-    flags = {}
-    ranges = {g.range[e] for e in g.edges}
-    for s in ordered:
-        if len(s) == 1:
-            flags[s] = "singleton"
-        elif s in ranges:
-            flags[s] = "edge-range"
-        else:
-            flags[s] = "derived"
-    return LatticeG0(sets=ordered, generator_flags=flags)
+    return g._lattice
 
 
 def emitted_edges(g: Ultragraph, A: VSet) -> FrozenSet[Edge]:

@@ -349,26 +349,29 @@ def _word_masks(g: Ultragraph, depth: int):
 
 
 def _join_failures(
-    sets: Sequence[VSet], masks: Sequence[Optional[int]], fmt_mask
+    sets: Sequence[VSet],
+    vmasks: Sequence[int],
+    words_at: Sequence[Optional[int]],
+    fmt_mask,
 ) -> List[str]:
-    """mask(A u B) == mask(A) | mask(B) for every pair i <= j of sets, where
-    masks[i] is the word mask of sets[i], or None when it has none.  A pair
-    with a None side is skipped; a union with no mask is reported."""
-    mask_of = dict(zip(sets, masks))
+    """words(A u B) == words(A) | words(B) for every pair i <= j of sets,
+    where vmasks[i] is the vertex mask of sets[i] and words_at[m] is the
+    word mask of the set with vertex mask m, or None when it has none.  A
+    pair with a None side is skipped; a union with no mask is reported."""
     bad: List[str] = []
-    n = len(sets)
     for i, A in enumerate(sets):
-        wa = masks[i]
+        va = vmasks[i]
+        wa = words_at[va]
         if wa is None:
             continue
-        for j in range(i, n):
-            B = sets[j]
-            lhs = mask_of.get(A | B)
-            if masks[j] is None or lhs is None:
+        for B, vb in zip(sets[i:], vmasks[i:]):
+            lhs = words_at[va | vb]
+            wb = words_at[vb]
+            if wb is None or lhs is None:
                 if lhs is None:
                     bad.append(f"missing projection {format_set(A | B)}")
                 continue
-            rhs = wa | masks[j]
+            rhs = wa | wb
             if lhs != rhs:
                 bad.append(
                     f"{format_set(A)} + {format_set(B)}: "
@@ -385,12 +388,16 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     visible; all identities are exact, and failures carry the offending
     indices and both refinements.
     """
-    nonempty = generate_lattice(g).nonempty()
+    lat = generate_lattice(g)
     require_no_sinks(g, "Cuntz-Krieger verification")
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
     entries: List[CheckResult] = []
     words_of, fmt_mask = _word_masks(g, depth)
+
+    def slice_words(s: SGElement) -> int:
+        # the zero names the empty slice, which has no words
+        return 0 if s.is_omega else words_of(s.left)
 
     # shape: projections sit on their own index, isometries are squares
     shape_bad: List[str] = []
@@ -425,9 +432,16 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     zero_ok = not zero_words and frozenset() not in fam.projections
     entries.append(CheckResult("projection_of_empty_set_is_zero", zero_ok))
 
-    # per-set lists, so the all-pairs loops below hash no Ultrapath
-    n = len(nonempty)
+    # per-set lists, and lists indexed by vertex mask, so the all-pairs
+    # loops below build and hash no set; a set the family has no
+    # projection for reads None, never the zero, and only the empty meet,
+    # at mask 0, wants the zero
+    nonempty, vmasks = lat.nonempty(), lat.masks[1:]
     projs = [fam.projections.get(A) for A in nonempty]
+    want_of: List[Optional[SGElement]] = [None] * len(lat)
+    want_of[0] = OMEGA
+    for m, p in zip(vmasks, projs):
+        want_of[m] = p
 
     bad: List[str] = []
     for i, A in enumerate(nonempty):
@@ -435,22 +449,23 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         if pa is None:
             bad.append(f"missing projection {format_set(A)}")
             continue
-        for j in range(i, n):
-            pb = projs[j]
+        ma = vmasks[i]
+        for B, mb, pb in zip(nonempty[i:], vmasks[i:], projs[i:]):
             if pb is None:
                 continue
             got = product(g, pa, pb)
-            B = nonempty[j]
-            meet = A & B
-            want = fam.projections.get(meet) if meet else OMEGA
+            want = want_of[ma & mb]
             if got != want:
                 bad.append(
                     f"{format_set(A)} * {format_set(B)}: got {got}, want {want}"
                 )
     entries.append(CheckResult("projection_meets", not bad, tuple(bad[:8])))
 
-    masks = [None if p is None else words_of(p.left) for p in projs]
-    bad = _join_failures(nonempty, masks, fmt_mask)
+    words_at: List[Optional[int]] = [None] * len(lat)
+    for m, p in zip(vmasks, projs):
+        if p is not None:
+            words_at[m] = slice_words(p)
+    bad = _join_failures(nonempty, vmasks, words_at, fmt_mask)
     entries.append(CheckResult("projection_joins", not bad, tuple(bad[:8])))
 
     bad = []
@@ -502,7 +517,7 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         if overlap:
             bad.append(f"vertex {v}: edge slices overlap")
             continue
-        lhs = words_of(pv.left)
+        lhs = slice_words(pv)
         if lhs != merged:
             bad.append(f"vertex {v}: {fmt_mask(lhs)} != {fmt_mask(merged)}")
     entries.append(CheckResult("vertex_decomposition", not bad, tuple(bad[:8])))
@@ -519,19 +534,24 @@ def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:
     joins match set intersection and union of refinements, and a set's
     slice splits over the edges it emits (there are no finite boundary
     points to add on a finite graph)."""
-    sets = generate_lattice(g).sets
+    lat = generate_lattice(g)
     require_no_sinks(g, "set identity checks")
+    sets, vmasks = lat.sets, lat.masks
     entries: List[CheckResult] = []
     for depth in depths:
         words_of, fmt_mask = _word_masks(g, depth)
-        masks = [words_of(Ultrapath((), A)) for A in sets]
+        # the word mask of each set, indexed by its vertex mask
+        words_at = [0] * len(sets)
+        for A, m in zip(sets, vmasks):
+            words_at[m] = words_of(Ultrapath((), A))
         bad_meet: List[str] = []
         for i, A in enumerate(sets):
-            for j in range(i, len(masks)):
-                B = sets[j]
-                if words_of(Ultrapath((), A & B)) != masks[i] & masks[j]:
+            va = vmasks[i]
+            wa = words_at[va]
+            for B, vb in zip(sets[i:], vmasks[i:]):
+                if words_at[va & vb] != wa & words_at[vb]:
                     bad_meet.append(f"{format_set(A)} ^ {format_set(B)}")
-        bad_join = _join_failures(sets, masks, fmt_mask)
+        bad_join = _join_failures(sets, vmasks, words_at, fmt_mask)
         entries.append(
             CheckResult(f"meet_identity_depth_{depth}", not bad_meet, tuple(bad_meet[:8]))
         )
@@ -539,11 +559,11 @@ def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:
             CheckResult(f"join_identity_depth_{depth}", not bad_join, tuple(bad_join[:8]))
         )
         bad_cover: List[str] = []
-        for A, mask in zip(sets, masks):
+        for A, m in zip(sets, vmasks):
             cover = 0
             for e in sorted(emitted_edges(g, A)):
                 cover |= words_of(Ultrapath((e,), g.range[e]))
-            if cover != mask:
+            if cover != words_at[m]:
                 bad_cover.append(format_set(A))
         entries.append(
             CheckResult(f"edge_cover_depth_{depth}", not bad_cover, tuple(bad_cover[:8]))

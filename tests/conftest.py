@@ -17,6 +17,7 @@ from ultragraph import (
     Ultrapath,
     bisection_member,
     edge_adjacency,
+    format_set,
     enumerate_lassos,
     generate_lattice,
     gw,
@@ -241,6 +242,79 @@ def closure_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
                         fresh.append(c)
         frontier = fresh
     return tuple(sorted(sets, key=lambda s: tuple(sorted(s))))
+
+
+def ck_meet_failures_by_sets(g: Ultragraph, fam) -> List[str]:
+    """Oracle for check_family's projection_meets details, the loop it ran
+    before it read vertex masks: (A, A)(B, B) must be the family's
+    projection of A n B, looked up by the meet as a frozenset, or the zero
+    when the meet is empty.  Every pair i <= j of nonempty subsets in
+    set_key order; a set with no projection is reported once, as its row
+    comes up, and skipped as a column."""
+    nonempty = powerset_lattice(g)[1:]
+    projs = [fam.projections.get(A) for A in nonempty]
+    bad: List[str] = []
+    for i, A in enumerate(nonempty):
+        pa = projs[i]
+        if pa is None:
+            bad.append(f"missing projection {format_set(A)}")
+            continue
+        for j in range(i, len(nonempty)):
+            pb = projs[j]
+            if pb is None:
+                continue
+            got = product_by_rules(g, pa, pb)
+            B = nonempty[j]
+            meet = A & B
+            want = fam.projections.get(meet) if meet else OMEGA
+            if got != want:
+                bad.append(
+                    f"{format_set(A)} * {format_set(B)}: got {got}, want {want}"
+                )
+    return bad
+
+
+def join_failures_by_sets(sets, masks, fmt_mask) -> List[str]:
+    """Oracle for groupoid._join_failures, the loop it ran before it read
+    vertex masks: mask(A u B) == mask(A) | mask(B) for every pair i <= j of
+    sets, the union's mask looked up by the union as a frozenset.  masks[i]
+    is the word mask of sets[i], or None when it has none; a pair with a
+    None side is skipped, and a union with no mask is reported."""
+    mask_of = dict(zip(sets, masks))
+    bad: List[str] = []
+    for i, A in enumerate(sets):
+        wa = masks[i]
+        if wa is None:
+            continue
+        for j in range(i, len(sets)):
+            B = sets[j]
+            lhs = mask_of.get(A | B)
+            if masks[j] is None or lhs is None:
+                if lhs is None:
+                    bad.append(f"missing projection {format_set(A | B)}")
+                continue
+            rhs = wa | masks[j]
+            if lhs != rhs:
+                bad.append(
+                    f"{format_set(A)} + {format_set(B)}: "
+                    f"{fmt_mask(lhs)} != {fmt_mask(rhs)}"
+                )
+    return bad
+
+
+def meet_identity_failures_by_sets(sets, words_of) -> List[str]:
+    """Oracle for check_set_identities' meet identity, the loop it ran
+    before it read vertex masks: the words of A n B, refined anew from the
+    meet as a frozenset, are the words of A & the words of B, for every
+    pair i <= j of sets."""
+    masks = [words_of(Ultrapath((), A)) for A in sets]
+    bad: List[str] = []
+    for i, A in enumerate(sets):
+        for j in range(i, len(sets)):
+            B = sets[j]
+            if words_of(Ultrapath((), A & B)) != masks[i] & masks[j]:
+                bad.append(f"{format_set(A)} ^ {format_set(B)}")
+    return bad
 
 
 def additive_indicator(lattice_sets, A: frozenset) -> bool:

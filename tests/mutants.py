@@ -231,9 +231,44 @@ MUTANTS = (
     Mutant(
         "check_family: no zero for an empty meet",
         "groupoid.py",
-        "want = fam.projections.get(meet) if meet else OMEGA",
-        "want = fam.projections.get(meet)",
+        "want_of[0] = OMEGA",
+        "want_of[0] = None",
         GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: read the meet's projection at the union's mask",
+        "groupoid.py",
+        "want = want_of[ma & mb]",
+        "want = want_of[ma | mb]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: store a missing projection as the zero",
+        "groupoid.py",
+        "        want_of[m] = p\n",
+        "        want_of[m] = OMEGA if p is None else p\n",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_join_failures: read the union's words at the meet's mask",
+        "groupoid.py",
+        "lhs = words_at[va | vb]",
+        "lhs = words_at[va & vb]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_set_identities: read the meet's words at the union's mask",
+        "groupoid.py",
+        "if words_at[va & vb] != wa & words_at[vb]:",
+        "if words_at[va | vb] != wa & words_at[vb]:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "generate_lattice: number the vertex bits from the last vertex",
+        "core.py",
+        "v, bit = vs[k], 1 << k",
+        "v, bit = vs[k], 1 << (len(vs) - 1 - k)",
+        ("tests/test_core.py",),
     ),
     Mutant(
         "check_family: never flag overlapping edge slices",
@@ -268,6 +303,13 @@ MUTANTS = (
         "cli.py",
         "            if not zero:\n                cols.extend(js)",
         "            if False:\n                cols.extend(js)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: answer a diagonal block whole",
+        "cli.py",
+        "zero = False if x == z else answered.get((z, x))",
+        "zero = answered.get((z, x))",
         CLI_TESTS,
     ),
     Mutant(

@@ -13,6 +13,7 @@ import ultragraph.cli as cli
 from ultragraph import (
     OMEGA,
     SGElement,
+    Ultrapath,
     emit,
     generate_elements,
     gw,
@@ -278,14 +279,15 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     index = {s: i for i, s in enumerate(elems)}
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
     # a pair is asked in the loop when the zero is in it or its block is
-    # nonzero, and once per mirror pair; every unordered pair of inner
-    # coordinates {z, x} costs one more pair of products on its idempotents
+    # nonzero, and once per mirror pair; every unordered pair of distinct
+    # inner coordinates {z, x} costs one more pair of products on its
+    # idempotents, and the diagonal blocks (z, z) are asked without them
     asked = set()
     for s in elems:
         for t in elems:
             if s == OMEGA or t == OMEGA or not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
-    blocks = len(paths) * (len(paths) + 1) // 2
+    blocks = len(paths) * (len(paths) - 1) // 2
     calls = []
 
     def counting(*args):
@@ -296,8 +298,28 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["antimultiplicative_star"]["pass"]
-    assert (len(elems), len(paths), len(asked), blocks) == (63, 18, 817, 171)
-    assert len(calls) == 2 * len(asked) + 2 * blocks == 1976
+    assert (len(elems), len(paths), len(asked), blocks) == (63, 18, 817, 153)
+    assert len(calls) == 2 * len(asked) + 2 * blocks == 1940
+
+
+def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
+    """A product that is wrongly zero on the idempotent (z, z) times itself
+    must not hide the rest of the (z, z) block from the witness list."""
+    g = parse_file(GX)
+    elems = generate_elements(g, 2)
+    eu = Ultrapath(("e",), frozenset({"u"}))
+    e0 = SGElement(eu, eu)
+    assert str(e0) == "[(e, {u}) | (e, {u})]"
+
+    def faulty(g, s, t):
+        return OMEGA if s == e0 else product(g, s, t)
+
+    want = _all_pairs_star_witnesses(g, elems, faulty, star)
+    assert want[0] == "[{u} | (e, {u})] * [(e, {u}) | (e, {u})]"
+    monkeypatch.setattr(cli, "product", faulty)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 1
+    assert checks["antimultiplicative_star"]["witnesses"] == want
 
 
 @pytest.mark.parametrize("turned", [False, True], ids=["block", "mirror block"])

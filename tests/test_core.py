@@ -1,6 +1,7 @@
 """Graph model, lattice generation, reachability."""
 
 import random
+from functools import cached_property
 
 import pytest
 
@@ -15,6 +16,7 @@ from ultragraph import (
     reaches,
     require_no_sinks,
     validate,
+    verify_ck,
 )
 
 from ultragraph.core import edge_components
@@ -174,6 +176,37 @@ def test_lattice_closure_and_oracle_on_random_graphs():
 
 
 def test_lattice_size_guards(g_branch):
+    with pytest.raises(ValueError):
+        generate_lattice(g_branch, max_size=6)
+    with pytest.raises(SizeLimitError):
+        generate_lattice(g_branch, max_size=7)
+
+
+def test_lattice_masks_follow_sorted_vertices():
+    rng = random.Random(41)
+    for _ in range(20):
+        g = random_ultragraph(rng)
+        lat = generate_lattice(g)
+        vs = g.vertices_sorted()
+        assert lat.masks == tuple(sum(1 << vs.index(v) for v in A) for A in lat.sets)
+        assert sorted(lat.masks) == list(range(len(lat)))
+        assert lat.nonempty() == tuple(A for A in lat.sets if A)
+
+
+def test_lattice_is_built_once_and_every_call_keeps_its_guards(g_branch, monkeypatch):
+    built = []
+    build = Ultragraph._lattice.func
+
+    def counting(g):
+        built.append(g)
+        return build(g)
+
+    prop = cached_property(counting)
+    prop.__set_name__(Ultragraph, "_lattice")
+    monkeypatch.setattr(Ultragraph, "_lattice", prop)
+    assert verify_ck(g_branch).passed
+    assert generate_lattice(g_branch) is generate_lattice(g_branch)
+    assert built == [g_branch]
     with pytest.raises(ValueError):
         generate_lattice(g_branch, max_size=6)
     with pytest.raises(SizeLimitError):

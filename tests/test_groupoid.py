@@ -3,7 +3,11 @@
 import math
 import random
 
+from unittest import mock
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultragraph.groupoid as groupoid_module
 
@@ -49,7 +53,11 @@ from ultragraph import (
 )
 
 from conftest import (
+    ck_meet_failures_by_sets,
     cylinder_words_by_levels,
+    join_failures_by_sets,
+    meet_identity_failures_by_sets,
+    powerset_lattice,
     random_ultragraph,
     search_groupoid_element,
     separation_depth,
@@ -473,6 +481,121 @@ def test_mutation_missing_projection_fails_meets_and_joins(g_branch):
     assert failed["projection_meets"] == ("missing projection {v w}",)
     # {v} + {w} and {w} + {v w} both union to the missing set
     assert failed["projection_joins"] == ("missing projection {v w}",) * 2
+
+
+def test_mutation_missing_meet_projection_reads_missing_not_zero(g_branch):
+    fam = ck_family(g_branch)
+    del fam.projections[fz("v")]
+    rep = check_family(g_branch, fam, 2)
+    meets = {e.name: e for e in rep.entries}["projection_meets"]
+    # {u v} ^ {v w} = {v}, whose projection is missing: it wants None
+    assert meets.details == (
+        "{u v} * {v w}: got [{v} | {v}], want None",
+        "missing projection {v}",
+    )
+
+
+def test_zero_projection_is_checked_as_the_empty_slice(g_branch):
+    fam = ck_family(g_branch)
+    fam.projections[fz("v")] = OMEGA
+    rep = check_family(g_branch, fam, 2)
+    failed = {e.name: e.details for e in rep.failures()}
+    assert failed["family_shape"] == ("projection {v} carries omega",)
+    assert failed["projection_meets"] == (
+        "{u v} * {v w}: got [{v} | {v}], want omega",
+    )
+    assert failed["projection_joins"] == (
+        "{u} + {v}: [ef eg gf] != [gf]",
+        "{u w} + {v}: [ef eg fe gf] != [fe gf]",
+        "{v} + {w}: [ef eg fe] != [fe]",
+    )
+    assert failed["vertex_decomposition"] == ("vertex v: [] != [ef eg]",)
+
+
+DAMAGES = ("delete", "swap", "zero", "foreign")
+
+
+def _damaged_family(g, damage, pick):
+    """ck_family(g) with one projection deleted, two swapped, one mapped to
+    the zero, or one more key holding a vertex outside the graph."""
+    fam = ck_family(g)
+    sets = powerset_lattice(g)[1:]
+    A = sets[pick % len(sets)]
+    B = sets[pick // len(sets) % len(sets)]
+    if damage == "delete":
+        del fam.projections[A]
+    elif damage == "swap":
+        fam.projections[A], fam.projections[B] = fam.projections[B], fam.projections[A]
+    elif damage == "zero":
+        fam.projections[A] = OMEGA
+    else:
+        fam.projections[A | {"outside"}] = fam.projections[B]
+    return fam
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    damage=st.sampled_from(DAMAGES),
+    pick=st.integers(0, 10**6),
+    depth=st.sampled_from((2, 3)),
+)
+def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
+    """projection_meets and projection_joins read the family through vertex
+    masks; the oracles read it by frozenset, as the loops did before."""
+    g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
+    fam = _damaged_family(g, damage, pick)
+    got = {e.name: e for e in check_family(g, fam, depth).entries}
+
+    want_meets = ck_meet_failures_by_sets(g, fam)
+    meets = got["projection_meets"]
+    assert (meets.passed, meets.details) == (not want_meets, tuple(want_meets[:8]))
+
+    sets = powerset_lattice(g)[1:]
+    words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+    masks = []
+    for A in sets:
+        p = fam.projections.get(A)
+        masks.append(None if p is None else 0 if p.is_omega else words_of(p.left))
+    want_joins = join_failures_by_sets(sets, masks, fmt_mask)
+    joins = got["projection_joins"]
+    assert (joins.passed, joins.details) == (not want_joins, tuple(want_joins[:8]))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    pick=st.integers(0, 10**6),
+    depth=st.sampled_from((1, 2, 3)),
+)
+def test_set_identity_mask_loops_match_set_oracles(seed, pick, depth):
+    """check_set_identities' meet and join identities, with the word mask
+    of one lattice set bent by one bit so that both can fail, give exactly
+    the frozenset loops' details."""
+    g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
+    sets = powerset_lattice(g)
+    bent_set = sets[1 + pick % (len(sets) - 1)]
+    real = groupoid_module._word_masks
+
+    def bent_word_masks(g, depth):
+        words_of, fmt_mask = real(g, depth)
+
+        def bent(base):
+            mask = words_of(base)
+            return mask ^ 1 if not base.word and base.terminal == bent_set else mask
+
+        return bent, fmt_mask
+
+    with mock.patch.object(groupoid_module, "_word_masks", bent_word_masks):
+        got = {e.name: e for e in check_set_identities(g, [depth]).entries}
+        words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+    want_meets = meet_identity_failures_by_sets(sets, words_of)
+    masks = [words_of(Ultrapath((), A)) for A in sets]
+    want_joins = join_failures_by_sets(sets, masks, fmt_mask)
+    meets = got[f"meet_identity_depth_{depth}"]
+    joins = got[f"join_identity_depth_{depth}"]
+    assert (meets.passed, meets.details) == (not want_meets, tuple(want_meets[:8]))
+    assert (joins.passed, joins.details) == (not want_joins, tuple(want_joins[:8]))
 
 
 def test_mutation_missing_isometry_fails_family_shape(g_branch):

@@ -1,6 +1,7 @@
 """Rules on the package source itself."""
 
 import ast
+import importlib.util
 from pathlib import Path
 
 import ultragraph
@@ -62,3 +63,21 @@ def test_only_generate_lattice_handles_a_lattice():
                 if p.arg == "lat" or "LatticeG0" in annotation:
                     found.append(f"{path.name}:{node.lineno} {node.name}({p.arg})")
     assert not found, found
+
+
+def test_every_mutant_matches_its_module_once():
+    """tests/mutants.py replaces one exact piece of text per mutant; a
+    rewrite that orphans or duplicates that text is caught here, without
+    running the mutation check itself."""
+    spec = importlib.util.spec_from_file_location(
+        "mutants", Path(__file__).with_name("mutants.py")
+    )
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    stale = [
+        f"{m.module}: {m.name} ({count} matches)"
+        for m in mutants.MUTANTS
+        if (count := (SRC / m.module).read_text().count(m.old)) != 1
+    ]
+    assert not stale, stale
