@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import random
 import sys
@@ -38,15 +39,23 @@ from .groupoid import (
     check_hausdorff,
     verify_ck,
 )
-from .paths import check_lasso_bounds, enumerate_lassos, enumerate_paths
+from .paths import (
+    Ultrapath,
+    check_lasso_bounds,
+    concat,
+    enumerate_lassos,
+    enumerate_paths,
+)
 from .semigroup import (
     OMEGA,
     SGElement,
     generate_elements,
+    glue,
     idempotent_leq,
     idempotent_leq_by_shape,
     is_idempotent,
     product,
+    rule_remainders,
     star,
 )
 
@@ -122,7 +131,98 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     return checks, None
 
 
+_UNREAD = object()
+_MEET = object()
+
+
+class _RemainderTable:
+    """Products of the elements of one list, read off their inner pairs.
+
+    Whether and how (w, z)(x, y) rewrites hangs on the inner pair (z, x)
+    alone; w and y are only glued onto its remainders.  So the |P|
+    distinct coordinates of the list are interned as ints, and entry
+    (z, x) of a |P| x |P| table holds the ids of the two remainders from
+    rule_remainders, None when no rule applies (every product with inner
+    coordinates (z, x) is zero), or _MEET for two overlapping length-zero
+    coordinates, whose products go through product's length-zero branch.
+    Entries are filled on first read and concat is memoised per (path id,
+    remainder id), so the table takes O(|P|^2 + |P| R) memory for R
+    distinct remainders and no product of two elements is stored.
+    """
+
+    def __init__(self, g: Ultragraph, elems: Sequence[SGElement]):
+        self.g = g
+        self.elems = elems
+        ids: Dict[Ultrapath, int] = {}
+        # (left id, right id) per element, None for the zero
+        self.coords = [
+            None
+            if s.left is None
+            else (ids.setdefault(s.left, len(ids)), ids.setdefault(s.right, len(ids)))
+            for s in elems
+        ]
+        self.paths = list(ids)
+        self.size = len(ids)
+        self.rows = [[_UNREAD] * len(ids) for _ in ids]
+        self.rem_ids: Dict[Ultrapath, int] = {}
+        self.rems: List[Ultrapath] = []
+        self.grown: Dict[int, Optional[Ultrapath]] = {}
+
+    def entry(self, z: int, x: int):
+        e = self.rows[z][x]
+        if e is _UNREAD:
+            e = self.rows[z][x] = self._read(self.paths[z], self.paths[x])
+        return e
+
+    def _read(self, z: Ultrapath, x: Ultrapath):
+        if not z.word and not x.word:
+            # listed terminals are nonempty, so only the overlap rule can
+            # apply, and it applies iff the sets meet
+            return _MEET if z.terminal & x.terminal else None
+        rem1, rem2 = rule_remainders(self.g, z, x)
+        if rem1 is None and rem2 is None:
+            return None
+        return self._intern(rem1), self._intern(rem2)
+
+    def _intern(self, rem: Optional[Ultrapath]) -> Optional[int]:
+        if rem is None:
+            return None
+        rid = self.rem_ids.setdefault(rem, len(self.rems))
+        if rid == len(self.rems):
+            self.rems.append(rem)
+        return rid
+
+    def _grow(self, pid: int, rid: int) -> Optional[Ultrapath]:
+        """paths[pid] . (remainder rid), memoised; None when undefined."""
+        key = rid * self.size + pid
+        out = self.grown.get(key, _UNREAD)
+        if out is _UNREAD:
+            out = self.grown[key] = concat(self.g, self.paths[pid], self.rems[rid])
+        return out
+
+    def times(self, i: int, j: int) -> SGElement:
+        """elems[i] * elems[j]."""
+        a, b = self.coords[i], self.coords[j]
+        if a is None or b is None:
+            return OMEGA
+        e = self.entry(a[1], b[0])
+        if e is None:
+            return OMEGA
+        if e is _MEET:
+            return product(self.g, self.elems[i], self.elems[j])
+        r1, r2 = e
+        return glue(
+            self.elems[i].left,
+            self.elems[j].right,
+            r1,
+            r2,
+            None if r1 is None else self._grow(a[0], r1),
+            None if r2 is None else self._grow(b[1], r2),
+        )
+
+
 def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    max_pairs = 2_000_000
     elems = generate_elements(g, args.max_len)
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
     checks = [_check("involution", not bad_inv, bad_inv[:5], count=len(elems))]
@@ -131,58 +231,62 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     # is set where star maps elems[i] into the list and back
     index = {s: i for i, s in enumerate(elems)}
     starred = [star(s) for s in elems]
-    mirror = [index.get(s) for s in starred]
-    mirror = [k if k is not None and mirror[k] == i else None for i, k in enumerate(mirror)]
-    # For s = (w, z) and t = (x, y) whether s t is zero hangs on z and x
-    # alone, and t* s* has inner coordinates (x, z).  So where star swaps
-    # the coordinates of s and t, the pairs fall into (z, x) blocks, and the
-    # idempotent pair ((z, z), (x, x)) answers its block and the mirror
-    # block (x, z) when both its products are zero and star fixes the zero.
-    # The diagonal block (z, z) is never answered whole: (z, z) is
-    # idempotent, so a correct product is nonzero there anyway, and a faulty
-    # zero must not hide the block.  Rows and columns of the zero and of
-    # elements off the involution, and every other block, run through the
-    # loop pair by pair.
-    on = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
-    by_left = {}
-    for j, t in enumerate(elems):
-        if on[j]:
-            by_left.setdefault(t.left, []).append(j)
-    off = [j for j in range(len(elems)) if not on[j]]
-    star_fixes_zero = star(OMEGA) == OMEGA
-    answered = {}
+    image = [index.get(s) for s in starred]
+    mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
+    # Where star swaps the coordinates of s = (w, z) and t = (x, y), s t and
+    # t* s* = (y, x)(z, w) are read off the table at entries (z, x) and
+    # (x, z).  When both are zero and star fixes the zero, s t = t* s* = 0
+    # is known and the pair is not visited.  The zero and elements off the
+    # involution go through product pair by pair, against every column.
+    table = _RemainderTable(g, elems)
+    coords, n = table.coords, table.size
+    tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
+    off = [j for j in range(len(elems)) if not tabled[j]]
+    by_left: List[List[int]] = [[] for _ in range(n)]
+    rights = [0] * n
+    for j in range(len(elems)):
+        if tabled[j]:
+            by_left[coords[j][0]].append(j)
+            rights[coords[j][1]] += 1
+    # count the pairs the loop visits, block by block, before any product
+    skip_zero = star(OMEGA) == OMEGA
+    visits = len(off) * len(elems)
+    live: List[List[int]] = []
+    for z in range(n):
+        xs = [
+            x
+            for x in range(n)
+            if not skip_zero
+            or table.entry(z, x) is not None
+            or table.entry(x, z) is not None
+        ]
+        visits += rights[z] * (len(off) + sum(len(by_left[x]) for x in xs))
+        if visits > max_pairs:
+            raise SizeLimitError(
+                f"semigroup law check exceeded max_pairs={max_pairs} element pairs"
+            )
+        live.append(xs)
 
-    def live_columns(z) -> List[int]:
-        cols = list(off)
-        for x, js in by_left.items():
-            zero = False if x == z else answered.get((z, x))
-            if zero is None:
-                ez, ex = SGElement(z, z), SGElement(x, x)
-                st, ts = product(g, ez, ex), product(g, ex, ez)
-                zero = star_fixes_zero and st == OMEGA and ts == OMEGA
-                answered[z, x] = answered[x, z] = zero
-            if not zero:
-                cols.extend(js)
-        return cols
-
-    live = {}
     every = range(len(elems))
+    times = table.times
     bad_pairs = []
     for i, s in enumerate(elems):
         mi = mirror[i]
+        on = tabled[i]
         cols = every
-        if on[i]:
-            cols = live.get(s.right)
-            if cols is None:
-                cols = live[s.right] = live_columns(s.right)
+        if on:
+            cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))
         for j in cols:
-            t = elems[j]
             mj = mirror[j]
             paired = mi is not None and mj is not None
             if paired and (mj, mi) < (i, j):
                 continue
-            st = product(g, s, t)
-            ts = product(g, starred[j], starred[i])
+            if on and tabled[j]:
+                st = times(i, j)
+                ts = times(image[j], image[i])
+            else:
+                st = product(g, s, elems[j])
+                ts = product(g, starred[j], starred[i])
             if star(st) != ts:
                 bad_pairs.append((i, j))
             if paired and (mj, mi) != (i, j) and star(ts) != st:

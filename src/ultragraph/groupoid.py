@@ -399,9 +399,12 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         # the zero names the empty slice, which has no words
         return 0 if s.is_omega else words_of(s.left)
 
-    # shape: projections sit on their own index, isometries are squares
+    # shape: projections sit on their own index, a set of the graph's
+    # vertices, and isometries sit on an edge of the graph and are squares
     shape_bad: List[str] = []
     for A, gen in sorted(fam.projections.items(), key=lambda kv: set_key(kv[0])):
+        if not A <= g.vertices:
+            shape_bad.append(f"projection {format_set(A)} is not a lattice set")
         good = (
             not gen.is_omega
             and gen.left == gen.right
@@ -411,6 +414,8 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         if not good:
             shape_bad.append(f"projection {format_set(A)} carries {gen}")
     for e, gen in sorted(fam.isometries.items()):
+        if e not in g.edges:
+            shape_bad.append(f"isometry {e} is not an edge")
         good = (
             not gen.is_omega
             and gen.left.word == (e,)

@@ -60,7 +60,9 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     (w . x', y) for the remainder x'; if z extends x it is (w, y . z');
     and when both inner coordinates are length zero with overlapping sets
     the product is (w . range(y), y . range(w)).  When several rules apply
-    their results coincide, which is checked.
+    their results coincide, which is checked.  Past the length-zero branch
+    the rules take two steps: rule_remainders reads the inner pair (z, x),
+    and glue joins w and y onto what it found.
 
     Inner coordinates of length zero, as in every Cuntz-Krieger meet, take
     one inline branch.  There z and x are sets, C = z n x, and every rule
@@ -105,20 +107,49 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
             return SGElement(cut_w, cut_w)
         return SGElement(cut_w, Ultrapath(y.word, right_t))
 
-    out = OMEGA
-    rem = initial_segment(g, x, z)
-    if rem is not None:
-        grown = concat(g, w, rem)
-        if grown is None:
-            raise RuntimeError("remainder of x does not extend w")
-        out = SGElement(grown, y)
+    rem1, rem2 = rule_remainders(g, z, x)
+    return glue(
+        w,
+        y,
+        rem1,
+        rem2,
+        None if rem1 is None else concat(g, w, rem1),
+        None if rem2 is None else concat(g, y, rem2),
+    )
 
-    rem = initial_segment(g, z, x)
-    if rem is not None:
-        grown = concat(g, y, rem)
-        if grown is None:
+
+def rule_remainders(
+    g: Ultragraph, z: Ultrapath, x: Ultrapath
+) -> Tuple[Optional[Ultrapath], Optional[Ultrapath]]:
+    """The remainders of the inner pair (z, x) that decide (w, z)(x, y):
+    x' with x = z . x' for rule 1 and z' with z = x . z' for rule 2, each
+    None when its rule does not apply.  The pair (x, z) has the same two,
+    swapped."""
+    return initial_segment(g, x, z), initial_segment(g, z, x)
+
+
+def glue(
+    w: Ultrapath,
+    y: Ultrapath,
+    rule1: object,
+    rule2: object,
+    grown_w: Optional[Ultrapath],
+    grown_y: Optional[Ultrapath],
+) -> SGElement:
+    """Rules 1 and 2 on (w, z)(x, y), given what rule_remainders found for
+    (z, x): rule1 and rule2 are the remainders x' and z', or any stand-in
+    for them, None when the rule does not apply; grown_w = w . x' and
+    grown_y = y . z', None when the concatenation is undefined.  The zero
+    when neither rule applies."""
+    out = OMEGA
+    if rule1 is not None:
+        if grown_w is None:
+            raise RuntimeError("remainder of x does not extend w")
+        out = SGElement(grown_w, y)
+    if rule2 is not None:
+        if grown_y is None:
             raise RuntimeError("remainder of z does not extend y")
-        out = _agree(out, SGElement(w, grown))
+        out = _agree(out, SGElement(w, grown_y))
     return out
 
 

@@ -11,10 +11,12 @@ gap, closed by a test, never by deleting the mutant.
 
 The file name keeps pytest from collecting it.  Run it from anywhere:
 
-    python3 tests/mutants.py
+    python3 tests/mutants.py                 # every mutant
+    python3 tests/mutants.py "remainder"     # only names containing it
 
-It exits 0 when every mutant is killed, 1 when one survives, and 2 when a
-mutant no longer matches the source or the unmutated copy fails.
+It exits 0 when every mutant run is killed, 1 when one survives, and 2
+when no mutant's name contains the substring, a mutant run no longer
+matches the source, or the unmutated copy fails.
 """
 
 from __future__ import annotations
@@ -84,8 +86,8 @@ MUTANTS = (
     Mutant(
         "product: flip the first containment",
         "semigroup.py",
-        "    rem = initial_segment(g, x, z)\n",
-        "    rem = initial_segment(g, z, x)\n",
+        "return initial_segment(g, x, z), initial_segment(g, z, x)",
+        "return initial_segment(g, z, x), initial_segment(g, z, x)",
         PRODUCT_TESTS,
     ),
     Mutant(
@@ -287,8 +289,8 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: decide a block from s t alone",
         "cli.py",
-        "zero = star_fixes_zero and st == OMEGA and ts == OMEGA",
-        "zero = star_fixes_zero and st == OMEGA",
+        "            or table.entry(x, z) is not None\n",
+        "",
         CLI_TESTS,
     ),
     Mutant(
@@ -299,17 +301,38 @@ MUTANTS = (
         CLI_TESTS,
     ),
     Mutant(
-        "semigroup law loop: a nonzero representative does not expand its block",
+        "semigroup law loop: a live block does not add its columns",
         "cli.py",
-        "            if not zero:\n                cols.extend(js)",
-        "            if False:\n                cols.extend(js)",
+        "cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))",
+        "cols = itertools.chain(off)",
         CLI_TESTS,
     ),
     Mutant(
-        "semigroup law loop: answer a diagonal block whole",
+        "semigroup law loop: skip the diagonal block",
         "cli.py",
-        "zero = False if x == z else answered.get((z, x))",
-        "zero = answered.get((z, x))",
+        "            for x in range(n)\n",
+        "            for x in range(n)\n            if x != z\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: store an entry's two remainders swapped",
+        "cli.py",
+        "return self._intern(rem1), self._intern(rem2)",
+        "return self._intern(rem2), self._intern(rem1)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: key the concat memo by remainder only",
+        "cli.py",
+        "key = rid * self.size + pid",
+        "key = rid",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: read two meeting sets as the zero",
+        "cli.py",
+        "return _MEET if z.terminal & x.terminal else None",
+        "return None",
         CLI_TESTS,
     ),
     Mutant(
@@ -341,7 +364,12 @@ def _run_tests(root: Path, tests: Tuple[str, ...]) -> bool:
     return proc.returncode == 0
 
 
-def main() -> int:
+def main(argv: Tuple[str, ...]) -> int:
+    substring = argv[0] if argv else ""
+    chosen = [m for m in MUTANTS if substring in m.name]
+    if not chosen:
+        print(f"error: no mutant name contains {substring!r}")
+        return 2
     with tempfile.TemporaryDirectory(prefix="ug-mutants-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -350,18 +378,18 @@ def main() -> int:
         shutil.copy2(REPO / "pyproject.toml", root / "pyproject.toml")
         pkg = root / "src" / "ultragraph"
 
-        for m in MUTANTS:
+        for m in chosen:
             count = (pkg / m.module).read_text().count(m.old)
             if count != 1:
                 print(f"error: mutant '{m.name}' matches {count} times in {m.module}")
                 return 2
-        covering = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        covering = tuple(sorted({t for m in chosen for t in m.tests}))
         if not _run_tests(root, covering):
             print("error: the covering tests fail on the unmutated copy")
             return 2
 
         survivors = []
-        for m in MUTANTS:
+        for m in chosen:
             path = pkg / m.module
             original = path.read_text()
             path.write_text(original.replace(m.old, m.new))
@@ -375,9 +403,12 @@ def main() -> int:
             if not killed:
                 survivors.append(m.name)
 
-    print(f"{len(MUTANTS) - len(survivors)} of {len(MUTANTS)} mutants killed")
+    print(f"{len(chosen) - len(survivors)} of {len(chosen)} mutants killed")
     return 1 if survivors else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    if len(sys.argv) > 2:
+        print("usage: python3 tests/mutants.py [SUBSTRING]")
+        sys.exit(2)
+    sys.exit(main(tuple(sys.argv[1:])))

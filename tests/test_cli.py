@@ -2,18 +2,22 @@
 
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ultragraph.cli as cli
 from ultragraph import (
     OMEGA,
     SGElement,
     Ultrapath,
+    concat,
     emit,
     generate_elements,
     gw,
@@ -25,8 +29,9 @@ from ultragraph import (
     star,
 )
 from ultragraph.cli import main
+from ultragraph.semigroup import glue, rule_remainders
 
-from conftest import product_by_rules, ring_ultragraph
+from conftest import product_by_rules, random_ultragraph, ring_ultragraph
 
 REPO = Path(__file__).resolve().parent.parent
 FIXDIR = REPO / "fixtures"
@@ -273,50 +278,68 @@ def _zero_block(g, z, x):
     return product_by_rules(g, SGElement(z, z), SGElement(x, x)) == OMEGA
 
 
+def _glued(s, t):
+    """Whether the remainder table forms s t through glue rather than
+    product: both are nonzero and the inner pair is not two sets.  Where
+    no rule applies the product is the zero either way."""
+    return not (s.is_omega or t.is_omega) and bool(s.right.word or t.left.word)
+
+
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     index = {s: i for i, s in enumerate(elems)}
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
-    # a pair is asked in the loop when the zero is in it or its block is
-    # nonzero, and once per mirror pair; every unordered pair of distinct
-    # inner coordinates {z, x} costs one more pair of products on its
-    # idempotents, and the diagonal blocks (z, z) are asked without them
+    sets = [p for p in paths if not p.word]
+    # a pair is asked in the loop when the zero is in it or its block or
+    # the mirror block is nonzero, and once per mirror pair; the table reads
+    # every ordered pair of coordinates that are not both sets once
     asked = set()
     for s in elems:
         for t in elems:
             if s == OMEGA or t == OMEGA or not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
-    blocks = len(paths) * (len(paths) - 1) // 2
-    calls = []
+    glued = sum(1 for i, j in asked if _glued(elems[i], elems[j]))
+    calls = {"entries": 0, "glue": 0, "product": 0}
 
-    def counting(*args):
-        calls.append(args)
-        return product(*args)
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(cli, "product", counting)
+        return counted
+
+    monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
+    monkeypatch.setattr(cli, "glue", counting("glue", glue))
+    monkeypatch.setattr(cli, "product", counting("product", product))
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["antimultiplicative_star"]["pass"]
-    assert (len(elems), len(paths), len(asked), blocks) == (63, 18, 817, 153)
-    assert len(calls) == 2 * len(asked) + 2 * blocks == 1940
+    assert (len(elems), len(paths), len(sets), len(asked), glued) == (63, 18, 7, 817, 650)
+    assert calls == {
+        "entries": len(paths) ** 2 - len(sets) ** 2,
+        "glue": 2 * glued,
+        "product": 2 * (len(asked) - glued),
+    }
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
-    """A product that is wrongly zero on the idempotent (z, z) times itself
-    must not hide the rest of the (z, z) block from the witness list."""
+    """A glue that is wrongly zero whenever w is (e, {u}) makes the
+    idempotent (e, {u}) times itself zero, and must not hide the rest of
+    the diagonal block ((e, {u}), (e, {u})) from the witness list."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     eu = Ultrapath(("e",), frozenset({"u"}))
-    e0 = SGElement(eu, eu)
-    assert str(e0) == "[(e, {u}) | (e, {u})]"
+
+    def faulty_glue(w, y, *rest):
+        return OMEGA if w == eu else glue(w, y, *rest)
 
     def faulty(g, s, t):
-        return OMEGA if s == e0 else product(g, s, t)
+        return OMEGA if _glued(s, t) and s.left == eu else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert want[0] == "[{u} | (e, {u})] * [(e, {u}) | (e, {u})]"
-    monkeypatch.setattr(cli, "product", faulty)
+    monkeypatch.setattr(cli, "glue", faulty_glue)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert checks["antimultiplicative_star"]["witnesses"] == want
@@ -324,21 +347,28 @@ def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
 
 @pytest.mark.parametrize("turned", [False, True], ids=["block", "mirror block"])
 def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, capsys):
+    """A remainder table entry that is wrongly nonzero on one orientation
+    of a zero block is visited, and its mirror block is asked too."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
-    z0, x0 = next((z, x) for z in paths for x in paths if _zero_block(g, z, x))
+    z0, x0 = next((z, x) for z in paths for x in paths if z.word and _zero_block(g, z, x))
     if turned:
         z0, x0 = x0, z0
+    # a set remainder on range(z0) leaves every w of a (w, z0) as it is
+    fake = Ultrapath((), z0.terminal)
+
+    def faulty_remainders(g, z, x):
+        return (fake, None) if (z, x) == (z0, x0) else rule_remainders(g, z, x)
 
     def faulty(g, s, t):
-        if s.right == z0 and t.left == x0:
-            return s
+        if not s.is_omega and not t.is_omega and (s.right, t.left) == (z0, x0):
+            return SGElement(s.left, t.right)
         return product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) == 5
-    monkeypatch.setattr(cli, "product", faulty)
+    monkeypatch.setattr(cli, "rule_remainders", faulty_remainders)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert checks["antimultiplicative_star"]["witnesses"] == want
@@ -346,19 +376,39 @@ def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, cap
 
 @pytest.mark.parametrize("zeroed", ["one pair", "one row"])
 def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch, capsys):
+    """A glue that is wrongly zero on the arguments of one product, or on
+    every product whose left coordinate is one w, is reported at every
+    pair it touches, in (i, j) order."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
-    nonzero = [(s, t) for s in elems for t in elems if product(g, s, t) != OMEGA]
+    nonzero = [
+        (s, t) for s in elems for t in elems if _glued(s, t) and product(g, s, t) != OMEGA
+    ]
     s0, t0 = nonzero[len(nonzero) // 2]
 
-    def faulty(g, s, t):
-        if s == s0 and (zeroed == "one row" or t == t0):
+    def glue_args(s, t):
+        # what glue sees for s t, the remainders down to whether they exist
+        rem1, rem2 = rule_remainders(g, s.right, t.left)
+        grown_w = None if rem1 is None else concat(g, s.left, rem1)
+        grown_y = None if rem2 is None else concat(g, t.right, rem2)
+        return s.left, t.right, rem1 is None, rem2 is None, grown_w, grown_y
+
+    key = glue_args(s0, t0)
+
+    def hit(args):
+        return args == key if zeroed == "one pair" else args[0] == key[0]
+
+    def faulty_glue(w, y, r1, r2, grown_w, grown_y):
+        if hit((w, y, r1 is None, r2 is None, grown_w, grown_y)):
             return OMEGA
-        return product(g, s, t)
+        return glue(w, y, r1, r2, grown_w, grown_y)
+
+    def faulty(g, s, t):
+        return OMEGA if _glued(s, t) and hit(glue_args(s, t)) else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) >= 2
-    monkeypatch.setattr(cli, "product", faulty)
+    monkeypatch.setattr(cli, "glue", faulty_glue)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert not checks["antimultiplicative_star"]["pass"]
@@ -391,6 +441,70 @@ def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys)
     computed = set(calls[::2])
     for t in elems:
         assert (e0, t) in computed and (t, e0) in computed
+
+
+def _table_products_match(g, elems):
+    table = cli._RemainderTable(g, elems)
+    for i, s in enumerate(elems):
+        for j, t in enumerate(elems):
+            got = table.times(i, j)
+            assert got == product(g, s, t) == product_by_rules(g, s, t), (s, t)
+
+
+@pytest.mark.parametrize(
+    "graph, max_len, size",
+    [(gx, 3, 154), (lambda: ring_ultragraph(2), 2, 420)],
+    ids=["GX", "ring(2)"],
+)
+def test_remainder_table_matches_product_on_every_pair(graph, max_len, size):
+    g = graph()
+    elems = generate_elements(g, max_len)
+    assert len(elems) == size
+    _table_products_match(g, elems)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_remainder_table_matches_product_on_random_graphs(seed):
+    g = random_ultragraph(random.Random(seed), max_vertices=4, max_edges=5, sink_free=True)
+    # paths of length 2 where the graph is small enough to pair them all
+    elems = generate_elements(g, 2 if len(g.edges) <= 2 else 1)
+    _table_products_match(g, elems)
+
+
+def test_semigroup_pair_budget_fails_before_any_product(monkeypatch, capsys):
+    """GX at --max-len 12 lists 48,046 elements, about 2.3e9 ordered pairs:
+    the law check counts the pairs it would visit and stops at once."""
+    formed = []
+
+    def forbidden(*args):
+        formed.append(args)
+        raise AssertionError("a product was formed")
+
+    monkeypatch.setattr(cli, "product", forbidden)
+    monkeypatch.setattr(cli, "glue", forbidden)
+    code, out, err = run(["semigroup", GX, "--max-len", "12", "--format", "json"], capsys)
+    assert code == 1, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+    assert "max_pairs=2000000" in checks[0]["witnesses"][0]
+    assert not formed
+
+
+def test_semigroup_pair_budget_admits_ring3(tmp_path, capsys):
+    """ring(3) at --max-len 2 has 2,348 elements; the loop visits 680,566
+    of their 5.5M ordered pairs, inside the budget."""
+    path = tmp_path / "ring3.ug"
+    path.write_text(emit(ring_ultragraph(3)))
+    code, out, err = run(["semigroup", str(path), "--max-len", "2", "--format", "json"], capsys)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [c["name"] for c in checks] == [
+        "involution",
+        "antimultiplicative_star",
+        "idempotent_order_agreement",
+    ]
+    assert checks[0]["details"]["count"] == 2348
 
 
 def test_precondition_violations_exit_two(tmp_path, capsys):

@@ -37,6 +37,7 @@ from ultragraph import (
     enumerate_paths,
     generate_elements,
     groupoid_element,
+    gx,
     idempotent,
     inverse,
     lasso_source,
@@ -605,6 +606,26 @@ def test_mutation_missing_isometry_fails_family_shape(g_branch):
     shape = {e.name: e for e in rep.entries}["family_shape"]
     assert not shape.passed
     assert shape.details == ("missing isometry g",)
+
+
+def test_projection_keyed_outside_the_vertex_set_fails_family_shape():
+    g = gx()
+    fam = ck_family(g)
+    A = frozenset({"v", "zz"})
+    fam.projections[A] = idempotent(Ultrapath((), A))
+    rep = check_family(g, fam, 2)
+    failed = {e.name: e.details for e in rep.failures()}
+    assert failed == {"family_shape": ("projection {v zz} is not a lattice set",)}
+
+
+def test_isometry_keyed_at_an_unknown_edge_fails_family_shape():
+    g = gx()
+    fam = ck_family(g)
+    u = frozenset({"u"})
+    fam.isometries["q"] = SGElement(Ultrapath(("q",), u), Ultrapath((), u))
+    rep = check_family(g, fam, 2)
+    failed = {e.name: e.details for e in rep.failures()}
+    assert failed == {"family_shape": ("isometry q is not an edge",)}
 
 
 def test_mutation_overlapping_edge_slices_fail_vertex_decomposition():
