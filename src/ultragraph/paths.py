@@ -10,7 +10,7 @@ infinite edge words they unroll to.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Edge,
@@ -133,28 +133,30 @@ def enumerate_paths(
     The order comes out of the construction: each level extends the
     previous one's words, in order, by their sorted successor edges, and
     the lattice lists its sets in set_key order.  The terminals inside
-    one range are listed once per distinct range."""
+    one range are listed once per distinct range.  Each level's paths are
+    counted before its words are built, and a nonempty level that would
+    take the count past max_count raises SizeLimitError."""
     nonempty = generate_lattice(g).nonempty()
     if max_len < 0:
         raise ValueError("max_len must be nonnegative")
-    out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
-    words: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
     adj = edge_adjacency(g)
-    inside: Dict[VSet, List[VSet]] = {}
+    # a word's terminals, and the paths one edge past it, hang on the range
+    # of its last edge alone
+    inside = {r: [A for A in nonempty if A <= r] for r in map(g.range.get, g.edges)}
+    ends = {e: inside[g.range[e]] for e in g.edges_sorted()}
+    one_edge = {g.range[e]: e for e in ends}
+    ahead = {r: sum(len(ends[f]) for f in adj[e]) for r, e in one_edge.items()}
+    out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
+    words: List[Tuple[Edge, ...]] = [(e,) for e in ends]
+    fresh = sum(map(len, ends.values()))
     for length in range(1, max_len + 1):
+        if words and len(out) + fresh > max_count:
+            raise SizeLimitError(f"path enumeration exceeded max_count={max_count}")
         if length > 1:
             words = [w + (f,) for w in words for f in adj[w[-1]]]
         for w in words:
-            last_range = g.range[w[-1]]
-            terminals = inside.get(last_range)
-            if terminals is None:
-                terminals = [A for A in nonempty if A <= last_range]
-                inside[last_range] = terminals
-            out.extend([Ultrapath(w, A) for A in terminals])
-            if len(out) > max_count:
-                raise SizeLimitError(
-                    f"path enumeration exceeded max_count={max_count}"
-                )
+            out.extend([Ultrapath(w, A) for A in ends[w[-1]]])
+        fresh = sum(ahead[g.range[w[-1]]] for w in words)
     return out
 
 
@@ -323,17 +325,22 @@ def enumerate_lassos(
     adj = edge_adjacency(g)
 
     def paths_up_to(bound: int) -> List[Tuple[Edge, ...]]:
+        # each level is counted from its parents' successor counts before
+        # it is built, and no level past the bound is built
         acc: List[Tuple[Edge, ...]] = []
         layer: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
-        for _ in range(bound):
-            if not layer:
+        size = len(layer)
+        for depth in range(bound):
+            if not size:
                 break
-            acc.extend(layer)
-            if len(acc) > max_count:
+            if len(acc) + size > max_count:
                 raise SizeLimitError(
                     f"lasso enumeration exceeded max_count={max_count}"
                 )
-            layer = [w + (f,) for w in layer for f in adj[w[-1]]]
+            if depth:
+                layer = [w + (f,) for w in layer for f in adj[w[-1]]]
+            acc.extend(layer)
+            size = sum(len(adj[w[-1]]) for w in layer)
         return acc
 
     cycles = [

@@ -181,25 +181,16 @@ def idempotent_leq(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
 
 
 def idempotent_leq_by_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
-    """Order decided from lengths and ranges instead of a product.
-
-    For nonzero idempotents (z, z) and (x, x) with nonzero product:
-    (z, z) <= (x, x) iff z is longer than x, or they have equal length and
-    range(z) is contained in range(x).  Used as a cross-check on
+    """Order read off initial segments instead of a product: (z, z) <=
+    (x, x) iff z extends x, z = x . z'.  The zero lies below everything
+    and nothing nonzero lies below it.  Used as a cross-check on
     idempotent_leq.
     """
     if not (is_idempotent(e) and is_idempotent(f)):
         raise ValueError("order is defined on idempotents only")
-    if e.is_omega:
-        return True
-    if f.is_omega:
-        return False
-    if product(g, e, f).is_omega:
-        return False
-    z, x = e.left, f.left
-    return z.length > x.length or (
-        z.length == x.length and z.terminal <= x.terminal
-    )
+    if e.is_omega or f.is_omega:
+        return e.is_omega
+    return initial_segment(g, e.left, f.left) is not None
 
 
 def generate_elements(
@@ -247,11 +238,8 @@ OMEGA_CHARACTER = Semicharacter()
 
 
 def eval_char(g: Ultragraph, chi: Semicharacter, e: SGElement) -> int:
-    """Value of the semicharacter on an idempotent, 0 or 1.
-
-    An ultrapath y accepts (x, x) when their product is nonzero and x is
-    shorter than y, or equally long with range(x) containing range(y).
-    A lasso accepts (x, x) when x is an initial segment of it.
+    """Value of the semicharacter on an idempotent, 0 or 1: an ultrapath
+    or a lasso accepts (x, x) when x is an initial segment of it.
     """
     if not is_idempotent(e):
         raise ValueError("semicharacters act on idempotents")
@@ -259,16 +247,9 @@ def eval_char(g: Ultragraph, chi: Semicharacter, e: SGElement) -> int:
         return 1
     if e.is_omega:
         return 0
-    x = e.left
     if chi.path is not None:
-        y = chi.path
-        if product(g, e, SGElement(y, y)).is_omega:
-            return 0
-        ok = x.length < y.length or (
-            x.length == y.length and x.terminal >= y.terminal
-        )
-        return 1 if ok else 0
-    return 1 if strip_lasso(g, chi.ray, x) is not None else 0
+        return 1 if initial_segment(g, chi.path, e.left) is not None else 0
+    return 1 if strip_lasso(g, chi.ray, e.left) is not None else 0
 
 
 def filter_of(

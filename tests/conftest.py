@@ -24,6 +24,7 @@ from ultragraph import (
     gx,
     gy,
     lasso_source,
+    product,
     reaches,
     require_no_sinks,
     shift_n,
@@ -515,6 +516,32 @@ def product_by_rules(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     if len(found) > 1:
         raise AssertionError(f"rules disagree on {s} * {t}: {found}")
     return found.pop() if found else OMEGA
+
+
+def idempotent_leq_by_product_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
+    """Oracle for semigroup.idempotent_leq_by_shape, the rule it ran before
+    it read initial segments: for nonzero idempotents (z, z) and (x, x)
+    with a nonzero product, (z, z) <= (x, x) iff z is longer than x, or
+    they have equal length and range(z) lies in range(x).  The zero lies
+    below everything and nothing nonzero lies below it."""
+    if e.is_omega:
+        return True
+    if f.is_omega or product(g, e, f).is_omega:
+        return False
+    z, x = e.left, f.left
+    return z.length > x.length or (z.length == x.length and z.terminal <= x.terminal)
+
+
+def eval_path_char_by_product(g: Ultragraph, y: Ultrapath, e: SGElement) -> int:
+    """Oracle for semigroup.eval_char on the character of the ultrapath y,
+    the rule it ran before it read initial segments: y accepts the
+    idempotent (x, x) when (x, x)(y, y) is nonzero and x is shorter than
+    y, or equally long with range(x) containing range(y)."""
+    if e.is_omega or product(g, e, SGElement(y, y)).is_omega:
+        return 0
+    x = e.left
+    ok = x.length < y.length or (x.length == y.length and x.terminal >= y.terminal)
+    return 1 if ok else 0
 
 
 def separation_depth(

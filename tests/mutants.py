@@ -34,6 +34,7 @@ REPO = Path(__file__).resolve().parent.parent
 
 PATHS_TESTS = ("tests/test_paths.py", "tests/test_semigroup.py")
 PRODUCT_TESTS = ("tests/test_semigroup.py", "tests/test_groupoid.py")
+SEMIGROUP_TESTS = ("tests/test_semigroup.py",)
 GROUPOID_TESTS = ("tests/test_groupoid.py", "tests/test_acceptance.py")
 ANALYSIS_TESTS = ("tests/test_analysis.py",)
 CLI_TESTS = ("tests/test_cli.py",)
@@ -89,6 +90,27 @@ MUTANTS = (
         "return initial_segment(g, x, z), initial_segment(g, z, x)",
         "return initial_segment(g, z, x), initial_segment(g, z, x)",
         PRODUCT_TESTS,
+    ),
+    Mutant(
+        "idempotent_leq_by_shape: swap the initial segment's arguments",
+        "semigroup.py",
+        "return initial_segment(g, e.left, f.left) is not None",
+        "return initial_segment(g, f.left, e.left) is not None",
+        SEMIGROUP_TESTS,
+    ),
+    Mutant(
+        "idempotent_leq_by_shape: put the zero above everything",
+        "semigroup.py",
+        "return e.is_omega",
+        "return True",
+        SEMIGROUP_TESTS,
+    ),
+    Mutant(
+        "eval_char: swap the initial segment's arguments",
+        "semigroup.py",
+        "initial_segment(g, chi.path, e.left)",
+        "initial_segment(g, e.left, chi.path)",
+        SEMIGROUP_TESTS,
     ),
     Mutant(
         "initial_segment: flip the length-zero containment",
@@ -170,15 +192,36 @@ MUTANTS = (
     Mutant(
         "enumerate_paths: drop the maximal terminal from the per-range list",
         "paths.py",
-        "if A <= last_range]",
-        "if A < last_range]",
+        "if A <= r]",
+        "if A < r]",
         PATHS_TESTS,
     ),
     Mutant(
         "enumerate_paths: raise on reaching max_count",
         "paths.py",
-        "if len(out) > max_count:",
-        "if len(out) >= max_count:",
+        "if words and len(out) + fresh > max_count:",
+        "if words and len(out) + fresh >= max_count:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "enumerate_paths: drop the level guard",
+        "paths.py",
+        "if words and len(out) + fresh > max_count:",
+        "if False:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "enumerate_lassos: raise on reaching max_count words",
+        "paths.py",
+        "if len(acc) + size > max_count:",
+        "if len(acc) + size >= max_count:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "enumerate_lassos: drop the level guard",
+        "paths.py",
+        "if len(acc) + size > max_count:",
+        "if False:",
         PATHS_TESTS,
     ),
     Mutant(

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultragraph.cli as cli
+import ultragraph.semigroup as semigroup
 from ultragraph import (
     OMEGA,
     SGElement,
@@ -321,6 +322,24 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
         "glue": 2 * glued,
         "product": 2 * (len(asked) - glued),
     }
+
+
+def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch, capsys):
+    """GX at --max-len 2 has 18 nonzero idempotents.  The order check asks
+    idempotent_leq, one product, and idempotent_leq_by_shape, which reads
+    initial segments and forms none, on each of their 324 ordered pairs;
+    the law loop calls product under its own name in cli."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return product(*args)
+
+    monkeypatch.setattr(semigroup, "product", counted)
+    code, checks = _semigroup_checks(capsys)
+    assert code == 0
+    assert checks["idempotent_order_agreement"]["details"]["idempotents"] == 18
+    assert len(calls) == 18 * 18
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):

@@ -618,6 +618,19 @@ def test_projection_keyed_outside_the_vertex_set_fails_family_shape():
     assert failed == {"family_shape": ("projection {v zz} is not a lattice set",)}
 
 
+def test_projection_at_the_empty_set_fails_its_check():
+    g = gx()
+    fam = ck_family(g)
+    names = [e.name for e in check_family(g, fam, 2).entries]
+    assert "projection_of_empty_set_is_zero" in names
+    fam.projections[frozenset()] = OMEGA
+    failed = {e.name: e.details for e in check_family(g, fam, 2).failures()}
+    assert failed == {
+        "family_shape": ("projection {} carries omega",),
+        "projection_of_empty_set_is_zero": (),
+    }
+
+
 def test_isometry_keyed_at_an_unknown_edge_fails_family_shape():
     g = gx()
     fam = ck_family(g)

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from ultragraph import (
     Ultrapath,
     concat,
     concat_lasso,
+    edge_adjacency,
     edge_path,
     enumerate_lassos,
     enumerate_paths,
+    generate_lattice,
     initial_segment,
     lasso_source,
     make_lasso,
@@ -153,6 +156,51 @@ def test_enumerate_paths_max_count_boundary(g_branch):
     assert enumerate_paths(g_branch, 3, max_count=27) == enumerate_paths(g_branch, 3)
     with pytest.raises(SizeLimitError, match="max_count=26"):
         enumerate_paths(g_branch, 3, max_count=26)
+
+
+def test_enumerate_paths_counts_terminals_per_word():
+    # z ends outside the declared vertices, so no word ending in z has a
+    # terminal: 1 + n paths up to length n, though 2^n + ... words
+    g = Ultragraph.build(["v"], {"e": ("v", ("v",)), "z": ("v", ("q",))})
+    assert len(enumerate_paths(g, 3, max_count=4)) == 4
+    with pytest.raises(SizeLimitError, match="max_count=3"):
+        enumerate_paths(g, 3, max_count=3)
+    # with no edges there is no level to check: the vertex sets stand
+    bare = Ultragraph.build(["a", "b", "c"], {})
+    assert len(enumerate_paths(bare, 2, max_count=1)) == 7
+
+
+def _wide_graph(n):
+    """2n edges on two vertices: n from b to {a} and n from a to {a b}."""
+    edges = {f"b{i}": ("b", ("a",)) for i in range(n)}
+    edges.update({f"a{i}": ("a", ("a", "b")) for i in range(n)})
+    g = Ultragraph.build(["a", "b"], edges)
+    edge_adjacency(g)
+    generate_lattice(g)
+    return g
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+    except SizeLimitError:
+        pass
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+def test_no_level_is_built_past_the_budget():
+    """400 edges: the 120,000 words of length 2 carry 280,000 paths, past
+    the default budget, and only cycles of length 1 are asked for; building
+    either level of words takes several MB."""
+    g = _wide_graph(200)
+    with pytest.raises(SizeLimitError, match="path enumeration"):
+        enumerate_paths(g, 2)
+    assert len(enumerate_lassos(g, 0, 1)) == 200
+    assert _peak_bytes(lambda: enumerate_paths(g, 2)) < 1_000_000
+    assert _peak_bytes(lambda: enumerate_lassos(g, 0, 1)) < 1_000_000
 
 
 def _sorted_paths_oracle(g, max_len):
@@ -340,6 +388,16 @@ def test_enumerate_lassos_rejects_out_of_range_bounds(g_branch):
         enumerate_lassos(g_branch, -1, 2)
     with pytest.raises(ValueError, match="cycle_bound"):
         enumerate_lassos(g_branch, 0, 0)
+
+
+def test_enumerate_lassos_max_count_boundary(g_branch):
+    # 28 cycle words of length up to 5 outnumber the 3 prefix words and the
+    # 14 lassos: the limit is passed only by the 28th word, not reached
+    assert enumerate_lassos(g_branch, 1, 5, max_count=28) == enumerate_lassos(
+        g_branch, 1, 5
+    )
+    with pytest.raises(SizeLimitError, match="lasso enumeration exceeded max_count=27"):
+        enumerate_lassos(g_branch, 1, 5, max_count=27)
 
 
 def test_enumerate_lassos_needs_sink_free():

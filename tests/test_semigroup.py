@@ -19,6 +19,9 @@ from ultragraph import (
     eval_char,
     filter_of,
     generate_elements,
+    gw,
+    gx,
+    gy,
     idempotent,
     idempotent_leq,
     idempotent_leq_by_shape,
@@ -29,7 +32,12 @@ from ultragraph import (
     vertex_path,
 )
 
-from conftest import product_by_rules, random_ultragraph
+from conftest import (
+    eval_path_char_by_product,
+    idempotent_leq_by_product_shape,
+    product_by_rules,
+    random_ultragraph,
+)
 
 
 def fz(*names):
@@ -137,6 +145,35 @@ def test_idempotents_commute_and_order_routes_agree(g_branch):
             )
     with pytest.raises(ValueError):
         idempotent_leq(g_branch, t_edge(g_branch, "e"), idems[0])
+
+
+def test_order_and_path_characters_match_product_oracles():
+    """The idempotent order read off initial segments agrees with the
+    product order and with the shape rule read off a product, on every
+    pair of idempotents, the zero included; each ultrapath character reads
+    every idempotent as its product oracle does."""
+    rng = random.Random(41)
+    graphs = [(gx(), 3), (gy(), 3), (gw(), 3)]
+    graphs += [
+        (random_ultragraph(rng, max_vertices=4, max_edges=5, sink_free=True), 2)
+        for _ in range(20)
+    ]
+    pairs = accepted = below = 0
+    for g, max_len in graphs:
+        paths = enumerate_paths(g, max_len)
+        idems = [OMEGA] + [idempotent(x) for x in paths]
+        for e in idems:
+            for f in idems:
+                got = idempotent_leq_by_shape(g, e, f)
+                assert got == idempotent_leq(g, e, f), (e, f)
+                assert got == idempotent_leq_by_product_shape(g, e, f), (e, f)
+                below += got
+            for y in paths:
+                got = eval_char(g, Semicharacter(path=y), e)
+                assert got == eval_path_char_by_product(g, y, e), (y, e)
+                accepted += got
+        pairs += len(idems) ** 2
+    assert 0 < below < pairs and 0 < accepted
 
 
 def test_idempotent_order_examples(g_branch):

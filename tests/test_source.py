@@ -65,6 +65,27 @@ def test_only_generate_lattice_handles_a_lattice():
     assert not found, found
 
 
+def test_order_and_semicharacters_form_no_product():
+    """idempotent_leq_by_shape and eval_char read initial segments: they
+    stay a route to the idempotent order independent of product."""
+    tree = ast.parse((SRC / "semigroup.py").read_text())
+    routes = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("idempotent_leq_by_shape", "eval_char")
+    }
+    assert sorted(routes) == ["eval_char", "idempotent_leq_by_shape"]
+    found = [
+        f"{name}:{node.lineno} {node.id}"
+        for name, fn in sorted(routes.items())
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name)
+        and node.id in ("product", "glue", "rule_remainders")
+    ]
+    assert not found, found
+
+
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
