@@ -311,21 +311,33 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    max_pairs = 100_000
     if args.pairs < 0:
         raise ValueError("--pairs must not be negative")
     elements = build_elements(g, args.witness_len, args.prefix_bound, args.cycle_bound)
-    checks = [_check("elements", True, count=len(elements))]
+    n = len(elements)
+    total = n * (n - 1) // 2
+    wanted = min(args.pairs, total)
+    if wanted > max_pairs:
+        raise SizeLimitError(
+            f"hausdorff sample of {wanted} pairs exceeded max_pairs={max_pairs}"
+        )
+    checks = [_check("elements", True, count=n)]
     laws = check_groupoid_laws(g, elements)
     for entry in laws.entries:
         checks.append(_check(entry.name, entry.passed, entry.details))
-    if len(elements) >= 2:
-        rng = random.Random(args.seed)
-        wanted = min(args.pairs, len(elements) * (len(elements) - 1) // 2)
-        pairs = set()
-        while len(pairs) < wanted:
-            i, j = rng.sample(range(len(elements)), 2)
-            pairs.add((min(i, j), max(i, j)))
-        sample = [(elements[i], elements[j]) for i, j in sorted(pairs)]
+    if n >= 2:
+        if wanted == total:
+            # every pair: the sorted pairs the draws below would reach
+            pairs = itertools.combinations(range(n), 2)
+        else:
+            rng = random.Random(args.seed)
+            drawn = set()
+            while len(drawn) < wanted:
+                i, j = rng.sample(range(n), 2)
+                drawn.add((min(i, j), max(i, j)))
+            pairs = sorted(drawn)
+        sample = [(elements[i], elements[j]) for i, j in pairs]
         hd = check_hausdorff(g, sample)
         for entry in hd.entries:
             checks.append(

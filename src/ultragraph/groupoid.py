@@ -605,22 +605,66 @@ def _elem_key(a: GroupoidElement):
     return (a.left.prefix, a.left.cycle, a.lag, a.right.prefix, a.right.cycle)
 
 
+class _PointTable:
+    """The elements of one sample as (left id, lag, right id) int triples.
+
+    The distinct points are interned once, in order of first sight, and
+    each point's tail signature is read once into per-point lists: rep id,
+    phase and period.  compose then runs on ints alone and makes the same
+    two tests as the public compose."""
+
+    def __init__(self, elements: Sequence[GroupoidElement]):
+        ids: Dict[LassoPath, int] = {}
+        self.triples = [
+            (ids.setdefault(a.left, len(ids)), a.lag, ids.setdefault(a.right, len(ids)))
+            for a in elements
+        ]
+        self.points = list(ids)
+        rep_ids: Dict[Tuple[Edge, ...], int] = {}
+        self.rep: List[int] = []
+        self.phase: List[int] = []
+        self.period: List[int] = []
+        for x in self.points:
+            rep, phase = x.signature
+            self.rep.append(rep_ids.setdefault(rep, len(rep_ids)))
+            self.phase.append(phase)
+            self.period.append(len(rep))
+
+    def compose(self, a: Tuple[int, int, int], b: Tuple[int, int, int]):
+        """Defined exactly when a's right point is b's left point; lags add.
+        Raises compose's ValueError when the outer points share no tail."""
+        left, lag, mid = a
+        if mid != b[0]:
+            return None
+        lag += b[1]
+        right = b[2]
+        if (
+            self.rep[left] != self.rep[right]
+            or (self.phase[right] - self.phase[left] - lag) % self.period[left]
+        ):
+            raise ValueError(
+                f"no shared tail: {self.points[left]} and {self.points[right]} at lag {lag}"
+            )
+        return left, lag, right
+
+
 def check_groupoid_laws(
     g: Ultragraph, elements: Sequence[GroupoidElement], max_triples: int = 2_000_000
 ) -> CheckReport:
     """Involution, lag bookkeeping, units, and associativity over every
     composable pair and triple in the sample.  The triple count is known
     from the left-point groups, so max_triples is checked before any law
-    runs."""
-    by_left: Dict[LassoPath, List[GroupoidElement]] = {}
-    for a in elements:
-        by_left.setdefault(a.left, []).append(a)
-    # width[L]: composable pairs (b, c) with b.left == L
-    width = {
-        L: sum(len(by_left.get(b.right, ())) for b in group)
-        for L, group in by_left.items()
-    }
-    if sum(width.get(a.right, 0) for a in elements) > max_triples:
+    runs.  Units and associativity run on interned points (_PointTable);
+    strings are built only for failure witnesses."""
+    table = _PointTable(elements)
+    triples, mul = table.triples, table.compose
+    # by_left[p]: indices of the elements whose left point has id p
+    by_left: List[List[int]] = [[] for _ in table.points]
+    for i, (left, _, _) in enumerate(triples):
+        by_left[left].append(i)
+    # width[p]: composable pairs (b, c) with b's left point p
+    width = [sum(len(by_left[triples[j][2]]) for j in group) for group in by_left]
+    if sum(width[right] for _, _, right in triples) > max_triples:
         raise SizeLimitError("too many composable triples for this sample")
     entries: List[CheckResult] = []
 
@@ -628,34 +672,28 @@ def check_groupoid_laws(
     entries.append(CheckResult("involution", not bad, tuple(bad[:5])))
 
     bad = []
-    for a in elements:
-        u = compose(g, a, inverse(a))
-        if u is None or u.lag != 0 or u.left != a.left or u.right != a.left:
-            bad.append(str(a))
+    for i, a in enumerate(triples):
+        left, lag, right = a
+        inv = (right, -lag, left)
+        if mul(a, inv) != (left, 0, left):
+            bad.append(str(elements[i]))
             continue
-        if compose(g, u, a) != a or compose(g, a, compose(g, inverse(a), a)) != a:
-            bad.append(str(a))
+        if mul((left, 0, left), a) != a or mul(a, mul(inv, a)) != a:
+            bad.append(str(elements[i]))
     entries.append(CheckResult("units_and_inverses", not bad, tuple(bad[:5])))
 
-    # every key names members of elements, which outlive the memo
-    pair_memo: Dict[Tuple[int, int], Optional[GroupoidElement]] = {}
-
-    def mul(a, b):
-        key = (id(a), id(b))
-        if key not in pair_memo:
-            pair_memo[key] = compose(g, a, b)
-        return pair_memo[key]
-
     bad = []
-    for a in elements:
-        for b in by_left.get(a.right, ()):
+    for i, a in enumerate(triples):
+        for j in by_left[a[2]]:
+            b = triples[j]
             ab = mul(a, b)
-            for c in by_left.get(b.right, ()):
+            for k in by_left[b[2]]:
+                c = triples[k]
                 bc = mul(b, c)
-                lhs = None if ab is None else compose(g, ab, c)
-                rhs = None if bc is None else compose(g, a, bc)
+                lhs = None if ab is None else mul(ab, c)
+                rhs = None if bc is None else mul(a, bc)
                 if lhs is None or lhs != rhs:
-                    bad.append(f"{a} . {b} . {c}")
+                    bad.append(f"{elements[i]} . {elements[j]} . {elements[k]}")
     entries.append(CheckResult("associativity", not bad, tuple(bad[:5])))
     return CheckReport(entries=tuple(entries))
 

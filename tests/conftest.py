@@ -9,13 +9,17 @@ import pytest
 
 from ultragraph import (
     OMEGA,
+    CheckReport,
+    CheckResult,
     GroupoidElement,
     LassoPath,
     LatticeG0,
     SGElement,
+    SizeLimitError,
     Ultragraph,
     Ultrapath,
     bisection_member,
+    compose,
     edge_adjacency,
     format_set,
     enumerate_lassos,
@@ -23,6 +27,7 @@ from ultragraph import (
     gw,
     gx,
     gy,
+    inverse,
     lasso_source,
     product,
     reaches,
@@ -561,3 +566,58 @@ def separation_depth(
         if not bisection_member(g, deeper, b):
             return k
     return None
+
+
+def groupoid_laws_by_compose(
+    g: Ultragraph, elements, max_triples: int = 2_000_000
+) -> CheckReport:
+    """Oracle for groupoid.check_groupoid_laws, the loop it ran before it
+    interned points: every law on the GroupoidElement values themselves,
+    through the public compose, with the composable pairs memoised by
+    object identity."""
+    by_left: Dict[LassoPath, List[GroupoidElement]] = {}
+    for a in elements:
+        by_left.setdefault(a.left, []).append(a)
+    # width[L]: composable pairs (b, c) with b.left == L
+    width = {
+        L: sum(len(by_left.get(b.right, ())) for b in group)
+        for L, group in by_left.items()
+    }
+    if sum(width.get(a.right, 0) for a in elements) > max_triples:
+        raise SizeLimitError("too many composable triples for this sample")
+    entries: List[CheckResult] = []
+
+    bad = [str(a) for a in elements if inverse(inverse(a)) != a or inverse(a).lag != -a.lag]
+    entries.append(CheckResult("involution", not bad, tuple(bad[:5])))
+
+    bad = []
+    for a in elements:
+        u = compose(g, a, inverse(a))
+        if u is None or u.lag != 0 or u.left != a.left or u.right != a.left:
+            bad.append(str(a))
+            continue
+        if compose(g, u, a) != a or compose(g, a, compose(g, inverse(a), a)) != a:
+            bad.append(str(a))
+    entries.append(CheckResult("units_and_inverses", not bad, tuple(bad[:5])))
+
+    # every key names members of elements, which outlive the memo
+    pair_memo: Dict[Tuple[int, int], Optional[GroupoidElement]] = {}
+
+    def mul(a, b):
+        key = (id(a), id(b))
+        if key not in pair_memo:
+            pair_memo[key] = compose(g, a, b)
+        return pair_memo[key]
+
+    bad = []
+    for a in elements:
+        for b in by_left.get(a.right, ()):
+            ab = mul(a, b)
+            for c in by_left.get(b.right, ()):
+                bc = mul(b, c)
+                lhs = None if ab is None else compose(g, ab, c)
+                rhs = None if bc is None else compose(g, a, bc)
+                if lhs is None or lhs != rhs:
+                    bad.append(f"{a} . {b} . {c}")
+    entries.append(CheckResult("associativity", not bad, tuple(bad[:5])))
+    return CheckReport(entries=tuple(entries))

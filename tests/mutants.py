@@ -162,6 +162,41 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "_PointTable.compose: drop the second lag",
+        "groupoid.py",
+        "lag += b[1]",
+        "lag += 0",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_PointTable.compose: drop the rep test",
+        "groupoid.py",
+        "self.rep[left] != self.rep[right]",
+        "False",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_PointTable.compose: flip the phase sign",
+        "groupoid.py",
+        "(self.phase[right] - self.phase[left] - lag)",
+        "(self.phase[left] - self.phase[right] - lag)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_groupoid_laws: compare lhs with itself",
+        "groupoid.py",
+        "if lhs is None or lhs != rhs:",
+        "if lhs is None or lhs != lhs:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_groupoid_laws: drop the right-unit clause",
+        "groupoid.py",
+        "if mul((left, 0, left), a) != a or mul(a, mul(inv, a)) != a:",
+        "if mul((left, 0, left), a) != a:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "_first_return_words: drop the terminal test",
         "analysis.py",
         "        if v in g.range[e]:\n            yield tuple(path)",

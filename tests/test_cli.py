@@ -13,11 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultragraph.cli as cli
+import ultragraph.groupoid as groupoid_module
 import ultragraph.semigroup as semigroup
 from ultragraph import (
     OMEGA,
     SGElement,
     Ultrapath,
+    build_elements,
     concat,
     emit,
     generate_elements,
@@ -124,6 +126,53 @@ def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
     assert code == 0
     checks = {c["name"]: c for c in json.loads(out)["checks"]}
     assert checks["hausdorff_separation"]["details"]["pairs"] == 0
+
+
+def test_groupoid_pairs_past_the_pair_count_take_every_pair(monkeypatch, capsys):
+    """GX has 14 elements at the defaults, so 91 pairs: from --pairs 91 up
+    the sample is every pair in sorted order, the set the random draws
+    would reach, and the report is the same."""
+    seen = []
+    real = cli.check_hausdorff
+
+    def recording(g, pairs):
+        seen.append(list(pairs))
+        return real(g, pairs)
+
+    monkeypatch.setattr(cli, "check_hausdorff", recording)
+    outs = {run(["groupoid", GX, "--pairs", p, "--format", "json"], capsys) for p in ("91", "1000000")}
+    assert len(outs) == 1
+    code, out, _ = outs.pop()
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["hausdorff_separation"]["details"]["pairs"] == 91
+    els = build_elements(gx(), 1, 1, 2)
+    every = [(els[i], els[j]) for i in range(len(els)) for j in range(i + 1, len(els))]
+    assert len(every) == 91 and seen == [every, every]
+
+
+def test_groupoid_pair_budget_fails_before_any_separation(tmp_path, monkeypatch, capsys):
+    """ring(4) has 1,042 elements at the defaults, 542,361 pairs: --pairs
+    1000000 passes the 100,000-pair budget, so the command reports
+    size_limit before it samples, separates or checks a law."""
+    path = tmp_path / "ring4.ug"
+    path.write_text(emit(ring_ultragraph(4)))
+    called = []
+
+    def forbidden(*args):
+        called.append(args)
+        raise AssertionError("the sample was used")
+
+    monkeypatch.setattr(groupoid_module, "_separated", forbidden)
+    monkeypatch.setattr(cli, "check_groupoid_laws", forbidden)
+    code, out, err = run(["groupoid", str(path), "--pairs", "1000000", "--format", "json"], capsys)
+    assert code == 1, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+    assert checks[0]["witnesses"] == [
+        "hausdorff sample of 542361 pairs exceeded max_pairs=100000"
+    ]
+    assert not called
 
 
 def test_parser_is_built_once_and_keeps_no_state(capsys, tmp_path, monkeypatch):

@@ -56,10 +56,12 @@ from ultragraph import (
 from conftest import (
     ck_meet_failures_by_sets,
     cylinder_words_by_levels,
+    groupoid_laws_by_compose,
     join_failures_by_sets,
     meet_identity_failures_by_sets,
     powerset_lattice,
     random_ultragraph,
+    ring_ultragraph,
     search_groupoid_element,
     separation_depth,
     sparse_sink_free,
@@ -739,13 +741,13 @@ def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
         if a.right == b.left and b.right == c.left
     )
     calls = []
-    real = groupoid_module.compose
+    real = groupoid_module._PointTable.compose
 
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
+    def counting(table, a, b):
+        calls.append((a, b))
+        return real(table, a, b)
 
-    monkeypatch.setattr(groupoid_module, "compose", counting)
+    monkeypatch.setattr(groupoid_module._PointTable, "compose", counting)
     with pytest.raises(SizeLimitError, match="composable triples"):
         check_groupoid_laws(g_branch, els, max_triples=triples - 1)
     assert calls == []
@@ -755,21 +757,112 @@ def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
 
 def test_units_and_inverses_checks_the_right_unit_law(g_branch, monkeypatch):
     els = build_elements(g_branch, 1, 1, 2)
-    real = groupoid_module.compose
+    real = groupoid_module._PointTable.compose
 
     def is_unit(a):
-        return a.lag == 0 and a.left == a.right
+        return a[1] == 0 and a[0] == a[2]
 
-    def broken(g, a, b):
+    def broken(table, a, b):
         # a . d(a) goes missing for every non-unit a
-        if not is_unit(a) and is_unit(b) and b.left == a.right:
+        if not is_unit(a) and is_unit(b) and b[0] == a[2]:
             return None
-        return real(g, a, b)
+        return real(table, a, b)
 
-    assert any(not is_unit(a) for a in els)
-    monkeypatch.setattr(groupoid_module, "compose", broken)
+    assert any(a.lag != 0 or a.left != a.right for a in els)
+    monkeypatch.setattr(groupoid_module._PointTable, "compose", broken)
     failed = [e.name for e in check_groupoid_laws(g_branch, els).failures()]
     assert "units_and_inverses" in failed
+
+
+def test_associativity_compares_both_bracketings(g_branch, monkeypatch):
+    """A compose that weighs the right factor's lag twice is not
+    associative: (ab)c and a(bc) differ whenever c's lag is not zero."""
+    els = build_elements(g_branch, 1, 1, 2)
+
+    def lopsided(table, a, b):
+        return None if a[2] != b[0] else (a[0], a[1] + 2 * b[1], b[2])
+
+    monkeypatch.setattr(groupoid_module._PointTable, "compose", lopsided)
+    rep = {e.name: e for e in check_groupoid_laws(g_branch, els).entries}
+    want = [
+        f"{a} . {b} . {c}"
+        for a in els
+        for b in els
+        if b.left == a.right
+        for c in els
+        if c.left == b.right and c.lag != 0
+    ]
+    assert want
+    assert rep["associativity"].details == tuple(want[:5])
+
+
+def test_point_table_compose_matches_compose_on_every_pair(g_branch):
+    for g, bounds in ((g_branch, (2, 1, 3)), (ring_ultragraph(2), (1, 1, 1))):
+        els = build_elements(g, *bounds)
+        table = groupoid_module._PointTable(els)
+        points = table.points
+        assert len({x.signature[0] for x in points}) > 1
+        defined = 0
+        for a, ta in zip(els, table.triples):
+            for b, tb in zip(els, table.triples):
+                got = table.compose(ta, tb)
+                if got is not None:
+                    got = GroupoidElement(points[got[0]], got[1], points[got[2]])
+                    defined += 1
+                assert got == compose(g, a, b), (a, b)
+        assert defined > len(els)
+
+
+def _law_outcome(check, g, els):
+    try:
+        rep = check(g, els)
+    except (ValueError, SizeLimitError) as exc:
+        return (type(exc).__name__, str(exc))
+    return [(e.name, e.passed, e.details) for e in rep.entries]
+
+
+def _bare_triple(els, pick):
+    """A bare triple whose points have different reps, at the lag that
+    passes the phase test, so only the rep test can refuse it; None when
+    every point of els has one rep."""
+    points = sorted({x for a in els for x in (a.left, a.right)})
+    pairs = [(p, q) for p in points for q in points if p.signature[0] != q.signature[0]]
+    if not pairs:
+        return None
+    p, q = pairs[pick % len(pairs)]
+    return GroupoidElement(p, q.signature[1] - p.signature[1], q)
+
+
+LAW_DAMAGES = ("none", "duplicate", "drop", "lag+1", "lag-1", "bare")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    damage=st.sampled_from(LAW_DAMAGES),
+    pick=st.integers(0, 10**6),
+    bounds=st.sampled_from(((1, 1, 1), (1, 1, 2), (1, 0, 3))),
+)
+def test_groupoid_laws_match_the_compose_oracle(seed, damage, pick, bounds):
+    """check_groupoid_laws gives the oracle's report, entry for entry, on
+    build_elements samples and on damaged ones; where one raises, both
+    raise the same ValueError text."""
+    g = random_ultragraph(random.Random(seed), max_vertices=3, max_edges=4, sink_free=True)
+    els = list(build_elements(g, *bounds))
+    i = pick % len(els)
+    if damage == "duplicate":
+        els.insert(pick % (len(els) + 1), els[i])
+    elif damage == "drop":
+        del els[i]
+    elif damage in ("lag+1", "lag-1"):
+        a = els[i]
+        els[i] = GroupoidElement(a.left, a.lag + (1 if damage == "lag+1" else -1), a.right)
+    elif damage == "bare":
+        bare = _bare_triple(els, pick)
+        if bare is not None:
+            els.insert(i, bare)
+    got = _law_outcome(check_groupoid_laws, g, els)
+    assert got == _law_outcome(groupoid_laws_by_compose, g, els)
 
 
 def test_groupoid_laws_make_no_shift(g_branch, monkeypatch):
@@ -791,12 +884,18 @@ def test_compose_rejects_bare_triples_without_shared_tail(g_branch):
     fe = make_lasso(g_branch, (), ("f", "e"))
     egf = make_lasso(g_branch, (), ("e", "g", "f"))
     assert ef.signature[0] == fe.signature[0] != egf.signature[0]
-    # equal reps at the wrong phase, then different reps
+    assert ef.signature[1] == egf.signature[1]
+    # equal reps at the wrong phase, then different reps at a lag that
+    # passes the phase test; the law check refuses both with compose's text
     for right in (fe, egf):
         a = GroupoidElement(ef, 0, right)
+        want = f"no shared tail: {ef} and {right} at lag 0"
         with pytest.raises(ValueError) as err:
             compose(g_branch, a, unit_at(g_branch, right))
-        assert str(err.value) == f"no shared tail: {ef} and {right} at lag 0"
+        assert str(err.value) == want
+        with pytest.raises(ValueError) as err:
+            check_groupoid_laws(g_branch, [a])
+        assert str(err.value) == want
 
 
 def test_bisection_homomorphism_small(g_branch):

@@ -86,6 +86,27 @@ def test_order_and_semicharacters_form_no_product():
     assert not found, found
 
 
+def test_groupoid_law_check_runs_on_interned_points():
+    """check_groupoid_laws and its point table compose int triples: the
+    public compose, groupoid_element and shift_n stay out of the loop."""
+    tree = ast.parse((SRC / "groupoid.py").read_text())
+    routes = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name in ("check_groupoid_laws", "_PointTable")
+    }
+    assert sorted(routes) == ["_PointTable", "check_groupoid_laws"]
+    found = [
+        f"{name}:{node.lineno} {node.id}"
+        for name, fn in sorted(routes.items())
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Name)
+        and node.id in ("compose", "groupoid_element", "shift_n")
+    ]
+    assert not found, found
+
+
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
