@@ -87,17 +87,17 @@ def _cmd_validate(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 def _cmd_lattice(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     lat = generate_lattice(g, max_size=args.max_size)
-    flags = list(lat.generator_flags.values())
-    listed = [format_set(A) for A in lat.sets]
-    shown = " ".join(listed[:64]) + (" ..." if len(listed) > 64 else "")
+    # the power set: singletons, edge ranges of other sizes, the rest derived
+    singletons = len(g.vertices)
+    edge_ranges = sum(1 for r in set(g.range.values()) if len(r) != 1 and r <= g.vertices)
     check = _check(
         "lattice",
         True,
         size=len(lat),
-        singletons=flags.count("singleton"),
-        edge_ranges=flags.count("edge-range"),
-        derived=flags.count("derived"),
-        sets=shown,
+        singletons=singletons,
+        edge_ranges=edge_ranges,
+        derived=len(lat) - singletons - edge_ranges,
+        sets=" ".join(map(format_set, lat.sets[:64])) + (" ..." if len(lat) > 64 else ""),
     )
     return [check], None
 

@@ -10,11 +10,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Dict, FrozenSet, Iterable, List, Mapping, Tuple
 
 Vertex = str
 Edge = str
 VSet = FrozenSet[Vertex]
+# the most entries Ultragraph._adjacency builds: of the derived structures
+# it alone grows with the edges times the out-degrees, not with |V|
+MAX_ADJACENCY = 2_000_000
 
 
 class SizeLimitError(RuntimeError):
@@ -87,12 +91,17 @@ class Ultragraph:
 
     @cached_property
     def _adjacency(self) -> Dict[Edge, Tuple[Edge, ...]]:
-        # an edge whose source is not a declared vertex follows no edge
-        adj = {}
-        for e in self.edges_sorted():
-            targets = self.range[e] & self.vertices
-            adj[e] = tuple(sorted(f for v in targets for f in self.out_edges(v)))
-        return adj
+        # an edge whose source is not a declared vertex follows no edge; the
+        # out-edge lists behind each edge's entries are gathered and counted
+        # first, so a graph past the budget builds no entry
+        out = {v: es for v, es in self._out_edges.items() if v in self.vertices}
+        parts = {e: [out[v] for v in self.range[e] if v in out] for e in self.edges_sorted()}
+        entries = sum(len(es) for ps in parts.values() for es in ps)
+        if entries > MAX_ADJACENCY:
+            raise SizeLimitError(
+                f"edge adjacency of {entries} entries exceeded max_entries={MAX_ADJACENCY}"
+            )
+        return {e: tuple(sorted(chain.from_iterable(ps))) for e, ps in parts.items()}
 
     @cached_property
     def _components(self) -> Dict[Edge, Tuple[Edge, ...]]:
@@ -150,17 +159,7 @@ class Ultragraph:
             v, bit = vs[k], 1 << k
             keys = [()] + [(v,) + s for s in keys] + keys[1:]
             masks = [0] + [bit | m for m in masks] + masks[1:]
-        ordered = tuple(frozenset(k) for k in keys)
-        flags = {}
-        ranges = {self.range[e] for e in self.edges}
-        for s in ordered:
-            if len(s) == 1:
-                flags[s] = "singleton"
-            elif s in ranges:
-                flags[s] = "edge-range"
-            else:
-                flags[s] = "derived"
-        return LatticeG0(sets=ordered, generator_flags=flags, masks=tuple(masks))
+        return LatticeG0(sets=tuple(frozenset(k) for k in keys), masks=tuple(masks))
 
     @cached_property
     def _reachable(self) -> Dict[Vertex, VSet]:
@@ -237,9 +236,9 @@ def require_no_sinks(g: Ultragraph, operation: str) -> None:
 
 @dataclass(frozen=True)
 class LatticeG0:
-    """The smallest family of vertex sets containing every singleton, every
-    edge range and the empty set, closed under pairwise union and
-    intersection.
+    """The lattice generated by every singleton, every edge range and the
+    empty set under pairwise union and intersection: on a finite
+    ultragraph, the power set of the vertices.
 
     The sets are listed in set_key order, so the empty set comes first.
     masks[i] is the vertex mask of sets[i]: bit k is set iff the k-th
@@ -247,11 +246,7 @@ class LatticeG0:
     has the mask of their masks' & or |."""
 
     sets: Tuple[VSet, ...]
-    generator_flags: Mapping[VSet, str]
     masks: Tuple[int, ...]
-
-    def __contains__(self, s: object) -> bool:
-        return s in self.generator_flags
 
     def __iter__(self):
         return iter(self.sets)
@@ -268,15 +263,12 @@ def generate_lattice(g: Ultragraph, max_size: int = 4096) -> LatticeG0:
 
     The generators include every singleton, and unions of singletons give
     every subset, so on a finite ultragraph the closure is the full power
-    set.  Its size 2^|V| is checked against max_size before any set is
-    built: crossing it raises SizeLimitError.
-
-    The lattice is built once per graph and shared by every caller: do not
-    mutate its generator_flags.
+    set.  A max_size below 1 is a usage error (ValueError); a size 2^|V|
+    past max_size raises SizeLimitError before any set is built.  The
+    lattice is built once per graph and shared by every caller.
     """
-    floor = len(g.vertices) + len(g.edges) + 1
-    if max_size < floor:
-        raise ValueError(f"max_size must be at least {floor} for this graph")
+    if max_size < 1:
+        raise ValueError("max_size must be at least 1")
     if 2 ** len(g.vertices) > max_size:
         raise SizeLimitError(f"lattice closure exceeded max_size={max_size}")
     return g._lattice

@@ -266,8 +266,10 @@ def refine_words(
     Each word w stands for the pure cylinder D((w, range of last edge)),
     and on a sink-free graph those cylinders partition the boundary by
     depth-d prefix, so two unions agree iff their word tuples agree.
+    Past 200,000 depth-d edge words it raises SizeLimitError first.
     """
     require_no_sinks(g, "cylinder refinement")
+    _check_word_budget(g, depth)
     words = set()
     for cyl in cylinders:
         words.update(_cylinder_words(g, cyl, depth))
@@ -300,17 +302,12 @@ def _fmt_words(words, cap: int = 12) -> str:
     return "[" + " ".join(shown) + "]" + tail
 
 
-def _word_masks(g: Ultragraph, depth: int):
-    """words_of(base), a cylinder's depth-d words as one int mask, memoised
-    per base, and fmt_mask, which decodes a mask to its sorted words.  Each
-    word gets a bit on first sight, so joins, meets and decompositions are
-    OR, AND and compare.
-
-    Before any word is built, the depth-d edge words are counted by their
-    last edge, one level at a time; past 200,000 words this raises
+def _check_word_budget(g: Ultragraph, depth: int) -> None:
+    """Count the depth-d edge words by their last edge, one level at a
+    time, before any word is built; past 200,000 words raise
     SizeLimitError.  The graph has no sinks, so every word extends and no
     level has fewer words than the one before: the count may stop at the
-    first level past the limit."""
+    first level past the limit.  It bounds every cylinder's words too."""
     max_count = 200_000
     adj = edge_adjacency(g)
     ending = dict.fromkeys(g.edges, 1)
@@ -328,6 +325,14 @@ def _word_masks(g: Ultragraph, depth: int):
         raise SizeLimitError(
             f"depth-{depth} refinement exceeded max_count={max_count} words"
         )
+
+
+def _word_masks(g: Ultragraph, depth: int):
+    """words_of(base), a cylinder's depth-d words as one int mask, memoised
+    per base, and fmt_mask, which decodes a mask to its sorted words.  Each
+    word gets a bit on first sight, so joins, meets and decompositions are
+    OR, AND and compare."""
+    _check_word_budget(g, depth)
     word_bit: Dict[Tuple[Edge, ...], int] = {}
     memo: Dict[Ultrapath, int] = {}
 

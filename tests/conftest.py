@@ -229,6 +229,22 @@ def powerset_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
     return tuple(sorted(out, key=lambda s: tuple(sorted(s))))
 
 
+def lattice_labels(g: Ultragraph) -> Dict[frozenset, str]:
+    """Oracle for the lattice subcommand's counts, by labelling each set of
+    powerset_lattice: a "singleton" when it has one vertex, else an
+    "edge-range" when some edge has it as its range, else "derived"."""
+    ranges = {g.range[e] for e in g.edges}
+    labels = {}
+    for s in powerset_lattice(g):
+        if len(s) == 1:
+            labels[s] = "singleton"
+        elif s in ranges:
+            labels[s] = "edge-range"
+        else:
+            labels[s] = "derived"
+    return labels
+
+
 def closure_lattice(g: Ultragraph) -> Tuple[frozenset, ...]:
     """Worklist oracle for the vertex-set lattice: close the generators
     (every singleton, every edge range and the empty set) under pairwise

@@ -351,6 +351,48 @@ MUTANTS = (
         ("tests/test_core.py",),
     ),
     Mutant(
+        "edge adjacency: drop the entry budget",
+        "core.py",
+        "if entries > MAX_ADJACENCY:",
+        "if False:",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "edge adjacency: refuse a graph at its entry budget",
+        "core.py",
+        "if entries > MAX_ADJACENCY:",
+        "if entries >= MAX_ADJACENCY:",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "edge adjacency: leave the first edge out of the entry count",
+        "core.py",
+        "entries = sum(len(es) for ps in parts.values() for es in ps)",
+        "entries = sum(len(es) for ps in list(parts.values())[1:] for es in ps)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "lattice subcommand: derived off by one",
+        "cli.py",
+        "derived=len(lat) - singletons - edge_ranges,",
+        "derived=len(lat) - singletons - edge_ranges - 1,",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "lattice subcommand: count singleton ranges as edge ranges",
+        "cli.py",
+        "if len(r) != 1 and r <= g.vertices",
+        "if r <= g.vertices",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "refine_words: drop the word budget",
+        "groupoid.py",
+        "    _check_word_budget(g, depth)\n    words = set()\n",
+        "    words = set()\n",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "check_family: never flag overlapping edge slices",
         "groupoid.py",
         "overlap = overlap or bool(merged & piece)",

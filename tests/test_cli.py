@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, report shapes, byte stability."""
 
+import contextlib
+import io
+import itertools
 import json
 import os
 import random
@@ -8,11 +11,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultragraph.cli as cli
+import ultragraph.core as core
 import ultragraph.groupoid as groupoid_module
 import ultragraph.semigroup as semigroup
 from ultragraph import (
@@ -22,6 +28,7 @@ from ultragraph import (
     build_elements,
     concat,
     emit,
+    emit_file,
     generate_elements,
     gw,
     gx,
@@ -34,7 +41,12 @@ from ultragraph import (
 from ultragraph.cli import main
 from ultragraph.semigroup import glue, rule_remainders
 
-from conftest import product_by_rules, random_ultragraph, ring_ultragraph
+from conftest import (
+    lattice_labels,
+    product_by_rules,
+    random_ultragraph,
+    ring_ultragraph,
+)
 
 REPO = Path(__file__).resolve().parent.parent
 FIXDIR = REPO / "fixtures"
@@ -275,6 +287,61 @@ def test_lattice_size_guard_comes_before_the_sink_check(tmp_path, capsys):
         assert code == 1, (command, err)
         checks = json.loads(out)["checks"]
         assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+
+
+def test_lattice_counts_match_the_labelling_oracle(tmp_path, capsys):
+    rng = random.Random(71)
+    graphs = [gx(), gy(), gw()] + [random_ultragraph(rng) for _ in range(40)]
+    path = str(tmp_path / "g.ug")
+    for g in graphs:
+        emit_file(g, path)
+        code, out, _ = run(["lattice", path, "--format", "json"], capsys)
+        assert code == 0
+        details = json.loads(out)["checks"][0]["details"]
+        labels = Counter(lattice_labels(g).values())
+        assert details["size"] == 2 ** len(g.vertices)
+        assert details["singletons"] == labels["singleton"]
+        assert details["edge_ranges"] == labels["edge-range"]
+        assert details["derived"] == labels["derived"]
+
+
+def test_wide_graph_keeps_its_lattice_and_fails_fast_on_adjacency(
+    tmp_path, capsys, monkeypatch
+):
+    """Two vertices and 4,100 edges: the lattice has 4 sets, while the
+    edge adjacency would hold 12,607,500 entries.  Every subcommand that
+    reads the adjacency fails as size_limit before building one entry."""
+    wide = tmp_path / "wide.ug"
+    wide.write_text(
+        "ultragraph\nvertex a\nvertex b\n"
+        + "".join(f"edge p{i} b {{ a }}\n" for i in range(2050))
+        + "".join(f"edge q{i} a {{ a b }}\n" for i in range(2050))
+    )
+    code, out, err = run(["lattice", str(wide), "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["checks"][0]["details"]["size"] == 4
+    # each adjacency entry list is one chain.from_iterable in core
+    joined = []
+
+    class CountingChain:
+        @staticmethod
+        def from_iterable(parts):
+            joined.append(parts)
+            return itertools.chain.from_iterable(parts)
+
+    monkeypatch.setattr(core, "chain", CountingChain)
+    for command in ("paths", "ck", "analyze"):
+        code, out, err = run([command, str(wide), "--format", "json"], capsys)
+        assert code == 1, (command, err)
+        checks = json.loads(out)["checks"]
+        assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
+        assert checks[0]["witnesses"] == [
+            "edge adjacency of 12607500 entries exceeded max_entries=2000000"
+        ]
+    assert joined == []
+    # the spy sees the entries of an adjacency within the budget
+    run(["paths", GX], capsys)
+    assert len(joined) == 3
 
 
 def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
@@ -586,6 +653,91 @@ def test_precondition_violations_exit_two(tmp_path, capsys):
     assert code == 2 and "sink" in err
     code, _, err = run(["analyze", str(sink)], capsys)
     assert code == 2 and "sink" in err
+
+
+# each subcommand's flags, with small values and values just past a guard
+_FUZZ_FLAGS = {
+    "validate": {},
+    "lattice": {"--max-size": (0, 1, 2, 7, 8)},
+    "paths": {"--max-len": (0, 1, 2), "--prefix-bound": (-1, 0, 1), "--cycle-bound": (0, 1, 2)},
+    "semigroup": {"--max-len": (0, 1)},
+    "groupoid": {
+        "--witness-len": (0, 1),
+        "--prefix-bound": (-1, 0, 1),
+        "--cycle-bound": (0, 1, 2),
+        "--pairs": (-1, 0, 3),
+    },
+    "ck": {"--depth": (1, 2, 3)},
+    "analyze": {"--bound": (0, 1, 2)},
+    "skew": {"--window": (-1, 0, 1)},
+}
+
+_DAMAGED_LINES = (
+    "edge",
+    "edge d v0 v0",
+    "edge d v0 { }",
+    "edge d zz { v0 }",
+    "edge d v0 { zz }",
+    "edge d v0 { v0 v0 }",
+    "vertex",
+    "vertex v0",
+    "vertex a b",
+    "frobnicate v0",
+)
+
+
+@st.composite
+def _cli_requests(draw):
+    """A small graph file, with or without sinks and one time in four with
+    one line damaged, and a subcommand with some of its flags."""
+    nv = draw(st.integers(1, 3))
+    vs = [f"v{i}" for i in range(nv)]
+    sink_free = draw(st.booleans())
+    lines = ["ultragraph"] + [f"vertex {v}" for v in vs]
+    for i in range(draw(st.integers(nv if sink_free else 0, 4))):
+        src = vs[i] if sink_free and i < nv else draw(st.sampled_from(vs))
+        rng = draw(st.lists(st.sampled_from(vs), min_size=1, max_size=nv, unique=True))
+        lines.append(f"edge e{i} {src} {{ {' '.join(rng)} }}")
+    if draw(st.integers(0, 3)) == 0:
+        lines[draw(st.integers(0, len(lines) - 1))] = draw(st.sampled_from(_DAMAGED_LINES))
+    command = draw(st.sampled_from(sorted(_FUZZ_FLAGS)))
+    flags = []
+    for flag, values in _FUZZ_FLAGS[command].items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            flags += [flag, str(value)]
+    return "\n".join(lines) + "\n", command, flags
+
+
+def _run_quiet(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(request=_cli_requests())
+def test_cli_contract_holds_on_small_inputs(request, tmp_path_factory):
+    """Exit 0 when every check passes, 1 when one fails, 2 with an error on
+    stderr and nothing on stdout; the JSON report is pinned to timing_ms 0
+    and a second run prints the same bytes."""
+    text, command, flags = request
+    path = tmp_path_factory.getbasetemp() / "cli_contract.ug"
+    path.write_text(text)
+    argv = [command, str(path), "--format", "json"] + flags
+    first = _run_quiet(argv)
+    code, out, err = first
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["command"] == command and doc["timing_ms"] == 0
+        assert doc["checks"]
+        assert code == (0 if all(c["pass"] for c in doc["checks"]) else 1)
+    assert _run_quiet(argv) == first
 
 
 def test_skew_out_writes_parseable_graph(tmp_path, capsys):

@@ -5,6 +5,7 @@ from functools import cached_property
 
 import pytest
 
+import ultragraph.core as core
 from ultragraph import (
     GraphStructureError,
     SizeLimitError,
@@ -92,6 +93,31 @@ def test_edge_adjacency_is_built_once_and_skips_undeclared_sources():
     assert edge_adjacency(g) == brute_adjacency(g) == {"e": ("e",), "f": ("e",)}
 
 
+def test_adjacency_budget_counts_every_entry_before_building(monkeypatch):
+    """The adjacency is refused one entry past its budget and built at it:
+    the up-front count is the brute-force entry count, undeclared sources
+    and range vertices included."""
+    rng = random.Random(67)
+    graphs = [
+        Ultragraph(
+            vertices=fz("a"),
+            edges=fz("e", "f"),
+            source={"e": "a", "f": "zz"},
+            range={"e": fz("a", "zz"), "f": fz("a")},
+        )
+    ]
+    graphs += [random_ultragraph(rng) for _ in range(20)]
+    assert core.MAX_ADJACENCY == 2_000_000
+    for g in graphs:
+        want = brute_adjacency(g)
+        entries = sum(map(len, want.values()))
+        monkeypatch.setattr(core, "MAX_ADJACENCY", entries - 1)
+        with pytest.raises(SizeLimitError, match=f"edge adjacency of {entries} entries"):
+            edge_adjacency(g)
+        monkeypatch.setattr(core, "MAX_ADJACENCY", entries)
+        assert edge_adjacency(g) == want
+
+
 def test_sorted_edges_and_vertices_are_derived_once():
     g = Ultragraph.build(["w", "v", "u"], {"g": ("u", ("w",)), "e": ("v", ("v", "w"))})
     assert g.edges_sorted() == ("e", "g")
@@ -149,9 +175,6 @@ def test_lattice_branch_is_full_power_set(g_branch, branch_lattice):
     assert len(branch_lattice) == 8
     assert branch_lattice.sets == powerset_lattice(g_branch)
     assert branch_lattice.sets == closure_lattice(g_branch)
-    assert branch_lattice.generator_flags[fz("v")] == "singleton"
-    assert branch_lattice.generator_flags[fz("u", "w")] == "edge-range"
-    assert branch_lattice.generator_flags[fz("u", "v")] == "derived"
     assert fz("v", "w") in branch_lattice
     assert fz() in branch_lattice
     assert len(branch_lattice.nonempty()) == 7
@@ -177,9 +200,11 @@ def test_lattice_closure_and_oracle_on_random_graphs():
 
 def test_lattice_size_guards(g_branch):
     with pytest.raises(ValueError):
-        generate_lattice(g_branch, max_size=6)
-    with pytest.raises(SizeLimitError):
-        generate_lattice(g_branch, max_size=7)
+        generate_lattice(g_branch, max_size=0)
+    for size in (1, 6, 7):
+        with pytest.raises(SizeLimitError):
+            generate_lattice(g_branch, max_size=size)
+    assert len(generate_lattice(g_branch, max_size=8)) == 8
 
 
 def test_lattice_masks_follow_sorted_vertices():
@@ -208,9 +233,10 @@ def test_lattice_is_built_once_and_every_call_keeps_its_guards(g_branch, monkeyp
     assert generate_lattice(g_branch) is generate_lattice(g_branch)
     assert built == [g_branch]
     with pytest.raises(ValueError):
-        generate_lattice(g_branch, max_size=6)
-    with pytest.raises(SizeLimitError):
-        generate_lattice(g_branch, max_size=7)
+        generate_lattice(g_branch, max_size=0)
+    for size in (6, 7):
+        with pytest.raises(SizeLimitError):
+            generate_lattice(g_branch, max_size=size)
 
 
 def test_emitted_edges(g_branch):

@@ -731,6 +731,22 @@ def test_word_budget_fires_before_any_word_is_built(g_branch, monkeypatch):
     assert built == []
 
 
+def test_refine_words_keeps_the_word_budget(g_branch, monkeypatch):
+    d_v = CylinderSet(base=vertex_path("v"))
+    real = groupoid_module._cylinder_words
+    for depth in range(1, 7):
+        assert refine_words(g_branch, [d_v], depth) == tuple(
+            sorted(set(real(g_branch, d_v, depth)))
+        )
+    built = []
+    monkeypatch.setattr(
+        groupoid_module, "_cylinder_words", lambda *args: built.append(args) or []
+    )
+    with pytest.raises(SizeLimitError, match="depth-41 .* max_count=200000 words"):
+        refine_words(g_branch, [d_v], 41)
+    assert built == []
+
+
 def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
     els = build_elements(g_branch, 1, 1, 2)
     triples = sum(
