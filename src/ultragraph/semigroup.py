@@ -10,9 +10,10 @@ the constant-one character.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .core import SizeLimitError, Ultragraph, set_key
+from .core import SizeLimitError, Ultragraph, VSet, set_key
 from .paths import (
     LassoPath,
     Ultrapath,
@@ -69,7 +70,8 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
     glues a set onto w or y, so each result is built from w n x and y n z:
     rule 1 applies iff x lies in z, rule 2 iff z lies in x, and the overlap
     rule iff C is nonempty.  The errors fire in the order of the general
-    path, on hand-built elements whose ranges do not match too.
+    path, on hand-built elements whose ranges do not match too.  The
+    idempotent (C, C) of a Cuntz-Krieger meet comes from a memo keyed by C.
     """
     w, z = s.left, s.right
     x, y = t.left, t.right
@@ -88,7 +90,7 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
             return OMEGA
         wt, yt = w.terminal, y.terminal
         # in a Cuntz-Krieger meet w is z and y is x: both cuts are the meet,
-        # and one Ultrapath serves both sides
+        # and the result is the shared idempotent on it
         left_t = meet if wt is zt else wt & xt
         right_t = meet if yt is xt else yt & zt
         rule1 = meet == xt
@@ -102,10 +104,9 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
         # rule 1 keeps y and rule 2 keeps w, where the overlap rule cuts both
         if (rule1 and right_t != yt) or (rule2 and left_t != wt):
             raise RuntimeError("overlapping rules disagree")
-        cut_w = Ultrapath(w.word, left_t)
-        if right_t is left_t and y.word == w.word:
-            return SGElement(cut_w, cut_w)
-        return SGElement(cut_w, Ultrapath(y.word, right_t))
+        if right_t is left_t and not w.word and not y.word:
+            return _set_idempotent(left_t)
+        return SGElement(Ultrapath(w.word, left_t), Ultrapath(y.word, right_t))
 
     rem1, rem2 = rule_remainders(g, z, x)
     return glue(
@@ -116,6 +117,12 @@ def product(g: Ultragraph, s: SGElement, t: SGElement) -> SGElement:
         None if rem1 is None else concat(g, w, rem1),
         None if rem2 is None else concat(g, y, rem2),
     )
+
+
+@lru_cache(maxsize=4096)
+def _set_idempotent(t: VSet) -> SGElement:
+    """The length-zero idempotent (t, t), shared per set t across graphs."""
+    return idempotent(Ultrapath((), t))
 
 
 def rule_remainders(

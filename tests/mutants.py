@@ -66,8 +66,8 @@ MUTANTS = (
     Mutant(
         "product: keep w uncut",
         "semigroup.py",
-        "cut_w = Ultrapath(w.word, left_t)",
-        "cut_w = w",
+        "return SGElement(Ultrapath(w.word, left_t), Ultrapath(y.word, right_t))",
+        "return SGElement(w, Ultrapath(y.word, right_t))",
         PRODUCT_TESTS,
     ),
     Mutant(
@@ -78,9 +78,9 @@ MUTANTS = (
         PRODUCT_TESTS,
     ),
     Mutant(
-        "product: share one Ultrapath whatever the words",
+        "product: share the length-zero idempotent whatever the words",
         "semigroup.py",
-        "if right_t is left_t and y.word == w.word:",
+        "if right_t is left_t and not w.word and not y.word:",
         "if right_t is left_t:",
         PRODUCT_TESTS,
     ),
@@ -211,17 +211,17 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
-        "_join_failures: skip the identity",
+        "_split_failures: skip the identity",
         "groupoid.py",
-        "            if lhs != rhs:\n",
-        "            if False:\n",
+        "        elif w != want:\n",
+        "        elif False:\n",
         GROUPOID_TESTS,
     ),
     Mutant(
-        "_join_failures: drop the missing-union report",
+        "_split_failures: drop the missing-set report",
         "groupoid.py",
-        "                if lhs is None:\n",
-        "                if False:\n",
+        "            if held[m]:\n",
+        "            if False:\n",
         GROUPOID_TESTS,
     ),
     Mutant(
@@ -330,17 +330,59 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
-        "_join_failures: read the union's words at the meet's mask",
+        "_split_failures: read the set's words at its split's meet",
         "groupoid.py",
-        "lhs = words_at[va | vb]",
-        "lhs = words_at[va & vb]",
+        "w, want = words_at[m],",
+        "w, want = words_at[low & rest],",
         GROUPOID_TESTS,
     ),
     Mutant(
         "check_set_identities: read the meet's words at the union's mask",
         "groupoid.py",
-        "if words_at[va & vb] != wa & words_at[vb]:",
-        "if words_at[va | vb] != wa & words_at[vb]:",
+        "if words_at[a & b] != words_at[a] & words_at[b]",
+        "if words_at[a | b] != words_at[a] & words_at[b]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "product: key the shared idempotent on w's set",
+        "semigroup.py",
+        "return _set_idempotent(left_t)",
+        "return _set_idempotent(wt)",
+        PRODUCT_TESTS,
+    ),
+    Mutant(
+        "_split_failures: read the set's own words for its rest",
+        "groupoid.py",
+        "ext[low] | ext[rest]",
+        "ext[low] | words_at[m]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_split_failures: split every set as a singleton",
+        "groupoid.py",
+        "ext[low] | ext[rest]",
+        "ext[low] | ext[0]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_split_failures: a missing singleton reads no words",
+        "groupoid.py",
+        "ext[1 << k] = -1",
+        "ext[1 << k] = 0",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_split_failures: hold a missing set by a set without its least vertex",
+        "groupoid.py",
+        "if rest >> k & 1)",
+        "if m >> k & 1)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_set_identities: cut only the first vertex",
+        "groupoid.py",
+        "for k, v in enumerate(g.vertices_sorted())\n    ]",
+        "for k, v in enumerate(g.vertices_sorted()[:1])\n    ]",
         GROUPOID_TESTS,
     ),
     Mutant(

@@ -468,11 +468,10 @@ def test_mutation_shrunk_join_projection(g_branch):
     fam.projections[fz("v", "w")] = fam.projections[fz("v")]
     rep = check_family(g_branch, fam, 2)
     joins = {e.name: e for e in rep.failures()}["projection_joins"]
+    # each set splits into its least vertex and the rest, in mask order
     assert joins.details == (
-        "{u} + {v w}: [ef eg fe gf] != [ef eg gf]",
-        "{u v} + {v w}: [ef eg fe gf] != [ef eg gf]",
-        "{v} + {w}: [ef eg] != [ef eg fe]",
-        "{v w} + {w}: [ef eg] != [ef eg fe]",
+        "{v w} = {v} + {w}: [ef eg] != [ef eg fe]",
+        "{u v w} = {u} + {v w}: [ef eg fe gf] != [ef eg gf]",
     )
 
 
@@ -482,8 +481,8 @@ def test_mutation_missing_projection_fails_meets_and_joins(g_branch):
     rep = check_family(g_branch, fam, 2)
     failed = {e.name: e.details for e in rep.failures()}
     assert failed["projection_meets"] == ("missing projection {v w}",)
-    # {v} + {w} and {w} + {v w} both union to the missing set
-    assert failed["projection_joins"] == ("missing projection {v w}",) * 2
+    # {v w} holds {v}, its least vertex, which has a projection
+    assert failed["projection_joins"] == ("missing projection {v w}",)
 
 
 def test_mutation_missing_meet_projection_reads_missing_not_zero(g_branch):
@@ -508,19 +507,20 @@ def test_zero_projection_is_checked_as_the_empty_slice(g_branch):
         "{u v} * {v w}: got [{v} | {v}], want omega",
     )
     assert failed["projection_joins"] == (
-        "{u} + {v}: [ef eg gf] != [gf]",
-        "{u w} + {v}: [ef eg fe gf] != [fe gf]",
-        "{v} + {w}: [ef eg fe] != [fe]",
+        "{u v} = {u} + {v}: [ef eg gf] != [gf]",
+        "{v w} = {v} + {w}: [ef eg fe] != [fe]",
     )
     assert failed["vertex_decomposition"] == ("vertex v: [] != [ef eg]",)
 
 
-DAMAGES = ("delete", "swap", "zero", "foreign")
+DAMAGES = ("delete", "swap", "zero", "foreign", "delete_least")
 
 
 def _damaged_family(g, damage, pick):
     """ck_family(g) with one projection deleted, two swapped, one mapped to
-    the zero, or one more key holding a vertex outside the graph."""
+    the zero, or one more key holding a vertex outside the graph; or with
+    the singleton of a vertex that is the least vertex of a larger set
+    deleted, so that set's split reads no words for its least vertex."""
     fam = ck_family(g)
     sets = powerset_lattice(g)[1:]
     A = sets[pick % len(sets)]
@@ -531,12 +531,45 @@ def _damaged_family(g, damage, pick):
         fam.projections[A], fam.projections[B] = fam.projections[B], fam.projections[A]
     elif damage == "zero":
         fam.projections[A] = OMEGA
-    else:
+    elif damage == "foreign":
         fam.projections[A | {"outside"}] = fam.projections[B]
+    else:
+        names = g.vertices_sorted()
+        del fam.projections[frozenset({names[pick % max(1, len(names) - 1)]})]
     return fam
 
 
-@settings(max_examples=120, deadline=None, derandomize=True)
+def _pair_key(line, sep):
+    """A witness 'M = A + B: tail' or an oracle line 'A + B: tail' as the
+    unordered pair {A, B} and its tail; any other line as itself."""
+    head, _, tail = line.partition(": ")
+    if sep not in head:
+        return line
+    left, right = head.split(" = ")[-1].split(sep)
+    return frozenset((left, right)), tail
+
+
+def _assert_witnesses_fail_in_oracle(entry, oracle, sep=" + "):
+    """The entry's verdict is the oracle's, and each of its witnesses is a
+    pair, or a missing set, that the oracle reports failing."""
+    assert entry.passed == (not oracle)
+    failing = {_pair_key(line, sep) for line in oracle}
+    assert {_pair_key(line, sep) for line in entry.details} <= failing
+
+
+def _family_word_masks(g, fam, depth):
+    """The word mask of each nonempty lattice set's projection, None when
+    the family has none, beside the sets and the mask formatter."""
+    sets = powerset_lattice(g)[1:]
+    words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+    masks = []
+    for A in sets:
+        p = fam.projections.get(A)
+        masks.append(None if p is None else 0 if p.is_omega else words_of(p.left))
+    return sets, masks, fmt_mask
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     seed=st.integers(0, 2**32 - 1),
     damage=st.sampled_from(DAMAGES),
@@ -544,8 +577,10 @@ def _damaged_family(g, damage, pick):
     depth=st.sampled_from((2, 3)),
 )
 def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
-    """projection_meets and projection_joins read the family through vertex
-    masks; the oracles read it by frozenset, as the loops did before."""
+    """projection_meets reads the family through vertex masks and gives
+    the frozenset loop's details; projection_joins reads one split per set
+    and gives the all-pairs loop's verdict, each witness a failing pair of
+    that loop."""
     g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
     fam = _damaged_family(g, damage, pick)
     got = {e.name: e for e in check_family(g, fam, depth).entries}
@@ -554,15 +589,59 @@ def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
     meets = got["projection_meets"]
     assert (meets.passed, meets.details) == (not want_meets, tuple(want_meets[:8]))
 
-    sets = powerset_lattice(g)[1:]
-    words_of, fmt_mask = groupoid_module._word_masks(g, depth)
-    masks = []
-    for A in sets:
-        p = fam.projections.get(A)
-        masks.append(None if p is None else 0 if p.is_omega else words_of(p.left))
-    want_joins = join_failures_by_sets(sets, masks, fmt_mask)
-    joins = got["projection_joins"]
-    assert (joins.passed, joins.details) == (not want_joins, tuple(want_joins[:8]))
+    want_joins = join_failures_by_sets(*_family_word_masks(g, fam, depth))
+    _assert_witnesses_fail_in_oracle(got["projection_joins"], want_joins)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.integers(1, 4),
+    singles=st.lists(st.integers(0, 31), min_size=4, max_size=4),
+    missing=st.integers(0, 2**16 - 1),
+    flips=st.lists(st.tuples(st.integers(1, 15), st.integers(0, 5)), max_size=3),
+)
+def test_split_failures_give_the_all_pairs_verdict(n, singles, missing, flips):
+    """Any word masks, not only a family's: an additive map damaged by
+    missing sets and flipped bits.  The split check's verdict is the
+    all-pairs loop's, whichever sets are missing."""
+    names = list("abcd"[:n])
+    size = 1 << n
+    words_at = [0] * size
+    for m in range(1, size):
+        low = m & -m
+        words_at[m] = words_at[m ^ low] | singles[low.bit_length() - 1]
+    for m, bit in flips:
+        words_at[m % size] ^= 1 << bit
+    words_at[0] = 0
+    for m in range(1, size):
+        if missing >> m & 1:
+            words_at[m] = None
+
+    sets = sorted(
+        (frozenset(v for k, v in enumerate(names) if m >> k & 1) for m in range(1, size)),
+        key=lambda s: tuple(sorted(s)),
+    )
+    masks = [words_at[sum(1 << names.index(v) for v in A)] for A in sets]
+    got = groupoid_module._split_failures(Ultragraph.build(names, {}), words_at, bin)
+    assert (not got) == (not join_failures_by_sets(sets, masks, bin))
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_undamaged_ring_families_match_the_set_oracles(n):
+    """On ring_ultragraph(n) every verify_ck entry passes, as do the
+    frozenset meet and all-pairs join loops, and a length-zero meet is the
+    same element as one built anew."""
+    g = ring_ultragraph(n)
+    got = {e.name: e for e in verify_ck(g, 2).entries}
+    assert all(e.passed for e in got.values()), got
+    fam = ck_family(g)
+    assert not ck_meet_failures_by_sets(g, fam)
+    assert not join_failures_by_sets(*_family_word_masks(g, fam, 2))
+    A, B = frozenset({"v0", "v1"}), frozenset({"v1", "v2"})
+    C = A & B
+    meet = product(g, fam.projections[A], fam.projections[B])
+    assert meet == SGElement(Ultrapath((), C), Ultrapath((), C))
+    assert meet == fam.projections[C]
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
@@ -573,11 +652,12 @@ def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
 )
 def test_set_identity_mask_loops_match_set_oracles(seed, pick, depth):
     """check_set_identities' meet and join identities, with the word mask
-    of one lattice set bent by one bit so that both can fail, give exactly
-    the frozenset loops' details."""
+    of one lattice set, the empty set included, bent by one bit so that
+    both can fail, give the verdicts of the frozenset all-pairs loops, and
+    each witness is a pair those loops report failing."""
     g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
     sets = powerset_lattice(g)
-    bent_set = sets[1 + pick % (len(sets) - 1)]
+    bent_set = sets[pick % len(sets)]
     real = groupoid_module._word_masks
 
     def bent_word_masks(g, depth):
@@ -595,10 +675,8 @@ def test_set_identity_mask_loops_match_set_oracles(seed, pick, depth):
     want_meets = meet_identity_failures_by_sets(sets, words_of)
     masks = [words_of(Ultrapath((), A)) for A in sets]
     want_joins = join_failures_by_sets(sets, masks, fmt_mask)
-    meets = got[f"meet_identity_depth_{depth}"]
-    joins = got[f"join_identity_depth_{depth}"]
-    assert (meets.passed, meets.details) == (not want_meets, tuple(want_meets[:8]))
-    assert (joins.passed, joins.details) == (not want_joins, tuple(want_joins[:8]))
+    _assert_witnesses_fail_in_oracle(got[f"meet_identity_depth_{depth}"], want_meets, " ^ ")
+    _assert_witnesses_fail_in_oracle(got[f"join_identity_depth_{depth}"], want_joins)
 
 
 def test_mutation_missing_isometry_fails_family_shape(g_branch):
