@@ -50,7 +50,6 @@ from .semigroup import (
     OMEGA,
     SGElement,
     generate_elements,
-    glue,
     idempotent_leq,
     idempotent_leq_by_shape,
     is_idempotent,
@@ -135,38 +134,43 @@ _UNREAD = object()
 _MEET = object()
 
 
-class _RemainderTable:
-    """Products of the elements of one list, read off their inner pairs.
+class _RemainderTable(dict):
+    """Products of the elements of one list, on interned path ids.
 
     Whether and how (w, z)(x, y) rewrites hangs on the inner pair (z, x)
     alone; w and y are only glued onto its remainders.  So the |P|
-    distinct coordinates of the list are interned as ints, and entry
-    (z, x) of a |P| x |P| table holds the ids of the two remainders from
-    rule_remainders, None when no rule applies (every product with inner
-    coordinates (z, x) is zero), or _MEET for two overlapping length-zero
-    coordinates, whose products go through product's length-zero branch.
-    Entries are filled on first read and concat is memoised per (path id,
-    remainder id), so the table takes O(|P|^2 + |P| R) memory for R
-    distinct remainders and no product of two elements is stored.
+    distinct coordinates of the list are interned as ids 0..|P|-1, and
+    entry (z, x) of a |P| x |P| table holds the ids of the two remainders
+    from rule_remainders, None when no rule applies (every product with
+    inner coordinates (z, x) is zero), or _MEET for two overlapping
+    length-zero coordinates, whose products go through product's
+    length-zero branch.  Remainders, grown paths w . x' and y . z', and
+    the coordinates of meet products are interned in the same id space on
+    first sight, so a product is a (left id, right id) pair and equal
+    paths have equal ids.  Entries are filled on first read, and the table
+    maps (remainder id, path id) to the grown path's id, filled on first
+    read too, so it takes O(|P|^2 + |P| R) memory for R distinct
+    remainders and no product of two elements is stored.  The memo is the
+    table itself rather than an object pointing back at it, since such a
+    cycle would keep every table alive until a full garbage collection.
     """
 
-    def __init__(self, g: Ultragraph, elems: Sequence[SGElement]):
+    def __init__(self, g: Ultragraph, elems: Sequence[Tuple[Optional[Ultrapath], ...]]):
         self.g = g
-        self.elems = elems
-        ids: Dict[Ultrapath, int] = {}
+        self.ids: Dict[Ultrapath, int] = {}
+        self.paths: List[Ultrapath] = []
         # (left id, right id) per element, None for the zero
         self.coords = [
-            None
-            if s.left is None
-            else (ids.setdefault(s.left, len(ids)), ids.setdefault(s.right, len(ids)))
-            for s in elems
+            None if w is None else (self.intern(w), self.intern(y)) for w, y in elems
         ]
-        self.paths = list(ids)
-        self.size = len(ids)
-        self.rows = [[_UNREAD] * len(ids) for _ in ids]
-        self.rem_ids: Dict[Ultrapath, int] = {}
-        self.rems: List[Ultrapath] = []
-        self.grown: Dict[int, Optional[Ultrapath]] = {}
+        self.size = len(self.paths)
+        self.rows = [[_UNREAD] * self.size for _ in self.paths]
+
+    def intern(self, p: Ultrapath) -> int:
+        pid = self.ids.setdefault(p, len(self.paths))
+        if pid == len(self.paths):
+            self.paths.append(p)
+        return pid
 
     def entry(self, z: int, x: int):
         e = self.rows[z][x]
@@ -182,48 +186,58 @@ class _RemainderTable:
         rem1, rem2 = rule_remainders(self.g, z, x)
         if rem1 is None and rem2 is None:
             return None
-        return self._intern(rem1), self._intern(rem2)
+        return tuple(None if r is None else self.intern(r) for r in (rem1, rem2))
 
-    def _intern(self, rem: Optional[Ultrapath]) -> Optional[int]:
-        if rem is None:
-            return None
-        rid = self.rem_ids.setdefault(rem, len(self.rems))
-        if rid == len(self.rems):
-            self.rems.append(rem)
-        return rid
-
-    def _grow(self, pid: int, rid: int) -> Optional[Ultrapath]:
-        """paths[pid] . (remainder rid), memoised; None when undefined."""
-        key = rid * self.size + pid
-        out = self.grown.get(key, _UNREAD)
-        if out is _UNREAD:
-            out = self.grown[key] = concat(self.g, self.paths[pid], self.rems[rid])
+    def __missing__(self, key: Tuple[int, int]) -> Optional[int]:
+        """The id of paths[pid] . paths[rid] for key (rid, pid), None when
+        concat is undefined."""
+        rid, pid = key
+        p = concat(self.g, self.paths[pid], self.paths[rid])
+        out = self[key] = None if p is None else self.intern(p)
         return out
 
-    def times(self, i: int, j: int) -> SGElement:
-        """elems[i] * elems[j]."""
-        a, b = self.coords[i], self.coords[j]
-        if a is None or b is None:
-            return OMEGA
-        e = self.entry(a[1], b[0])
-        if e is None:
-            return OMEGA
-        if e is _MEET:
-            return product(self.g, self.elems[i], self.elems[j])
+    def times(self, w: int, z: int, x: int, y: int):
+        """(w, z)(x, y) for coordinate ids: the product's (left id, right
+        id), None for the zero, or _MEET when meet must form it.  Rules 1
+        and 2 raise their errors in product's order: x's remainder, then
+        z's, then a disagreement."""
+        e = self.rows[z][x]
+        if e is _UNREAD:
+            e = self.entry(z, x)
+        if e is None or e is _MEET:
+            return e
         r1, r2 = e
-        return glue(
-            self.elems[i].left,
-            self.elems[j].right,
-            r1,
-            r2,
-            None if r1 is None else self._grow(a[0], r1),
-            None if r2 is None else self._grow(b[1], r2),
-        )
+        out = None
+        if r1 is not None:
+            left = self[r1, w]
+            if left is None:
+                raise RuntimeError("remainder of x does not extend w")
+            out = left, y
+        if r2 is not None:
+            right = self[r2, y]
+            if right is None:
+                raise RuntimeError("remainder of z does not extend y")
+            if out is None:
+                out = w, right
+            elif out != (w, right):
+                raise RuntimeError("overlapping rules disagree")
+        return out
+
+    def meet(self, s, t) -> Optional[Tuple[int, int]]:
+        """product(s, t) as interned ids, for elements s and t whose inner
+        coordinates read _MEET."""
+        st = product(self.g, s, t)
+        return None if st.left is None else (self.intern(st.left), self.intern(st.right))
 
 
 def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
+    return _semigroup_laws(g, generate_elements(g, args.max_len)), None
+
+
+def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
+    """The involution, antimultiplicative-star and idempotent-order checks
+    on one element list."""
     max_pairs = 2_000_000
-    elems = generate_elements(g, args.max_len)
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
     checks = [_check("involution", not bad_inv, bad_inv[:5], count=len(elems))]
     # (s, t) and its mirror (t*, s*) ask one equation, so the products are
@@ -235,9 +249,10 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
     # Where star swaps the coordinates of s = (w, z) and t = (x, y), s t and
     # t* s* = (y, x)(z, w) are read off the table at entries (z, x) and
-    # (x, z).  When both are zero and star fixes the zero, s t = t* s* = 0
-    # is known and the pair is not visited.  The zero and elements off the
-    # involution go through product pair by pair, against every column.
+    # (x, z) as id pairs.  When both are zero and star fixes the zero,
+    # s t = t* s* = 0 is known and the pair is not visited.  The zero and
+    # elements off the involution go through product pair by pair, against
+    # every column.
     table = _RemainderTable(g, elems)
     coords, n = table.coords, table.size
     tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
@@ -267,23 +282,47 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
             )
         live.append(xs)
 
+    # the products on which star is not the swap: the listed elements off
+    # the involution, and the zero where star moves it
+    unswapped = {coords[j] for j in off if coords[j] is not None}
+    if not skip_zero:
+        unswapped.add(None)
+
+    def element(p: Optional[Tuple[int, int]]) -> SGElement:
+        return OMEGA if p is None else SGElement(table.paths[p[0]], table.paths[p[1]])
+
     every = range(len(elems))
-    times = table.times
+    times, meet = table.times, table.meet
     bad_pairs = []
     for i, s in enumerate(elems):
         mi = mirror[i]
         on = tabled[i]
         cols = every
         if on:
-            cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))
+            w, z = coords[i]
+            cols = itertools.chain(off, *(by_left[x] for x in live[z]))
         for j in cols:
             mj = mirror[j]
             paired = mi is not None and mj is not None
             if paired and (mj, mi) < (i, j):
                 continue
             if on and tabled[j]:
-                st = times(i, j)
-                ts = times(image[j], image[i])
+                x, y = coords[j]
+                st = times(w, z, x, y)
+                if st is _MEET:
+                    st = meet(s, elems[j])
+                ts = times(y, x, z, w)
+                if ts is _MEET:
+                    ts = meet(starred[j], starred[i])
+                if not (unswapped and (st in unswapped or ts in unswapped)):
+                    # star swaps both id pairs, so the pair and its mirror
+                    # fail together
+                    if st != (ts and (ts[1], ts[0])):
+                        bad_pairs.append((i, j))
+                        if paired and (mj, mi) != (i, j):
+                            bad_pairs.append((mj, mi))
+                    continue
+                st, ts = element(st), element(ts)
             else:
                 st = product(g, s, elems[j])
                 ts = product(g, starred[j], starred[i])
@@ -307,7 +346,7 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
             idempotents=len(idems),
         )
     )
-    return checks, None
+    return checks
 
 
 def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:

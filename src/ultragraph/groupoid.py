@@ -475,7 +475,9 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     bad = _split_failures(g, words_at, fmt_mask)
     entries.append(CheckResult("projection_joins", not bad, tuple(bad[:8])))
 
-    bad, below = [], []
+    # slices[e] = t_e t_e*, the edge slice, formed once here for the
+    # domination check and the vertex decomposition below
+    bad, below, slices = [], [], {}
     for e in g.edges_sorted():
         te = fam.isometries.get(e)
         if te is None:
@@ -484,7 +486,7 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         want = fam.projections.get(g.range[e])
         if got != want:
             bad.append(f"edge {e}: got {got}, want {want}")
-        ee = product(g, te, star(te))
+        ee = slices[e] = product(g, te, star(te))
         pv = fam.projections.get(frozenset({g.source[e]}))
         if pv is None:
             below.append(f"edge {e}: missing projection at source")
@@ -505,11 +507,8 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         merged = 0
         overlap = False
         for e in g.out_edges(v):
-            te = fam.isometries.get(e)
-            if te is None:
-                continue
-            ee = product(g, te, star(te))
-            if ee.is_omega:
+            ee = slices.get(e)
+            if ee is None or ee.is_omega:
                 continue
             piece = words_of(ee.left)
             overlap = overlap or bool(merged & piece)

@@ -37,6 +37,15 @@ from ultragraph import (
     witness,
 )
 from ultragraph.analysis import _restricted_cycle
+from ultragraph.paths import concat
+from ultragraph.semigroup import (
+    glue,
+    idempotent_leq,
+    idempotent_leq_by_shape,
+    is_idempotent,
+    rule_remainders,
+    star,
+)
 
 
 @pytest.fixture
@@ -637,3 +646,114 @@ def groupoid_laws_by_compose(
                     bad.append(f"{a} . {b} . {c}")
     entries.append(CheckResult("associativity", not bad, tuple(bad[:5])))
     return CheckReport(entries=tuple(entries))
+
+
+def semigroup_laws_by_product(g: Ultragraph, elems) -> List[Tuple[str, bool, List[str]]]:
+    """Oracle for cli._semigroup_laws, the loop it ran before its remainder
+    table answered in interned ids: (name, pass, first five witnesses) of
+    the involution, antimultiplicative-star and idempotent-order checks.
+
+    The (z, x) remainders of rule_remainders are read once per pair of
+    distinct coordinates, as values, and every listed product is built as
+    an SGElement through glue, with concat memoised per (path, remainder);
+    two meeting sets go through product.  s t and t* s* = (y, x)(z, w) are
+    compared through star, once per mirror pair, over the pairs whose
+    (z, x) or (x, z) entry is not zero, in the loop's visit order.  Where
+    star(t) or star(s) is not listed, t* s* is formed by product.  No pair
+    budget is kept."""
+    meet_mark = object()
+    # the listed coordinates in order of first sight
+    paths = list(dict.fromkeys(p for s in elems if not s.is_omega for p in s))
+    entries: Dict[Tuple[Ultrapath, Ultrapath], object] = {}
+    grown: Dict[Tuple[Ultrapath, Ultrapath], Optional[Ultrapath]] = {}
+
+    def entry(z, x):
+        if (z, x) not in entries:
+            if not z.word and not x.word:
+                e = meet_mark if z.terminal & x.terminal else None
+            else:
+                e = rule_remainders(g, z, x)
+                e = None if e == (None, None) else e
+            entries[z, x] = e
+        return entries[z, x]
+
+    def grow(p, rem):
+        if (p, rem) not in grown:
+            grown[p, rem] = concat(g, p, rem)
+        return grown[p, rem]
+
+    def times(s, t):
+        if s.is_omega or t.is_omega:
+            return OMEGA
+        e = entry(s.right, t.left)
+        if e is None:
+            return OMEGA
+        if e is meet_mark:
+            return product(g, s, t)
+        r1, r2 = e
+        return glue(
+            s.left,
+            t.right,
+            r1,
+            r2,
+            None if r1 is None else grow(s.left, r1),
+            None if r2 is None else grow(t.right, r2),
+        )
+
+    bad_inv = [str(s) for s in elems if star(star(s)) != s]
+    out = [("involution", not bad_inv, bad_inv[:5])]
+    index = {s: i for i, s in enumerate(elems)}
+    starred = [star(s) for s in elems]
+    image = [index.get(s) for s in starred]
+    mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
+    tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
+    off = [j for j in range(len(elems)) if not tabled[j]]
+    by_left: Dict[Ultrapath, List[int]] = {p: [] for p in paths}
+    for j, t in enumerate(elems):
+        if tabled[j]:
+            by_left[t.left].append(j)
+    skip_zero = star(OMEGA) == OMEGA
+    bad_pairs = []
+    for i, s in enumerate(elems):
+        mi = mirror[i]
+        cols = range(len(elems))
+        if tabled[i]:
+            # the zero and elements off the involution first, then the
+            # blocks of the coordinates x in first-sight order
+            live = [
+                x
+                for x in paths
+                if not skip_zero
+                or entry(s.right, x) is not None
+                or entry(x, s.right) is not None
+            ]
+            cols = off + [j for x in live for j in by_left[x]]
+        for j in cols:
+            mj = mirror[j]
+            paired = mi is not None and mj is not None
+            if paired and (mj, mi) < (i, j):
+                continue
+            if tabled[i] and tabled[j]:
+                st = times(s, elems[j])
+                if image[i] is None or image[j] is None:
+                    ts = product(g, starred[j], starred[i])
+                else:
+                    ts = times(elems[image[j]], elems[image[i]])
+            else:
+                st = product(g, s, elems[j])
+                ts = product(g, starred[j], starred[i])
+            if star(st) != ts:
+                bad_pairs.append((i, j))
+            if paired and (mj, mi) != (i, j) and star(ts) != st:
+                bad_pairs.append((mj, mi))
+    bad_star = [f"{elems[i]} * {elems[j]}" for i, j in sorted(bad_pairs)]
+    out.append(("antimultiplicative_star", not bad_star, bad_star[:5]))
+    idems = [s for s in elems if not s.is_omega and is_idempotent(s)]
+    bad_ord = [
+        f"{e} <= {f}"
+        for e in idems
+        for f in idems
+        if idempotent_leq(g, e, f) != idempotent_leq_by_shape(g, e, f)
+    ]
+    out.append(("idempotent_order_agreement", not bad_ord, bad_ord[:5]))
+    return out

@@ -465,7 +465,7 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: a live block does not add its columns",
         "cli.py",
-        "cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))",
+        "cols = itertools.chain(off, *(by_left[x] for x in live[z]))",
         "cols = itertools.chain(off)",
         CLI_TESTS,
     ),
@@ -479,15 +479,15 @@ MUTANTS = (
     Mutant(
         "remainder table: store an entry's two remainders swapped",
         "cli.py",
-        "return self._intern(rem1), self._intern(rem2)",
-        "return self._intern(rem2), self._intern(rem1)",
+        "for r in (rem1, rem2))",
+        "for r in (rem2, rem1))",
         CLI_TESTS,
     ),
     Mutant(
         "remainder table: key the concat memo by remainder only",
         "cli.py",
-        "key = rid * self.size + pid",
-        "key = rid",
+        "left = self[r1, w]",
+        "left = self[r1, 0]",
         CLI_TESTS,
     ),
     Mutant(
@@ -495,6 +495,41 @@ MUTANTS = (
         "cli.py",
         "return _MEET if z.terminal & x.terminal else None",
         "return None",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "id kernel: drop rule 2",
+        "cli.py",
+        "if r2 is not None:",
+        "if False:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "id kernel: drop the disagreement check",
+        "cli.py",
+        "elif out != (w, right):",
+        "elif False:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "id kernel: key rule 2's grown-id memo by remainder alone",
+        "cli.py",
+        "right = self[r2, y]",
+        "right = self[r2, 0]",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: compare s t with t* s* unswapped",
+        "cli.py",
+        "if st != (ts and (ts[1], ts[0])):",
+        "if st != ts:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: swap the ids of a product off the involution",
+        "cli.py",
+        "if not (unswapped and (st in unswapped or ts in unswapped)):",
+        "if True:",
         CLI_TESTS,
     ),
     Mutant(

@@ -39,13 +39,14 @@ from ultragraph import (
     star,
 )
 from ultragraph.cli import main
-from ultragraph.semigroup import glue, rule_remainders
+from ultragraph.semigroup import rule_remainders
 
 from conftest import (
     lattice_labels,
     product_by_rules,
     random_ultragraph,
     ring_ultragraph,
+    semigroup_laws_by_product,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -396,10 +397,28 @@ def _zero_block(g, z, x):
 
 
 def _glued(s, t):
-    """Whether the remainder table forms s t through glue rather than
-    product: both are nonzero and the inner pair is not two sets.  Where
-    no rule applies the product is the zero either way."""
+    """Whether the remainder table forms s t from its remainder ids rather
+    than through product: both are nonzero and the inner pair is not two
+    sets.  Where no rule applies the product is the zero either way."""
     return not (s.is_omega or t.is_omega) and bool(s.right.word or t.left.word)
+
+
+def _patch_kernel(monkeypatch, wrap):
+    """Route the id-level product of cli._RemainderTable through
+    wrap(table, (w, z, x, y), answer), which sees the coordinate ids and
+    the table's own answer, and returns what the law loop reads."""
+    times = cli._RemainderTable.times
+
+    def patched(table, *ids):
+        return wrap(table, ids, times(table, *ids))
+
+    monkeypatch.setattr(cli._RemainderTable, "times", patched)
+
+
+def _decode(table, ids):
+    """The elements (w, z) and (x, y) that coordinate ids name."""
+    w, z, x, y = (table.paths[k] for k in ids)
+    return SGElement(w, z), SGElement(x, y)
 
 
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
@@ -417,7 +436,7 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
             if s == OMEGA or t == OMEGA or not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
     glued = sum(1 for i, j in asked if _glued(elems[i], elems[j]))
-    calls = {"entries": 0, "glue": 0, "product": 0}
+    calls = {"entries": 0, "id pairs": 0, "product": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -426,8 +445,15 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
 
         return counted
 
+    def count_id_answers(table, ids, got):
+        # an answer the loop reads as ids, not one it hands to product
+        if got is not cli._MEET:
+            calls["id pairs"] += 1
+            assert got is None or all(isinstance(k, int) for k in got)
+        return got
+
     monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
-    monkeypatch.setattr(cli, "glue", counting("glue", glue))
+    _patch_kernel(monkeypatch, count_id_answers)
     monkeypatch.setattr(cli, "product", counting("product", product))
     code, checks = _semigroup_checks(capsys)
     assert code == 0
@@ -435,7 +461,7 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     assert (len(elems), len(paths), len(sets), len(asked), glued) == (63, 18, 7, 817, 650)
     assert calls == {
         "entries": len(paths) ** 2 - len(sets) ** 2,
-        "glue": 2 * glued,
+        "id pairs": 2 * glued,
         "product": 2 * (len(asked) - glued),
     }
 
@@ -459,22 +485,22 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
-    """A glue that is wrongly zero whenever w is (e, {u}) makes the
-    idempotent (e, {u}) times itself zero, and must not hide the rest of
-    the diagonal block ((e, {u}), (e, {u})) from the witness list."""
+    """An id-level product that is wrongly zero whenever w is (e, {u})
+    makes the idempotent (e, {u}) times itself zero, and must not hide the
+    rest of the diagonal block ((e, {u}), (e, {u})) from the witness list."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     eu = Ultrapath(("e",), frozenset({"u"}))
 
-    def faulty_glue(w, y, *rest):
-        return OMEGA if w == eu else glue(w, y, *rest)
+    def faulty_times(table, ids, got):
+        return None if got is not cli._MEET and table.paths[ids[0]] == eu else got
 
     def faulty(g, s, t):
         return OMEGA if _glued(s, t) and s.left == eu else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert want[0] == "[{u} | (e, {u})] * [(e, {u}) | (e, {u})]"
-    monkeypatch.setattr(cli, "glue", faulty_glue)
+    _patch_kernel(monkeypatch, faulty_times)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert checks["antimultiplicative_star"]["witnesses"] == want
@@ -511,9 +537,9 @@ def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, cap
 
 @pytest.mark.parametrize("zeroed", ["one pair", "one row"])
 def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch, capsys):
-    """A glue that is wrongly zero on the arguments of one product, or on
-    every product whose left coordinate is one w, is reported at every
-    pair it touches, in (i, j) order."""
+    """An id-level product that is wrongly zero on what glue would see for
+    one product, or on every product whose left coordinate is one w, is
+    reported at every pair it touches, in (i, j) order."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     nonzero = [
@@ -533,17 +559,17 @@ def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch,
     def hit(args):
         return args == key if zeroed == "one pair" else args[0] == key[0]
 
-    def faulty_glue(w, y, r1, r2, grown_w, grown_y):
-        if hit((w, y, r1 is None, r2 is None, grown_w, grown_y)):
-            return OMEGA
-        return glue(w, y, r1, r2, grown_w, grown_y)
+    def faulty_times(table, ids, got):
+        if got is not cli._MEET and hit(glue_args(*_decode(table, ids))):
+            return None
+        return got
 
     def faulty(g, s, t):
         return OMEGA if _glued(s, t) and hit(glue_args(s, t)) else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) >= 2
-    monkeypatch.setattr(cli, "glue", faulty_glue)
+    _patch_kernel(monkeypatch, faulty_times)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert not checks["antimultiplicative_star"]["pass"]
@@ -579,10 +605,17 @@ def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys)
 
 
 def _table_products_match(g, elems):
+    """Every product of two nonzero listed elements, as the table answers
+    it in ids and decoded, is product's and the rule oracle's."""
     table = cli._RemainderTable(g, elems)
     for i, s in enumerate(elems):
         for j, t in enumerate(elems):
-            got = table.times(i, j)
+            if s.is_omega or t.is_omega:
+                continue
+            got = table.times(*table.coords[i], *table.coords[j])
+            if got is cli._MEET:
+                got = table.meet(s, t)
+            got = OMEGA if got is None else SGElement(*(table.paths[k] for k in got))
             assert got == product(g, s, t) == product_by_rules(g, s, t), (s, t)
 
 
@@ -607,6 +640,98 @@ def test_remainder_table_matches_product_on_random_graphs(seed):
     _table_products_match(g, elems)
 
 
+def _law_outcomes(g, elems):
+    """The law checks on one list, from cli and from the SGElement-level
+    oracle: (name, pass, witnesses) per check, or the RuntimeError text."""
+    out = []
+    for laws in (
+        lambda: [(c["name"], c["pass"], c["witnesses"]) for c in cli._semigroup_laws(g, elems)],
+        lambda: semigroup_laws_by_product(g, elems),
+    ):
+        try:
+            out.append(laws())
+        except RuntimeError as exc:
+            out.append(f"RuntimeError: {exc}")
+    return out
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+@pytest.mark.parametrize("graph", [gx, gy, gw], ids=["GX", "GY", "GW"])
+def test_semigroup_laws_match_the_product_oracle(graph, max_len):
+    g = graph()
+    got, want = _law_outcomes(g, generate_elements(g, max_len))
+    assert got == want
+    assert [(name, ok) for name, ok, _ in got] == [
+        ("involution", True),
+        ("antimultiplicative_star", True),
+        ("idempotent_order_agreement", True),
+    ]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_semigroup_laws_match_the_product_oracle_on_random_graphs(seed):
+    g = random_ultragraph(random.Random(seed), max_vertices=4, max_edges=5, sink_free=True)
+    elems = generate_elements(g, 2 if len(g.edges) <= 2 else 1)
+    got, want = _law_outcomes(g, elems)
+    assert got == want
+
+
+def _path(word, terminal):
+    return Ultrapath(tuple(word), frozenset(terminal))
+
+
+# hand-built pairs on GX whose coordinates end in different sets, each
+# with an idempotent or a partner its product with it fails on: rules 1
+# and 2 both apply and disagree, rule 1's remainder does not extend w,
+# and rule 2's does not extend y
+_MISMATCHED = {
+    "disagree": [
+        SGElement(_path("e", "wu"), _path("e", "u")),
+        SGElement(_path("e", "u"), _path("e", "u")),
+    ],
+    "x": [
+        SGElement(_path("", "v"), _path("", "u")),
+        SGElement(_path("g", "w"), _path("g", "w")),
+    ],
+    "z": [
+        SGElement(_path("g", "w"), _path("g", "w")),
+        SGElement(_path("", "u"), _path("", "v")),
+    ],
+}
+
+
+def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
+    """Lists generate_elements never makes: an element dropped, so star
+    leaves the list, an element listed twice, and hand-built pairs with
+    mismatched terminals, alone, with their stars, and after GX's list.
+    The mismatched pairs raise each of glue's three errors somewhere."""
+    g = gx()
+    elems = generate_elements(g, 2)
+    k = next(i for i, s in enumerate(elems) if s.left is not None and s.left != s.right)
+    e = next(i for i, s in enumerate(elems) if s.left is not None and s.left == s.right)
+    cases = {
+        "dropped": elems[:k] + elems[k + 1 :],
+        "dropped idempotent": elems[:e] + elems[e + 1 :],
+        "duplicated": elems + [elems[k]],
+    }
+    for name, pairs in _MISMATCHED.items():
+        cases[name] = pairs
+        cases[f"{name} with stars"] = pairs + [star(s) for s in pairs]
+        cases[f"GX then {name}"] = elems + pairs
+    raised = set()
+    for name, case in cases.items():
+        got, want = _law_outcomes(g, case)
+        assert got == want, name
+        if isinstance(got, str):
+            raised.add(got)
+    assert raised == {
+        "RuntimeError: overlapping rules disagree",
+        "RuntimeError: remainder of x does not extend w",
+        "RuntimeError: remainder of z does not extend y",
+    }
+
+
 def test_semigroup_pair_budget_fails_before_any_product(monkeypatch, capsys):
     """GX at --max-len 12 lists 48,046 elements, about 2.3e9 ordered pairs:
     the law check counts the pairs it would visit and stops at once."""
@@ -617,7 +742,7 @@ def test_semigroup_pair_budget_fails_before_any_product(monkeypatch, capsys):
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(cli, "product", forbidden)
-    monkeypatch.setattr(cli, "glue", forbidden)
+    monkeypatch.setattr(cli._RemainderTable, "times", forbidden)
     code, out, err = run(["semigroup", GX, "--max-len", "12", "--format", "json"], capsys)
     assert code == 1, err
     checks = json.loads(out)["checks"]

@@ -107,6 +107,24 @@ def test_groupoid_law_check_runs_on_interned_points():
     assert not found, found
 
 
+def test_semigroup_law_check_runs_on_interned_paths():
+    """The remainder table answers products as id pairs: it builds no
+    SGElement, and glue, star and _agree stay out of it."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    tables = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == "_RemainderTable"
+    ]
+    assert len(tables) == 1
+    found = [
+        f"{node.lineno} {node.id}"
+        for node in ast.walk(tables[0])
+        if isinstance(node, ast.Name) and node.id in ("glue", "star", "_agree", "SGElement")
+    ]
+    assert not found, found
+
+
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
