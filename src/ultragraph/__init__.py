@@ -69,6 +69,8 @@ from .paths import (
     Ultrapath,
     concat,
     concat_lasso,
+    count_lassos,
+    count_paths,
     edge_path,
     enumerate_lassos,
     enumerate_paths,
@@ -81,6 +83,7 @@ from .paths import (
     strip_lasso,
     unroll,
     vertex_path,
+    word_levels,
 )
 from .semigroup import (
     OMEGA,

@@ -43,8 +43,8 @@ from .paths import (
     Ultrapath,
     check_lasso_bounds,
     concat,
-    enumerate_lassos,
-    enumerate_paths,
+    count_lassos,
+    count_paths,
 )
 from .semigroup import (
     OMEGA,
@@ -103,28 +103,28 @@ def _cmd_lattice(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     check_lasso_bounds(args.prefix_bound, args.cycle_bound)
-    ps = enumerate_paths(g, args.max_len)
+    count, sample = count_paths(g, args.max_len)
     checks = [
         _check(
             "paths",
             True,
-            count=len(ps),
+            count=count,
             max_len=args.max_len,
-            sample=" ".join(str(p) for p in ps[:12]),
+            sample=" ".join(map(str, sample)),
         )
     ]
     if validate(g).sinks:
         checks.append(_check("lassos", True, skipped="graph has sinks"))
     else:
-        ls = enumerate_lassos(g, args.prefix_bound, args.cycle_bound)
+        count, sample = count_lassos(g, args.prefix_bound, args.cycle_bound)
         checks.append(
             _check(
                 "lassos",
                 True,
-                count=len(ls),
+                count=count,
                 prefix_bound=args.prefix_bound,
                 cycle_bound=args.cycle_bound,
-                sample=" ".join(str(x) for x in ls[:12]),
+                sample=" ".join(map(str, sample)),
             )
         )
     return checks, None

@@ -40,6 +40,7 @@ from .paths import (
     strip_lasso,
     unroll,
     vertex_path,
+    word_levels,
 )
 from .semigroup import (
     OMEGA,
@@ -303,22 +304,13 @@ def _check_word_budget(g: Ultragraph, depth: int) -> None:
     level has fewer words than the one before: the count may stop at the
     first level past the limit.  It bounds every cylinder's words too."""
     max_count = 200_000
-    adj = edge_adjacency(g)
-    ending = dict.fromkeys(g.edges, 1)
-    count = len(ending)
-    for _ in range(depth - 1):
-        if count > max_count:
+    for n, level in enumerate(word_levels(g), 1):
+        if sum(level.values()) > max_count:
+            raise SizeLimitError(
+                f"depth-{depth} refinement exceeded max_count={max_count} words"
+            )
+        if n >= depth:
             break
-        nxt = dict.fromkeys(ending, 0)
-        for e, n in ending.items():
-            for f in adj[e]:
-                nxt[f] += n
-        ending = nxt
-        count = sum(nxt.values())
-    if count > max_count:
-        raise SizeLimitError(
-            f"depth-{depth} refinement exceeded max_count={max_count} words"
-        )
 
 
 def _word_masks(g: Ultragraph, depth: int):
@@ -525,6 +517,8 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
 
 
 def verify_ck(g: Ultragraph, depth: int = 2) -> CheckReport:
+    if depth < 2:  # a usage error, reported before ck_family's lattice guard
+        raise ValueError("verification depth must be at least 2")
     return check_family(g, ck_family(g), depth)
 
 

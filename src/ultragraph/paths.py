@@ -9,8 +9,9 @@ infinite edge words they unroll to.
 
 from __future__ import annotations
 
+import itertools
 from functools import cached_property
-from typing import Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import (
     Edge,
@@ -22,6 +23,9 @@ from .core import (
     generate_lattice,
     require_no_sinks,
 )
+
+# how many ultrapaths and lassos count_paths and count_lassos build
+SAMPLE = 12
 
 
 class Ultrapath(NamedTuple):
@@ -123,6 +127,86 @@ def initial_segment(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultra
     return rest if g.source[rest.word[0]] in y.terminal else None
 
 
+def word_levels(
+    g: Ultragraph, first: Optional[Iterable[Edge]] = None
+) -> Iterator[Dict[Edge, int]]:
+    """How many edge words of each length end in each edge: for n = 1, 2,
+    ... one {last edge: count} dict of the n-edge words that start with an
+    edge of first (every edge by default), zero counts left out.
+
+    The successors of a word hang on its last edge alone, so each level
+    is the one before pushed once along the edge adjacency (the
+    transfer-matrix count).  It stops after the last nonempty level and
+    runs on forever on a graph with a cycle: callers bound it."""
+    adj = edge_adjacency(g)
+    level = dict.fromkeys(g.edges_sorted() if first is None else first, 1)
+    while level:
+        yield level
+        nxt: Dict[Edge, int] = {}
+        for e, n in level.items():
+            for f in adj[e]:
+                nxt[f] = nxt.get(f, 0) + n
+        level = nxt
+
+
+def _word_lists(g: Ultragraph) -> Iterator[List[Tuple[Edge, ...]]]:
+    """The edge words of length 1, 2, ..., one sorted list per level: each
+    level extends the one before, in order, by the sorted successors of
+    each word's last edge.  A level is built only when it is asked for."""
+    adj = edge_adjacency(g)
+    words = [(e,) for e in g.edges_sorted()]
+    while words:
+        yield words
+        words = [w + (f,) for w in words for f in adj[w[-1]]]
+
+
+def _counted_paths(
+    g: Ultragraph, max_len: int, max_count: int
+) -> Tuple[int, Iterator[Ultrapath]]:
+    """The number of ultrapaths up to max_len, and an iterator that builds
+    them one at a time, ordered by length, then edge word, then terminal.
+
+    The count runs level by level on the words by last edge: the lattice
+    is the power set, so a word ending in e has 2^|r(e) n V| - 1
+    terminals.  A level that takes it past max_count raises
+    SizeLimitError before any path is built.  The iterator lists the
+    lattice sets in set_key order, and the terminals inside one range
+    once per distinct range."""
+    if max_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    nonempty = generate_lattice(g).nonempty()
+    count = len(nonempty)
+    ends = {e: 2 ** len(g.range[e] & g.vertices) - 1 for e in g.edges}
+    for level in itertools.islice(word_levels(g), max_len):
+        count += sum(n * ends[e] for e, n in level.items())
+        if count > max_count:
+            raise SizeLimitError(f"path enumeration exceeded max_count={max_count}")
+
+    def in_order() -> Iterator[Ultrapath]:
+        for A in nonempty:
+            yield Ultrapath((), A)
+        inside: Dict[VSet, List[VSet]] = {}
+        for words in itertools.islice(_word_lists(g), max_len):
+            for w in words:
+                r = g.range[w[-1]]
+                if r not in inside:
+                    inside[r] = [A for A in nonempty if A <= r]
+                for A in inside[r]:
+                    yield Ultrapath(w, A)
+
+    return count, in_order()
+
+
+def count_paths(
+    g: Ultragraph, max_len: int, max_count: int = 200_000
+) -> Tuple[int, List[Ultrapath]]:
+    """len(enumerate_paths(g, max_len, max_count)) and its first SAMPLE
+    paths, with the same errors at the same inputs, counted without
+    building the rest."""
+    count, paths = _counted_paths(g, max_len, max_count)
+    return count, list(itertools.islice(paths, SAMPLE))
+
+
 def enumerate_paths(
     g: Ultragraph, max_len: int, max_count: int = 200_000
 ) -> List[Ultrapath]:
@@ -130,34 +214,9 @@ def enumerate_paths(
     nonempty lattice sets inside the relevant range.  Ordered by length,
     then edge word, then terminal.
 
-    The order comes out of the construction: each level extends the
-    previous one's words, in order, by their sorted successor edges, and
-    the lattice lists its sets in set_key order.  The terminals inside
-    one range are listed once per distinct range.  Each level's paths are
-    counted before its words are built, and a nonempty level that would
-    take the count past max_count raises SizeLimitError."""
-    nonempty = generate_lattice(g).nonempty()
-    if max_len < 0:
-        raise ValueError("max_len must be nonnegative")
-    adj = edge_adjacency(g)
-    # a word's terminals, and the paths one edge past it, hang on the range
-    # of its last edge alone
-    inside = {r: [A for A in nonempty if A <= r] for r in map(g.range.get, g.edges)}
-    ends = {e: inside[g.range[e]] for e in g.edges_sorted()}
-    one_edge = {g.range[e]: e for e in ends}
-    ahead = {r: sum(len(ends[f]) for f in adj[e]) for r, e in one_edge.items()}
-    out: List[Ultrapath] = [Ultrapath((), A) for A in nonempty]
-    words: List[Tuple[Edge, ...]] = [(e,) for e in ends]
-    fresh = sum(map(len, ends.values()))
-    for length in range(1, max_len + 1):
-        if words and len(out) + fresh > max_count:
-            raise SizeLimitError(f"path enumeration exceeded max_count={max_count}")
-        if length > 1:
-            words = [w + (f,) for w in words for f in adj[w[-1]]]
-        for w in words:
-            out.extend([Ultrapath(w, A) for A in ends[w[-1]]])
-        fresh = sum(ahead[g.range[w[-1]]] for w in words)
-    return out
+    The paths are counted before any is built, and past max_count the
+    count raises SizeLimitError."""
+    return list(_counted_paths(g, max_len, max_count)[1])
 
 
 def _primitive(cycle: Tuple[Edge, ...]) -> Tuple[Edge, ...]:
@@ -308,6 +367,101 @@ def check_lasso_bounds(prefix_bound: int, cycle_bound: int) -> None:
         raise ValueError("prefix_bound must not be negative")
 
 
+def _lasso_words(g: Ultragraph, bound: int, max_count: int) -> Dict[Edge, int]:
+    """The edge words of length 1 to bound, counted by last edge level by
+    level before any word is built; past max_count words in all raise
+    SizeLimitError."""
+    ending: Dict[Edge, int] = {}
+    total = 0
+    for level in itertools.islice(word_levels(g), bound):
+        total += sum(level.values())
+        if total > max_count:
+            raise SizeLimitError(f"lasso enumeration exceeded max_count={max_count}")
+        for e, n in level.items():
+            ending[e] = ending.get(e, 0) + n
+    return ending
+
+
+def _lasso_counts(
+    g: Ultragraph, ending: Dict[Edge, int], cycle_bound: int
+) -> List[int]:
+    """counts[n], for n = 1 to cycle_bound, is the number of canonical
+    lassos with a cycle of length n and a prefix counted in ending, the
+    prefix words by last edge (counts[0] is 0).
+
+    A canonical lasso is a primitive closed word c with a prefix p that is
+    empty or has s(c_0) in r(p[-1]) and p[-1] != c[-1].  So c counts once
+    for its empty prefix, plus the prefixes ending in an edge whose range
+    holds its start vertex, less those ending in its own last edge; the
+    prefixes are counted by last edge and the closed words by start
+    vertex and last edge.  Each closed word of length n is the (n/d)-th
+    power of one primitive closed word of length d with the same start
+    and last edge, so the powers are subtracted, shortest root first."""
+    into = {v: sum(n for e, n in ending.items() if v in g.range[e]) for v in g.vertices}
+    counts = [0] * (cycle_bound + 1)
+    for v in g.vertices_sorted():
+        levels = itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound)
+        for n, level in enumerate(levels, 1):
+            counts[n] += sum(
+                k * (1 + into[v] - ending.get(e, 0))
+                for e, k in level.items()
+                if v in g.range[e]
+            )
+    for d in range(1, cycle_bound + 1):
+        for n in range(2 * d, cycle_bound + 1, d):
+            counts[n] -= counts[d]
+    return counts
+
+
+def _lassos_in_order(
+    g: Ultragraph, prefix_bound: int, lengths: Sequence[int]
+) -> Iterator[LassoPath]:
+    """The canonical lassos with a cycle length in lengths, ascending, and
+    a prefix within prefix_bound, in enumerate_lassos' order: by prefix
+    length, cycle length, prefix, cycle.  Each is built when it is asked
+    for, from levels of words built only as far as that."""
+    cycles: List[List[Tuple[Edge, ...]]] = []
+    for words in itertools.islice(_word_lists(g), lengths[-1] if lengths else 0):
+        if len(words[0]) in lengths:
+            cycles.append(
+                [
+                    w
+                    for w in words
+                    if g.source[w[0]] in g.range[w[-1]] and len(_primitive(w)) == len(w)
+                ]
+            )
+            for c in cycles[-1]:
+                yield _canonical_lasso((), c)
+    for prefixes in itertools.islice(_word_lists(g), prefix_bound):
+        for found in cycles:
+            for p in prefixes:
+                r, last = g.range[p[-1]], p[-1]
+                for c in found:
+                    if g.source[c[0]] in r and c[-1] != last:
+                        yield _canonical_lasso(p, c)
+
+
+def count_lassos(
+    g: Ultragraph,
+    prefix_bound: int,
+    cycle_bound: int,
+    max_count: int = 500_000,
+) -> Tuple[int, List[LassoPath]]:
+    """len(enumerate_lassos(g, prefix_bound, cycle_bound, max_count)) and
+    its first SAMPLE lassos, with the same errors at the same inputs,
+    counted without building the rest."""
+    require_no_sinks(g, "lasso enumeration")
+    check_lasso_bounds(prefix_bound, cycle_bound)
+    _lasso_words(g, cycle_bound, max_count)
+    counts = _lasso_counts(g, _lasso_words(g, prefix_bound, max_count), cycle_bound)
+    count = sum(counts)
+    if count > max_count:
+        raise SizeLimitError(f"lasso enumeration exceeded max_count={max_count}")
+    lengths = [n for n, k in enumerate(counts) if k]
+    found = _lassos_in_order(g, prefix_bound, lengths)
+    return count, list(itertools.islice(found, min(SAMPLE, count)))
+
+
 def enumerate_lassos(
     g: Ultragraph,
     prefix_bound: int,
@@ -322,26 +476,12 @@ def enumerate_lassos(
     """
     require_no_sinks(g, "lasso enumeration")
     check_lasso_bounds(prefix_bound, cycle_bound)
-    adj = edge_adjacency(g)
 
     def paths_up_to(bound: int) -> List[Tuple[Edge, ...]]:
-        # each level is counted from its parents' successor counts before
-        # it is built, and no level past the bound is built
-        acc: List[Tuple[Edge, ...]] = []
-        layer: List[Tuple[Edge, ...]] = [(e,) for e in g.edges_sorted()]
-        size = len(layer)
-        for depth in range(bound):
-            if not size:
-                break
-            if len(acc) + size > max_count:
-                raise SizeLimitError(
-                    f"lasso enumeration exceeded max_count={max_count}"
-                )
-            if depth:
-                layer = [w + (f,) for w in layer for f in adj[w[-1]]]
-            acc.extend(layer)
-            size = sum(len(adj[w[-1]]) for w in layer)
-        return acc
+        # the words are counted before any is built, and no level past the
+        # bound is built
+        _lasso_words(g, bound, max_count)
+        return [w for words in itertools.islice(_word_lists(g), bound) for w in words]
 
     cycles = [
         w

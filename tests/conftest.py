@@ -91,16 +91,16 @@ def random_ultragraph(
     return Ultragraph.build(vs, edges)
 
 
-def ring_ultragraph(n: int) -> Ultragraph:
+def ring_ultragraph(n: int, seed: int = 0) -> Ultragraph:
     """The ring family of the ROADMAP: a directed n-cycle of edges
     e_i: v_i -> {v_(i+1 mod n)} plus n extra edges x_j, each drawing its
     source with rng.choice and then its range with rng.sample(vs, min(3, n))
-    from one random.Random(0).  Sink-free."""
+    from one random.Random(seed).  Sink-free."""
     vs = [f"v{i}" for i in range(n)]
     edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {
         f"e{i}": (vs[i], (vs[(i + 1) % n],)) for i in range(n)
     }
-    rng = random.Random(0)
+    rng = random.Random(seed)
     for j in range(n):
         src = rng.choice(vs)
         edges[f"x{j}"] = (src, tuple(rng.sample(vs, min(3, n))))

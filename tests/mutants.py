@@ -232,45 +232,116 @@ MUTANTS = (
         PATHS_TESTS,
     ),
     Mutant(
-        "enumerate_paths: raise on reaching max_count",
+        "word_levels: count each successor once",
         "paths.py",
-        "if words and len(out) + fresh > max_count:",
-        "if words and len(out) + fresh >= max_count:",
+        "nxt[f] = nxt.get(f, 0) + n",
+        "nxt[f] = nxt.get(f, 0) + 1",
         PATHS_TESTS,
     ),
     Mutant(
-        "enumerate_paths: drop the level guard",
+        "_counted_paths: raise on reaching max_count",
         "paths.py",
-        "if words and len(out) + fresh > max_count:",
+        "        if count > max_count:\n            raise SizeLimitError(f\"path",
+        "        if count >= max_count:\n            raise SizeLimitError(f\"path",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_counted_paths: drop the level guard",
+        "paths.py",
+        "        if count > max_count:\n            raise SizeLimitError(f\"path",
+        "        if False:\n            raise SizeLimitError(f\"path",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_counted_paths: count 2^|r| terminals in place of 2^|r n V| - 1",
+        "paths.py",
+        "2 ** len(g.range[e] & g.vertices) - 1",
+        "2 ** len(g.range[e])",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_counted_paths: count one level past max_len",
+        "paths.py",
+        "itertools.islice(word_levels(g), max_len)",
+        "itertools.islice(word_levels(g), max_len + 1)",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lasso_words: raise on reaching max_count words",
+        "paths.py",
+        "if total > max_count:",
+        "if total >= max_count:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lasso_words: drop the level guard",
+        "paths.py",
+        "if total > max_count:",
         "if False:",
         PATHS_TESTS,
     ),
     Mutant(
-        "enumerate_lassos: raise on reaching max_count words",
+        "_lasso_counts: drop the p[-1] != c[-1] test",
         "paths.py",
-        "if len(acc) + size > max_count:",
-        "if len(acc) + size >= max_count:",
+        "k * (1 + into[v] - ending.get(e, 0))",
+        "k * (1 + into[v])",
         PATHS_TESTS,
     ),
     Mutant(
-        "enumerate_lassos: drop the level guard",
+        "_lasso_counts: drop the primitivity filter",
         "paths.py",
-        "if len(acc) + size > max_count:",
-        "if False:",
+        "counts[n] -= counts[d]",
+        "counts[n] -= 0",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lasso_counts: count closed words one level short",
+        "paths.py",
+        "itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound)",
+        "itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound - 1)",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lassos_in_order: drop the p[-1] != c[-1] test",
+        "paths.py",
+        "if g.source[c[0]] in r and c[-1] != last:",
+        "if g.source[c[0]] in r:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lassos_in_order: drop the primitivity filter",
+        "paths.py",
+        " and len(_primitive(w)) == len(w)",
+        "",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_lassos_in_order: order by prefix before cycle length",
+        "paths.py",
+        "        for found in cycles:\n            for p in prefixes:",
+        "        for p in prefixes:\n            for found in cycles:",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "count_lassos: sort the sample by cycle length before prefix length",
+        "paths.py",
+        "list(itertools.islice(found, min(SAMPLE, count)))",
+        "sorted(itertools.islice(found, min(SAMPLE, count)), "
+        "key=lambda l: (len(l.cycle), len(l.prefix), l.prefix, l.cycle))",
         PATHS_TESTS,
     ),
     Mutant(
         "_word_masks: drop the word budget",
         "groupoid.py",
-        "    if count > max_count:\n        raise",
-        "    if False:\n        raise",
+        "if sum(level.values()) > max_count:",
+        "if False:",
         GROUPOID_TESTS,
     ),
     Mutant(
         "_word_masks: count words one edge short",
         "groupoid.py",
-        "for _ in range(depth - 1):",
-        "for _ in range(depth - 2):",
+        "if n >= depth:",
+        "if n >= depth - 1:",
         GROUPOID_TESTS,
     ),
     Mutant(

@@ -164,6 +164,28 @@ def test_groupoid_pairs_past_the_pair_count_take_every_pair(monkeypatch, capsys)
     assert len(every) == 91 and seen == [every, every]
 
 
+def test_flag_errors_come_before_the_lattice_guard(tmp_path, capsys):
+    """ring(13) has 8,192 vertex sets, past the lattice's 4,096-set guard:
+    a bad --max-len or --depth still exits 2, as on ring(6), and good
+    flags still fail as size_limit."""
+    bad = (
+        (["paths", "--max-len", "-1"], "error: max_len must be nonnegative"),
+        (["semigroup", "--max-len", "-1"], "error: max_len must be nonnegative"),
+        (["ck", "--depth", "1"], "error: verification depth must be at least 2"),
+    )
+    for n in (6, 13):
+        path = tmp_path / f"ring{n}.ug"
+        path.write_text(emit(ring_ultragraph(n)))
+        for (command, *flags), message in bad:
+            code, out, err = run([command, str(path), *flags], capsys)
+            assert (code, out, err.strip()) == (2, "", message), (n, command)
+    for command in ("paths", "semigroup", "ck"):
+        code, out, err = run([command, str(path), "--format", "json"], capsys)
+        checks = json.loads(out)["checks"]
+        assert code == 1, err
+        assert checks[0]["witnesses"] == ["lattice closure exceeded max_size=4096"]
+
+
 def test_groupoid_pair_budget_fails_before_any_separation(tmp_path, monkeypatch, capsys):
     """ring(4) has 1,042 elements at the defaults, 542,361 pairs: --pairs
     1000000 passes the 100,000-pair budget, so the command reports

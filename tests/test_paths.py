@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,8 @@ from ultragraph import (
     Ultrapath,
     concat,
     concat_lasso,
+    count_lassos,
+    count_paths,
     edge_adjacency,
     edge_path,
     enumerate_lassos,
@@ -30,9 +33,11 @@ from ultragraph import (
     strip_lasso,
     unroll,
     vertex_path,
+    word_levels,
 )
+from ultragraph.fixtures import gw, gx, gy
 
-from conftest import random_ultragraph
+from conftest import random_ultragraph, ring_ultragraph, word_count_up_to
 
 
 def fz(*names):
@@ -414,3 +419,158 @@ def test_enumerate_lassos_closed_under_canonical_bounds(g_branch):
     # canonicalization never grows a representative out of its bounds
     for x in enumerate_lassos(g_branch, 2, 3):
         assert len(x.prefix) <= 2 and len(x.cycle) <= 3
+
+
+# --- counts and samples without the full enumeration ---
+
+
+def _outcome(fn):
+    """fn's result, or the type and text of the error it raises."""
+    try:
+        return fn()
+    except (SizeLimitError, GraphStructureError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _counted(listed):
+    """An enumeration outcome as count_paths and count_lassos report it."""
+    return listed if isinstance(listed, tuple) else (len(listed), listed[:12])
+
+
+def _count_graphs():
+    graphs = [gx(), gy(), gw()]
+    graphs += [ring_ultragraph(n, seed) for n in range(1, 9) for seed in range(4)]
+    return graphs
+
+
+def _paths_agree(g, max_len):
+    full = enumerate_paths(g, max_len)
+    assert count_paths(g, max_len) == (len(full), full[:12])
+    n = len(full)
+    assert count_paths(g, max_len, max_count=n) == (n, full[:12])
+    below = _outcome(lambda: count_paths(g, max_len, max_count=n - 1))
+    assert below == _counted(_outcome(lambda: enumerate_paths(g, max_len, max_count=n - 1)))
+    # one past the budget raises at a nonempty level; with no level to
+    # check the vertex sets stand
+    if max_len >= 1 and g.edges:
+        assert below == ("SizeLimitError", f"path enumeration exceeded max_count={n - 1}")
+    else:
+        assert below == (n, full[:12])
+
+
+def _words_up_to(g, bound):
+    return word_count_up_to(g, bound) if bound >= 1 else 0
+
+
+def _lassos_agree(g, prefix_bound, cycle_bound):
+    full = enumerate_lassos(g, prefix_bound, cycle_bound)
+    assert count_lassos(g, prefix_bound, cycle_bound) == (len(full), full[:12])
+    # the budget binds on the words of either bound and on the lassos
+    need = max(_words_up_to(g, cycle_bound), _words_up_to(g, prefix_bound), len(full))
+    for m in {len(full), len(full) - 1, need, need - 1}:
+        got = _outcome(lambda: count_lassos(g, prefix_bound, cycle_bound, max_count=m))
+        want = _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound, max_count=m))
+        assert got == _counted(want), (m, got, want)
+        if m < need:
+            assert got == ("SizeLimitError", f"lasso enumeration exceeded max_count={m}")
+        else:
+            assert got == (len(full), full[:12])
+
+
+def test_count_paths_matches_enumeration():
+    for g in _count_graphs():
+        for max_len in range(5):
+            _paths_agree(g, max_len)
+
+
+def test_count_paths_matches_sorted_oracle():
+    rng = random.Random(89)
+    for _ in range(30):
+        g = random_ultragraph(rng, max_edges=10)
+        for max_len in range(4):
+            every = _sorted_paths_oracle(g, max_len)
+            assert count_paths(g, max_len) == (len(every), every[:12])
+
+
+def test_count_lassos_matches_enumeration():
+    for g in _count_graphs():
+        for prefix_bound in range(3):
+            for cycle_bound in range(1, 4):
+                _lassos_agree(g, prefix_bound, cycle_bound)
+
+
+@st.composite
+def _loose_graphs(draw):
+    """1-4 vertices and 0-6 edges, ranges drawn over the vertices and an
+    undeclared vertex zz; edgeless graphs and sinks included."""
+    vs = [f"v{i}" for i in range(draw(st.integers(1, 4)))]
+    edges = {}
+    for i in range(draw(st.integers(0, 6))):
+        src = draw(st.sampled_from(vs))
+        rng = draw(st.sets(st.sampled_from(vs + ["zz"]), min_size=1, max_size=3))
+        edges[f"e{i}"] = (src, tuple(sorted(rng)))
+    return Ultragraph.build(vs, edges)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_loose_graphs())
+def test_counts_match_enumeration_on_drawn_graphs(g):
+    for max_len in range(5):
+        _paths_agree(g, max_len)
+    for prefix_bound in range(3):
+        for cycle_bound in range(1, 4):
+            got = _outcome(lambda: count_lassos(g, prefix_bound, cycle_bound))
+            want = _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound))
+            assert got == _counted(want)
+            if not isinstance(want, tuple):
+                _lassos_agree(g, prefix_bound, cycle_bound)
+
+
+def test_counts_reject_what_the_enumerations_reject(g_branch):
+    assert _outcome(lambda: count_paths(g_branch, -1)) == _outcome(
+        lambda: enumerate_paths(g_branch, -1)
+    ) == ("ValueError", "max_len must be nonnegative")
+    for bounds in ((-1, 2), (0, 0)):
+        assert _outcome(lambda: count_lassos(g_branch, *bounds)) == _outcome(
+            lambda: enumerate_lassos(g_branch, *bounds)
+        )
+    sink = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
+    with pytest.raises(GraphStructureError):
+        count_lassos(sink, 1, 1)
+
+
+def test_word_levels_count_words_by_last_edge(g_branch):
+    adj = edge_adjacency(g_branch)
+    words = [(e,) for e in sorted(g_branch.edges)]
+    for level in itertools.islice(word_levels(g_branch), 6):
+        assert level == {e: n for e, n in Counter(w[-1] for w in words).items()}
+        words = [w + (f,) for w in words for f in adj[w[-1]]]
+    one = Ultragraph.build(["a", "b"], {"e": ("a", ("b",)), "f": ("b", ("b",))})
+    assert list(itertools.islice(word_levels(one, ["e"]), 3)) == [
+        {"e": 1},
+        {"f": 1},
+        {"f": 1},
+    ]
+    assert list(word_levels(Ultragraph.build(["a", "b"], {"e": ("a", ("b",))}))) == [{"e": 1}]
+
+
+def test_counts_build_only_their_samples():
+    """A bouquet of 8 loops has 37,449 ultrapaths up to length 5 and tens
+    of thousands of lassos within (2, 3); the counts build 12 of each."""
+    g = Ultragraph.build(["v"], {f"e{i}": ("v", ("v",)) for i in range(8)})
+    assert count_paths(g, 5)[0] == 37_449
+    assert _peak_bytes(lambda: count_paths(g, 5)) < 200_000
+    assert _peak_bytes(lambda: enumerate_paths(g, 5)) > 2_000_000
+    count, sample = count_lassos(g, 2, 3)
+    assert count == len(enumerate_lassos(g, 2, 3)) > 10_000
+    assert [str(x) for x in sample[:3]] == ["(e0)*", "(e1)*", "(e2)*"]
+    assert _peak_bytes(lambda: count_lassos(g, 2, 3)) < 200_000
+
+
+def test_lasso_count_is_linear_in_the_bounds():
+    """One loop: the only canonical lasso is (e)*, however long the bounds,
+    and counting reaches it without building a word past length 1."""
+    g = Ultragraph.build(["v"], {"e": ("v", ("v",))})
+    assert count_lassos(g, 20_000, 20_000) == (1, [LassoPath((), ("e",))])
+    with pytest.raises(SizeLimitError, match="max_count=19999"):
+        count_lassos(g, 1, 20_000, max_count=19_999)

@@ -125,6 +125,26 @@ def test_semigroup_law_check_runs_on_interned_paths():
     assert not found, found
 
 
+def test_paths_command_counts_without_enumerating():
+    """_cmd_paths reports counts and 12-element samples: it must not fall
+    back to building every ultrapath and lasso."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    commands = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_cmd_paths"
+    ]
+    assert len(commands) == 1
+    names = ("enumerate_paths", "enumerate_lassos")
+    found = [
+        f"{node.lineno} {ast.unparse(node)}"
+        for node in ast.walk(commands[0])
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    ]
+    assert not found, found
+
+
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
