@@ -83,7 +83,6 @@ from .paths import (
     strip_lasso,
     unroll,
     vertex_path,
-    word_levels,
 )
 from .semigroup import (
     OMEGA,

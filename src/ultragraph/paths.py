@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (
     Edge,
@@ -127,19 +127,17 @@ def initial_segment(g: Ultragraph, x: Ultrapath, y: Ultrapath) -> Optional[Ultra
     return rest if g.source[rest.word[0]] in y.terminal else None
 
 
-def word_levels(
-    g: Ultragraph, first: Optional[Iterable[Edge]] = None
-) -> Iterator[Dict[Edge, int]]:
+def word_levels(g: Ultragraph) -> Iterator[Dict[Edge, int]]:
     """How many edge words of each length end in each edge: for n = 1, 2,
-    ... one {last edge: count} dict of the n-edge words that start with an
-    edge of first (every edge by default), zero counts left out.
+    ... one {last edge: count} dict of the n-edge words, zero counts left
+    out.
 
     The successors of a word hang on its last edge alone, so each level
     is the one before pushed once along the edge adjacency (the
     transfer-matrix count).  It stops after the last nonempty level and
     runs on forever on a graph with a cycle: callers bound it."""
     adj = edge_adjacency(g)
-    level = dict.fromkeys(g.edges_sorted() if first is None else first, 1)
+    level = dict.fromkeys(g.edges_sorted(), 1)
     while level:
         yield level
         nxt: Dict[Edge, int] = {}
@@ -382,58 +380,29 @@ def _lasso_words(g: Ultragraph, bound: int, max_count: int) -> Dict[Edge, int]:
     return ending
 
 
-def _lasso_counts(
-    g: Ultragraph, ending: Dict[Edge, int], cycle_bound: int
-) -> List[int]:
-    """counts[n], for n = 1 to cycle_bound, is the number of canonical
-    lassos with a cycle of length n and a prefix counted in ending, the
-    prefix words by last edge (counts[0] is 0).
-
-    A canonical lasso is a primitive closed word c with a prefix p that is
-    empty or has s(c_0) in r(p[-1]) and p[-1] != c[-1].  So c counts once
-    for its empty prefix, plus the prefixes ending in an edge whose range
-    holds its start vertex, less those ending in its own last edge; the
-    prefixes are counted by last edge and the closed words by start
-    vertex and last edge.  Each closed word of length n is the (n/d)-th
-    power of one primitive closed word of length d with the same start
-    and last edge, so the powers are subtracted, shortest root first."""
-    into = {v: sum(n for e, n in ending.items() if v in g.range[e]) for v in g.vertices}
-    counts = [0] * (cycle_bound + 1)
-    for v in g.vertices_sorted():
-        levels = itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound)
-        for n, level in enumerate(levels, 1):
-            counts[n] += sum(
-                k * (1 + into[v] - ending.get(e, 0))
-                for e, k in level.items()
-                if v in g.range[e]
-            )
-    for d in range(1, cycle_bound + 1):
-        for n in range(2 * d, cycle_bound + 1, d):
-            counts[n] -= counts[d]
-    return counts
+def _primitive_cycles(g: Ultragraph, cycle_bound: int) -> List[Tuple[Edge, ...]]:
+    """The primitive closed edge words of length 1 to cycle_bound, ordered
+    by length, then word."""
+    return [
+        w
+        for words in itertools.islice(_word_lists(g), cycle_bound)
+        for w in words
+        if g.source[w[0]] in g.range[w[-1]] and len(_primitive(w)) == len(w)
+    ]
 
 
 def _lassos_in_order(
-    g: Ultragraph, prefix_bound: int, lengths: Sequence[int]
+    g: Ultragraph, prefix_bound: int, cycles: List[Tuple[Edge, ...]]
 ) -> Iterator[LassoPath]:
-    """The canonical lassos with a cycle length in lengths, ascending, and
+    """The canonical lassos on cycles, ordered by length, then word, with
     a prefix within prefix_bound, in enumerate_lassos' order: by prefix
     length, cycle length, prefix, cycle.  Each is built when it is asked
-    for, from levels of words built only as far as that."""
-    cycles: List[List[Tuple[Edge, ...]]] = []
-    for words in itertools.islice(_word_lists(g), lengths[-1] if lengths else 0):
-        if len(words[0]) in lengths:
-            cycles.append(
-                [
-                    w
-                    for w in words
-                    if g.source[w[0]] in g.range[w[-1]] and len(_primitive(w)) == len(w)
-                ]
-            )
-            for c in cycles[-1]:
-                yield _canonical_lasso((), c)
+    for, from levels of prefixes built only as far as that."""
+    for c in cycles:
+        yield _canonical_lasso((), c)
+    by_length = [list(found) for _, found in itertools.groupby(cycles, len)]
     for prefixes in itertools.islice(_word_lists(g), prefix_bound):
-        for found in cycles:
+        for found in by_length:
             for p in prefixes:
                 r, last = g.range[p[-1]], p[-1]
                 for c in found:
@@ -449,16 +418,23 @@ def count_lassos(
 ) -> Tuple[int, List[LassoPath]]:
     """len(enumerate_lassos(g, prefix_bound, cycle_bound, max_count)) and
     its first SAMPLE lassos, with the same errors at the same inputs,
-    counted without building the rest."""
+    counted without building the prefixed lassos.
+
+    A canonical lasso is a primitive closed word c with a prefix p that is
+    empty or has s(c_0) in r(p[-1]) and p[-1] != c[-1].  So c counts once
+    for its empty prefix, plus the prefixes ending in an edge whose range
+    holds its start, less those ending in its own last edge; the prefixes
+    are counted by last edge."""
     require_no_sinks(g, "lasso enumeration")
     check_lasso_bounds(prefix_bound, cycle_bound)
     _lasso_words(g, cycle_bound, max_count)
-    counts = _lasso_counts(g, _lasso_words(g, prefix_bound, max_count), cycle_bound)
-    count = sum(counts)
+    ending = _lasso_words(g, prefix_bound, max_count)
+    into = {v: sum(n for e, n in ending.items() if v in g.range[e]) for v in g.vertices}
+    cycles = _primitive_cycles(g, cycle_bound)
+    count = len(cycles) + sum(into[g.source[c[0]]] - ending.get(c[-1], 0) for c in cycles)
     if count > max_count:
         raise SizeLimitError(f"lasso enumeration exceeded max_count={max_count}")
-    lengths = [n for n, k in enumerate(counts) if k]
-    found = _lassos_in_order(g, prefix_bound, lengths)
+    found = _lassos_in_order(g, prefix_bound, cycles)
     return count, list(itertools.islice(found, min(SAMPLE, count)))
 
 

@@ -281,24 +281,24 @@ MUTANTS = (
         PATHS_TESTS,
     ),
     Mutant(
-        "_lasso_counts: drop the p[-1] != c[-1] test",
+        "count_lassos: drop the p[-1] != c[-1] test",
         "paths.py",
-        "k * (1 + into[v] - ending.get(e, 0))",
-        "k * (1 + into[v])",
+        "into[g.source[c[0]]] - ending.get(c[-1], 0)",
+        "into[g.source[c[0]]]",
         PATHS_TESTS,
     ),
     Mutant(
-        "_lasso_counts: drop the primitivity filter",
+        "_primitive_cycles: drop the primitivity filter",
         "paths.py",
-        "counts[n] -= counts[d]",
-        "counts[n] -= 0",
+        " and len(_primitive(w)) == len(w)",
+        "",
         PATHS_TESTS,
     ),
     Mutant(
-        "_lasso_counts: count closed words one level short",
+        "_primitive_cycles: build closed words one level short",
         "paths.py",
-        "itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound)",
-        "itertools.islice(word_levels(g, g.out_edges(v)), cycle_bound - 1)",
+        "itertools.islice(_word_lists(g), cycle_bound)",
+        "itertools.islice(_word_lists(g), cycle_bound - 1)",
         PATHS_TESTS,
     ),
     Mutant(
@@ -309,17 +309,10 @@ MUTANTS = (
         PATHS_TESTS,
     ),
     Mutant(
-        "_lassos_in_order: drop the primitivity filter",
-        "paths.py",
-        " and len(_primitive(w)) == len(w)",
-        "",
-        PATHS_TESTS,
-    ),
-    Mutant(
         "_lassos_in_order: order by prefix before cycle length",
         "paths.py",
-        "        for found in cycles:\n            for p in prefixes:",
-        "        for p in prefixes:\n            for found in cycles:",
+        "        for found in by_length:\n            for p in prefixes:",
+        "        for p in prefixes:\n            for found in by_length:",
         PATHS_TESTS,
     ),
     Mutant(
