@@ -379,6 +379,11 @@ def _split_failures(g: Ultragraph, words_at: Sequence[Optional[int]], fmt_mask) 
     return bad
 
 
+def _pivot_masks(size: int) -> List[int]:
+    """The masks of U - {v}, one per vertex in order, in a lattice of size 2^|V|."""
+    return [(size - 1) ^ (1 << k) for k in range((size - 1).bit_length())]
+
+
 def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     """Decide the Cuntz-Krieger relations for the given family by semigroup
     products and depth-d refinement.
@@ -386,6 +391,22 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     Depth must be at least 2 so that terminal data one step past an edge is
     visible; all identities are exact, and failures carry the offending
     indices and both refinements.
+
+    projection_meets wants p_A p_B = want(A n B), the projection of A n B
+    or the zero when the meet is empty, for every pair of nonempty sets.
+    It forms only the diagonal pairs (A, A) and the pairs of each set with
+    a pivot: U, the vertex set, or a nonempty U - {v}.  Each pair is formed
+    in set_key order and a set with no projection is reported as its row
+    comes up, so every witness is a line of the all-pairs loop, and a
+    failure here is a failure there.  When these pairs pass and no set is
+    missing, the diagonal makes every p_A idempotent, and idempotents of
+    the inverse semigroup S_G commute.  The pairs (U - {v1..vk}, U - {v})
+    give, by induction on k, p_{U - {v1..vk}} = p_{U - v1} ... p_{U - vk}
+    for every nonempty U - {v1..vk}.  By associativity p_{U - X} p_{U - Y}
+    is then the product over X u Y, which is p_{A n B} when the meet is
+    nonempty.  When it is empty, X u Y = U and the product holds
+    p_{v} p_{U - {v}}, a checked pair whose value is the zero, which
+    absorbs.  A pair with B = U, where Y is empty, is checked directly.
     """
     lat = generate_lattice(g)
     require_no_sinks(g, "Cuntz-Krieger verification")
@@ -445,6 +466,9 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     for m, p in zip(vmasks, projs):
         want_of[m] = p
 
+    # a pivot row reads every later column, others the diagonal and pivots
+    pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat)))}
+    pivot_cols = [j for j, m in enumerate(vmasks) if m in pivots]
     bad: List[str] = []
     for i, A in enumerate(nonempty):
         pa = projs[i]
@@ -452,14 +476,16 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
             bad.append(f"missing projection {format_set(A)}")
             continue
         ma = vmasks[i]
-        for B, mb, pb in zip(nonempty[i:], vmasks[i:], projs[i:]):
+        cols = range(i, len(projs)) if ma in pivots else [i] + [j for j in pivot_cols if j > i]
+        for j in cols:
+            pb = projs[j]
             if pb is None:
                 continue
             got = product(g, pa, pb)
-            want = want_of[ma & mb]
+            want = want_of[ma & vmasks[j]]
             if got != want:
                 bad.append(
-                    f"{format_set(A)} * {format_set(B)}: got {got}, want {want}"
+                    f"{format_set(A)} * {format_set(nonempty[j])}: got {got}, want {want}"
                 )
     entries.append(CheckResult("projection_meets", not bad, tuple(bad[:8])))
 
@@ -482,6 +508,8 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
         pv = fam.projections.get(frozenset({g.source[e]}))
         if pv is None:
             below.append(f"edge {e}: missing projection at source")
+        elif not is_idempotent(pv):
+            below.append(f"edge {e}: projection {{{g.source[e]}}} is not idempotent")
         elif not is_idempotent(ee) or not idempotent_leq(g, ee, pv):
             below.append(f"edge {e}: {ee} is not below the source projection")
     entries.append(CheckResult("isometry_range_identity", not bad, tuple(bad[:8])))
@@ -532,10 +560,7 @@ def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:
     every pair holds.  The joins read each set's split, as check_family."""
     lat = generate_lattice(g)
     require_no_sinks(g, "set identity checks")
-    cuts = [
-        (g.vertices - {v}, (len(lat) - 1) ^ (1 << k))
-        for k, v in enumerate(g.vertices_sorted())
-    ]
+    cuts = [(g.vertices - {v}, m) for v, m in zip(g.vertices_sorted(), _pivot_masks(len(lat)))]
     entries: List[CheckResult] = []
     for depth in depths:
         words_of, fmt_mask = _word_masks(g, depth)

@@ -382,8 +382,36 @@ MUTANTS = (
     Mutant(
         "check_family: read the meet's projection at the union's mask",
         "groupoid.py",
-        "want = want_of[ma & mb]",
-        "want = want_of[ma | mb]",
+        "want = want_of[ma & vmasks[j]]",
+        "want = want_of[ma | vmasks[j]]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: drop the diagonal from a non-pivot row",
+        "groupoid.py",
+        "else [i] + [j for j in pivot_cols if j > i]",
+        "else [j for j in pivot_cols if j > i]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: drop U from the pivots",
+        "groupoid.py",
+        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat)))}",
+        "pivots = {*filter(None, _pivot_masks(len(lat)))}",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: skip the last vertex's pivot",
+        "groupoid.py",
+        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat)))}",
+        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat))[:-1])}",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: let a pivot row read only pivot columns",
+        "groupoid.py",
+        "cols = range(i, len(projs)) if ma in pivots",
+        "cols = [j for j in pivot_cols if j >= i] if ma in pivots",
         GROUPOID_TESTS,
     ),
     Mutant(
@@ -445,8 +473,8 @@ MUTANTS = (
     Mutant(
         "check_set_identities: cut only the first vertex",
         "groupoid.py",
-        "for k, v in enumerate(g.vertices_sorted())\n    ]",
-        "for k, v in enumerate(g.vertices_sorted()[:1])\n    ]",
+        "zip(g.vertices_sorted(), _pivot_masks(len(lat)))",
+        "zip(g.vertices_sorted()[:1], _pivot_masks(len(lat)))",
         GROUPOID_TESTS,
     ),
     Mutant(

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ultragraph.groupoid as groupoid_module
+import ultragraph.semigroup as semigroup_module
 
 from ultragraph import (
     OMEGA,
@@ -577,20 +578,71 @@ def _family_word_masks(g, fam, depth):
     depth=st.sampled_from((2, 3)),
 )
 def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
-    """projection_meets reads the family through vertex masks and gives
-    the frozenset loop's details; projection_joins reads one split per set
-    and gives the all-pairs loop's verdict, each witness a failing pair of
-    that loop."""
+    """projection_meets reads the diagonal and pivot pairs and
+    projection_joins one split per set; each gives the verdict of the
+    frozenset all-pairs loop, and each witness is a line of that loop."""
     g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
     fam = _damaged_family(g, damage, pick)
     got = {e.name: e for e in check_family(g, fam, depth).entries}
 
     want_meets = ck_meet_failures_by_sets(g, fam)
-    meets = got["projection_meets"]
-    assert (meets.passed, meets.details) == (not want_meets, tuple(want_meets[:8]))
+    _assert_witnesses_fail_in_oracle(got["projection_meets"], want_meets, " * ")
 
     want_joins = join_failures_by_sets(*_family_word_masks(g, fam, depth))
     _assert_witnesses_fail_in_oracle(got["projection_joins"], want_joins)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    picks=st.lists(st.tuples(st.integers(0, 63), st.integers(0, 10**6)), min_size=1, max_size=2),
+)
+def test_pivot_meets_give_the_all_pairs_verdict_on_any_elements(seed, picks):
+    """Any S_G elements in place of projections, not only damaged ones:
+    check_family runs to the end, and projection_meets gives the verdict
+    of the all-pairs loop, each witness a line of it."""
+    g = random_ultragraph(random.Random(seed), max_vertices=4, max_edges=5, sink_free=True)
+    elems = generate_elements(g, 1)
+    fam = ck_family(g)
+    sets = powerset_lattice(g)[1:]
+    for at, pick in picks:
+        fam.projections[sets[at % len(sets)]] = elems[pick % len(elems)]
+    got = {e.name: e for e in check_family(g, fam, 2).entries}
+    _assert_witnesses_fail_in_oracle(
+        got["projection_meets"], ck_meet_failures_by_sets(g, fam), " * "
+    )
+
+
+def test_non_idempotent_source_projection_fails_domination():
+    """A vertex projection that is no idempotent has no order to read: the
+    domination check names the edge and the set instead of raising."""
+    g = gx()
+    fam = ck_family(g)
+    fam.projections[fz("u")] = fam.isometries["e"]
+    failed = {e.name: e.details for e in check_family(g, fam, 2).failures()}
+    assert failed["isometry_source_domination"] == ("edge g: projection {u} is not idempotent",)
+    assert failed["projection_meets"][0].startswith("{u} * {u}: got omega")
+
+
+@pytest.mark.parametrize("n", range(3, 13))
+def test_verify_ck_products_are_the_diagonal_and_pivot_pairs(n):
+    """verify_ck calls product once per diagonal pair and once per pair of
+    distinct sets at least one of which is a pivot (U or a U - {v}), and
+    three times per edge: t_e* t_e, t_e t_e* and the domination order."""
+    g = ring_ultragraph(n)
+    calls = []
+
+    def counted(*args):
+        calls.append(None)
+        return product(*args)
+
+    with mock.patch.object(groupoid_module, "product", counted), mock.patch.object(
+        semigroup_module, "product", counted
+    ):
+        rep = verify_ck(g, 2)
+    sets, pivots = 2**n - 1, n + 1
+    assert len(calls) == sets + pivots * (sets - 1) - math.comb(pivots, 2) + 3 * len(g.edges)
+    assert rep.passed
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
