@@ -31,6 +31,7 @@ from .core import (
 from .paths import (
     LassoPath,
     Ultrapath,
+    check_lasso_bounds,
     concat,
     concat_lasso,
     enumerate_lassos,
@@ -599,7 +600,10 @@ def build_elements(
 ) -> Tuple[GroupoidElement, ...]:
     """Groupoid elements generated by semigroup pairs up to witness_len
     acting on all lassos within the bounds."""
-    generate_lattice(g)  # its size guard comes before the sink and bound checks
+    check_lasso_bounds(prefix_bound, cycle_bound)
+    if witness_len < 0:
+        raise ValueError("max_len must be nonnegative")
+    generate_lattice(g)  # its size guard comes before the sink check
     lassos = enumerate_lassos(g, prefix_bound, cycle_bound)
     out = set()
     for s in generate_elements(g, witness_len):

@@ -410,21 +410,20 @@ def _lassos_in_order(
                         yield _canonical_lasso(p, c)
 
 
-def count_lassos(
-    g: Ultragraph,
-    prefix_bound: int,
-    cycle_bound: int,
-    max_count: int = 500_000,
-) -> Tuple[int, List[LassoPath]]:
-    """len(enumerate_lassos(g, prefix_bound, cycle_bound, max_count)) and
-    its first SAMPLE lassos, with the same errors at the same inputs,
-    counted without building the prefixed lassos.
+def _counted_lassos(
+    g: Ultragraph, prefix_bound: int, cycle_bound: int, max_count: int
+) -> Tuple[int, Iterator[LassoPath]]:
+    """The number of canonical lassos within the bounds, and an iterator
+    that builds them one at a time, ordered by prefix length, cycle
+    length, prefix, cycle.
 
     A canonical lasso is a primitive closed word c with a prefix p that is
     empty or has s(c_0) in r(p[-1]) and p[-1] != c[-1].  So c counts once
     for its empty prefix, plus the prefixes ending in an edge whose range
     holds its start, less those ending in its own last edge; the prefixes
-    are counted by last edge."""
+    are counted by last edge.  Past max_count words up to either bound, or
+    max_count lassos, it raises SizeLimitError before any prefixed lasso
+    is built."""
     require_no_sinks(g, "lasso enumeration")
     check_lasso_bounds(prefix_bound, cycle_bound)
     _lasso_words(g, cycle_bound, max_count)
@@ -434,8 +433,20 @@ def count_lassos(
     count = len(cycles) + sum(into[g.source[c[0]]] - ending.get(c[-1], 0) for c in cycles)
     if count > max_count:
         raise SizeLimitError(f"lasso enumeration exceeded max_count={max_count}")
-    found = _lassos_in_order(g, prefix_bound, cycles)
-    return count, list(itertools.islice(found, min(SAMPLE, count)))
+    return count, _lassos_in_order(g, prefix_bound, cycles)
+
+
+def count_lassos(
+    g: Ultragraph,
+    prefix_bound: int,
+    cycle_bound: int,
+    max_count: int = 500_000,
+) -> Tuple[int, List[LassoPath]]:
+    """len(enumerate_lassos(g, prefix_bound, cycle_bound, max_count)) and
+    its first SAMPLE lassos, with the same errors at the same inputs,
+    counted without building the rest."""
+    count, lassos = _counted_lassos(g, prefix_bound, cycle_bound, max_count)
+    return count, list(itertools.islice(lassos, min(SAMPLE, count)))
 
 
 def enumerate_lassos(
@@ -444,39 +455,10 @@ def enumerate_lassos(
     cycle_bound: int,
     max_count: int = 500_000,
 ) -> List[LassoPath]:
-    """All canonical lassos with prefix and cycle lengths within the bounds.
+    """All canonical lassos with prefix and cycle lengths within the bounds,
+    ordered by prefix length, cycle length, prefix, cycle.
 
-    Every raw (prefix, cycle) pair inside the bounds canonicalizes to
-    something still inside the bounds, so enumerating raw pairs and
-    deduplicating is exhaustive.
-    """
-    require_no_sinks(g, "lasso enumeration")
-    check_lasso_bounds(prefix_bound, cycle_bound)
-
-    def paths_up_to(bound: int) -> List[Tuple[Edge, ...]]:
-        # the words are counted before any is built, and no level past the
-        # bound is built
-        _lasso_words(g, bound, max_count)
-        return [w for words in itertools.islice(_word_lists(g), bound) for w in words]
-
-    cycles = [
-        w
-        for w in paths_up_to(cycle_bound)
-        if g.source[w[0]] in g.range[w[-1]]
-    ]
-    prefixes: List[Tuple[Edge, ...]] = [()]
-    prefixes.extend(paths_up_to(prefix_bound))
-    found = set()
-    for c in cycles:
-        start = g.source[c[0]]
-        for p in prefixes:
-            if p and start not in g.range[p[-1]]:
-                continue
-            found.add(LassoPath(p, c))
-            if len(found) > max_count:
-                raise SizeLimitError(
-                    f"lasso enumeration exceeded max_count={max_count}"
-                )
-    return sorted(
-        found, key=lambda l: (len(l.prefix), len(l.cycle), l.prefix, l.cycle)
-    )
+    The lassos are counted before any prefixed one is built, and past
+    max_count the count raises SizeLimitError.  The edge words are built
+    one level at a time, and only the primitive closed ones are kept."""
+    return list(_counted_lassos(g, prefix_bound, cycle_bound, max_count)[1])

@@ -22,7 +22,6 @@ from ultragraph import (
     compose,
     edge_adjacency,
     format_set,
-    enumerate_lassos,
     generate_lattice,
     gw,
     gx,
@@ -151,6 +150,59 @@ def word_count_up_to(g: Ultragraph, bound: int) -> int:
         if total > 10**9:
             break
     return total
+
+
+def lassos_by_dedup(
+    g: Ultragraph, prefix_bound: int, cycle_bound: int, max_count: int = 500_000
+) -> List[LassoPath]:
+    """Lasso oracle, the raw-pair build enumerate_lassos ran before it
+    shared count_lassos' route: every (prefix, closed word) pair within the
+    bounds, canonicalized by the LassoPath constructor, collected in a set
+    and sorted by prefix length, cycle length, prefix, cycle.
+
+    Every raw pair inside the bounds canonicalizes to something still
+    inside the bounds, so deduplicating raw pairs is exhaustive.  The words
+    up to either bound are counted by word_count_up_to before any is built,
+    and the errors are enumerate_lassos' at the same inputs."""
+    require_no_sinks(g, "lasso enumeration")
+    if cycle_bound < 1:
+        raise ValueError("cycle_bound must be positive")
+    if prefix_bound < 0:
+        raise ValueError("prefix_bound must not be negative")
+
+    def paths_up_to(bound: int) -> List[Tuple[str, ...]]:
+        if bound >= 1 and word_count_up_to(g, bound) > max_count:
+            raise SizeLimitError(f"lasso enumeration exceeded max_count={max_count}")
+        out: List[Tuple[str, ...]] = []
+        words = [(e,) for e in g.edges] if bound >= 1 else []
+        while words:
+            out.extend(words)
+            if len(words[0]) == bound:
+                break
+            words = [w + (f,) for w in words for f in g.edges if g.source[f] in g.range[w[-1]]]
+        return out
+
+    cycles = [
+        w
+        for w in paths_up_to(cycle_bound)
+        if g.source[w[0]] in g.range[w[-1]]
+    ]
+    prefixes: List[Tuple[str, ...]] = [()]
+    prefixes.extend(paths_up_to(prefix_bound))
+    found = set()
+    for c in cycles:
+        start = g.source[c[0]]
+        for p in prefixes:
+            if p and start not in g.range[p[-1]]:
+                continue
+            found.add(LassoPath(p, c))
+            if len(found) > max_count:
+                raise SizeLimitError(
+                    f"lasso enumeration exceeded max_count={max_count}"
+                )
+    return sorted(
+        found, key=lambda l: (len(l.prefix), len(l.cycle), l.prefix, l.cycle)
+    )
 
 
 def _canonical_shift(x: LassoPath, n: int) -> LassoPath:
@@ -376,7 +428,7 @@ def cofinal_by_lassos(g: Ultragraph) -> Tuple[bool, Optional[tuple]]:
     cycle therefore reaches every infinite path.
     """
     bound = len(g.edges)
-    cycles = enumerate_lassos(g, 0, bound)
+    cycles = lassos_by_dedup(g, 0, bound)
     memo = {}
 
     def can_reach(v: str, w: str) -> bool:
@@ -412,7 +464,7 @@ def cofinal_by_lassos_full(g: Ultragraph) -> Tuple[bool, Optional[tuple]]:
     by the edge count, shift-source membership checked per shift.  Only
     tractable on fixture-sized graphs."""
     bound = len(g.edges)
-    lassos = enumerate_lassos(g, bound, bound)
+    lassos = lassos_by_dedup(g, bound, bound)
     for v in sorted(g.vertices):
         for x in lassos:
             hits = any(

@@ -281,7 +281,7 @@ MUTANTS = (
         PATHS_TESTS,
     ),
     Mutant(
-        "count_lassos: drop the p[-1] != c[-1] test",
+        "_counted_lassos: drop the p[-1] != c[-1] test",
         "paths.py",
         "into[g.source[c[0]]] - ending.get(c[-1], 0)",
         "into[g.source[c[0]]]",
@@ -318,9 +318,23 @@ MUTANTS = (
     Mutant(
         "count_lassos: sort the sample by cycle length before prefix length",
         "paths.py",
-        "list(itertools.islice(found, min(SAMPLE, count)))",
-        "sorted(itertools.islice(found, min(SAMPLE, count)), "
+        "list(itertools.islice(lassos, min(SAMPLE, count)))",
+        "sorted(itertools.islice(lassos, min(SAMPLE, count)), "
         "key=lambda l: (len(l.cycle), len(l.prefix), l.prefix, l.cycle))",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_counted_lassos: drop the lasso count guard",
+        "paths.py",
+        "    if count > max_count:\n        raise SizeLimitError(f\"lasso",
+        "    if False:\n        raise SizeLimitError(f\"lasso",
+        PATHS_TESTS,
+    ),
+    Mutant(
+        "_counted_lassos: raise on reaching max_count lassos",
+        "paths.py",
+        "    if count > max_count:\n        raise SizeLimitError(f\"lasso",
+        "    if count >= max_count:\n        raise SizeLimitError(f\"lasso",
         PATHS_TESTS,
     ),
     Mutant(

@@ -117,7 +117,8 @@ def test_analyze_default_bound_prints_as_the_explicit_one(capsys, tmp_path):
 
 
 def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
-    # paths skips the lassos on a graph with a sink, but not the bound check
+    # paths skips the lassos on a graph with a sink, but not the bound check;
+    # groupoid checks its flags before it rejects the sink
     sink = tmp_path / "sink.ug"
     sink.write_text("ultragraph\nvertex a\nvertex b\nedge e a { b }\n")
     for argv, flag in (
@@ -127,6 +128,9 @@ def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
         (["paths", str(sink), "--prefix-bound", "-2"], "prefix_bound"),
         (["paths", str(sink), "--cycle-bound", "0"], "cycle_bound"),
         (["paths", str(sink), "--prefix-bound", "-2", "--cycle-bound", "0"], "cycle_bound"),
+        (["groupoid", str(sink), "--prefix-bound", "-2"], "prefix_bound"),
+        (["groupoid", str(sink), "--cycle-bound", "0"], "cycle_bound"),
+        (["groupoid", str(sink), "--witness-len", "-1"], "max_len"),
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "", argv
@@ -166,12 +170,15 @@ def test_groupoid_pairs_past_the_pair_count_take_every_pair(monkeypatch, capsys)
 
 def test_flag_errors_come_before_the_lattice_guard(tmp_path, capsys):
     """ring(13) has 8,192 vertex sets, past the lattice's 4,096-set guard:
-    a bad --max-len or --depth still exits 2, as on ring(6), and good
-    flags still fail as size_limit."""
+    a bad --max-len, --depth, lasso bound or --witness-len still exits 2,
+    as on ring(6), and good flags still fail as size_limit."""
     bad = (
         (["paths", "--max-len", "-1"], "error: max_len must be nonnegative"),
         (["semigroup", "--max-len", "-1"], "error: max_len must be nonnegative"),
         (["ck", "--depth", "1"], "error: verification depth must be at least 2"),
+        (["groupoid", "--cycle-bound", "0"], "error: cycle_bound must be positive"),
+        (["groupoid", "--prefix-bound", "-1"], "error: prefix_bound must not be negative"),
+        (["groupoid", "--witness-len", "-1"], "error: max_len must be nonnegative"),
     )
     for n in (6, 13):
         path = tmp_path / f"ring{n}.ug"
@@ -179,7 +186,7 @@ def test_flag_errors_come_before_the_lattice_guard(tmp_path, capsys):
         for (command, *flags), message in bad:
             code, out, err = run([command, str(path), *flags], capsys)
             assert (code, out, err.strip()) == (2, "", message), (n, command)
-    for command in ("paths", "semigroup", "ck"):
+    for command in ("paths", "semigroup", "ck", "groupoid"):
         code, out, err = run([command, str(path), "--format", "json"], capsys)
         checks = json.loads(out)["checks"]
         assert code == 1, err

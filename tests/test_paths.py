@@ -37,7 +37,7 @@ from ultragraph import (
 from ultragraph.fixtures import gw, gx, gy
 from ultragraph.paths import word_levels
 
-from conftest import random_ultragraph, ring_ultragraph, word_count_up_to
+from conftest import lassos_by_dedup, random_ultragraph, ring_ultragraph, word_count_up_to
 
 
 def fz(*names):
@@ -199,13 +199,17 @@ def _peak_bytes(fn):
 def test_no_level_is_built_past_the_budget():
     """400 edges: the 120,000 words of length 2 carry 280,000 paths, past
     the default budget, and only cycles of length 1 are asked for; building
-    either level of words takes several MB."""
+    either level of words takes several MB.  GY's one loop has one word of
+    each length, so keeping every closed word up to 3,000 edges would take
+    tens of MB for its one lasso."""
     g = _wide_graph(200)
     with pytest.raises(SizeLimitError, match="path enumeration"):
         enumerate_paths(g, 2)
     assert len(enumerate_lassos(g, 0, 1)) == 200
     assert _peak_bytes(lambda: enumerate_paths(g, 2)) < 1_000_000
     assert _peak_bytes(lambda: enumerate_lassos(g, 0, 1)) < 1_000_000
+    assert [str(x) for x in enumerate_lassos(gy(), 0, 3000)] == ["(e)*"]
+    assert _peak_bytes(lambda: enumerate_lassos(gy(), 0, 3000)) < 1_000_000
 
 
 def _sorted_paths_oracle(g, max_len):
@@ -463,13 +467,16 @@ def _words_up_to(g, bound):
 
 
 def _lassos_agree(g, prefix_bound, cycle_bound):
-    full = enumerate_lassos(g, prefix_bound, cycle_bound)
+    full = lassos_by_dedup(g, prefix_bound, cycle_bound)
+    assert enumerate_lassos(g, prefix_bound, cycle_bound) == full
     assert count_lassos(g, prefix_bound, cycle_bound) == (len(full), full[:12])
     # the budget binds on the words of either bound and on the lassos
     need = max(_words_up_to(g, cycle_bound), _words_up_to(g, prefix_bound), len(full))
     for m in {len(full), len(full) - 1, need, need - 1}:
+        want = _outcome(lambda: lassos_by_dedup(g, prefix_bound, cycle_bound, max_count=m))
+        listed = _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound, max_count=m))
+        assert listed == want, (m, listed, want)
         got = _outcome(lambda: count_lassos(g, prefix_bound, cycle_bound, max_count=m))
-        want = _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound, max_count=m))
         assert got == _counted(want), (m, got, want)
         if m < need:
             assert got == ("SizeLimitError", f"lasso enumeration exceeded max_count={m}")
@@ -520,7 +527,8 @@ def test_counts_match_enumeration_on_drawn_graphs(g):
     for prefix_bound in range(3):
         for cycle_bound in range(1, 4):
             got = _outcome(lambda: count_lassos(g, prefix_bound, cycle_bound))
-            want = _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound))
+            want = _outcome(lambda: lassos_by_dedup(g, prefix_bound, cycle_bound))
+            assert _outcome(lambda: enumerate_lassos(g, prefix_bound, cycle_bound)) == want
             assert got == _counted(want)
             if not isinstance(want, tuple):
                 _lassos_agree(g, prefix_bound, cycle_bound)
@@ -533,7 +541,7 @@ def test_counts_reject_what_the_enumerations_reject(g_branch):
     for bounds in ((-1, 2), (0, 0)):
         assert _outcome(lambda: count_lassos(g_branch, *bounds)) == _outcome(
             lambda: enumerate_lassos(g_branch, *bounds)
-        )
+        ) == _outcome(lambda: lassos_by_dedup(g_branch, *bounds))
     sink = Ultragraph.build(["a", "b"], {"e": ("a", ("b",))})
     with pytest.raises(GraphStructureError):
         count_lassos(sink, 1, 1)
@@ -556,6 +564,6 @@ def test_counts_build_only_their_samples():
     assert _peak_bytes(lambda: count_paths(g, 5)) < 200_000
     assert _peak_bytes(lambda: enumerate_paths(g, 5)) > 2_000_000
     count, sample = count_lassos(g, 2, 3)
-    assert count == len(enumerate_lassos(g, 2, 3)) > 10_000
+    assert count == len(lassos_by_dedup(g, 2, 3)) > 10_000
     assert [str(x) for x in sample[:3]] == ["(e0)*", "(e1)*", "(e2)*"]
     assert _peak_bytes(lambda: count_lassos(g, 2, 3)) < 200_000

@@ -145,6 +145,30 @@ def test_paths_command_counts_without_enumerating():
     assert not found, found
 
 
+def test_lassos_have_one_build_route():
+    """enumerate_lassos and count_lassos both read _counted_lassos' count
+    and ordered build: neither body may build, collect or sort lassos
+    itself.  The return annotations name LassoPath and are not read."""
+    tree = ast.parse((SRC / "paths.py").read_text())
+    functions = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("enumerate_lassos", "count_lassos")
+    ]
+    assert len(functions) == 2
+    names = ("LassoPath", "set", "sorted")
+    found = [
+        f"{node.lineno} {ast.unparse(node)}"
+        for function in functions
+        for statement in function.body
+        for node in ast.walk(statement)
+        if (isinstance(node, ast.Name) and node.id in names)
+        or (isinstance(node, ast.Attribute) and node.attr in names)
+    ]
+    assert not found, found
+
+
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
