@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .analysis import (
     check_singular_equivalence,
@@ -50,9 +50,7 @@ from .semigroup import (
     OMEGA,
     SGElement,
     generate_elements,
-    idempotent_leq,
     idempotent_leq_by_shape,
-    is_idempotent,
     product,
     rule_remainders,
     star,
@@ -132,6 +130,9 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 _UNREAD = object()
 _MEET = object()
+# what one remainder glues onto every path of a side: some concatenation
+# undefined, all defined, or all defined and each giving its path back
+_UNDEFINED, _DEFINED, _FIXED = range(3)
 
 
 class _RemainderTable(dict):
@@ -153,18 +154,45 @@ class _RemainderTable(dict):
     remainders and no product of two elements is stored.  The memo is the
     table itself rather than an object pointing back at it, since such a
     cycle would keep every table alive until a full garbage collection.
+    The |P|^2 entries are charged to a budget of max_pairs entries and
+    element pairs before any is read.
+
+    Block (z, x) holds the products (w, z)(x, y) of listed elements.  Its
+    sides are ws[z], the ids of the w listed with right coordinate z, and
+    ys[x], those of the y listed with left coordinate x.
     """
 
+    max_pairs = 2_000_000
+
     def __init__(self, g: Ultragraph, elems: Sequence[Tuple[Optional[Ultrapath], ...]]):
-        self.g = g
+        self.g, self.spent = g, 0
         self.ids: Dict[Ultrapath, int] = {}
         self.paths: List[Ultrapath] = []
         # (left id, right id) per element, None for the zero
         self.coords = [
             None if w is None else (self.intern(w), self.intern(y)) for w, y in elems
         ]
-        self.size = len(self.paths)
-        self.rows = [[_UNREAD] * self.size for _ in self.paths]
+        self.size = n = len(self.paths)
+        self.charge(n * n)
+        self.rows = [[_UNREAD] * n for _ in range(n)]
+        ws: List[set] = [set() for _ in range(n)]
+        ys: List[set] = [set() for _ in range(n)]
+        self.bent = set()  # the coordinates of elements whose two ranges differ
+        for c in filter(None, self.coords):
+            ws[c[1]].add(c[0])
+            ys[c[0]].add(c[1])
+            if self.paths[c[0]].terminal != self.paths[c[1]].terminal:
+                self.bent.update(c)
+        self.ws, self.ys = ([frozenset(s) for s in side] for side in (ws, ys))
+        self.glued: Dict[Tuple[int, FrozenSet[int]], int] = {}
+
+    def charge(self, count: int) -> None:
+        """Count entries or element pairs against max_pairs."""
+        self.spent += count
+        if self.spent > self.max_pairs:
+            raise SizeLimitError(
+                f"semigroup law check exceeded max_pairs={self.max_pairs} entries and pairs"
+            )
 
     def intern(self, p: Ultrapath) -> int:
         pid = self.ids.setdefault(p, len(self.paths))
@@ -195,6 +223,33 @@ class _RemainderTable(dict):
         p = concat(self.g, self.paths[pid], self.paths[rid])
         out = self[key] = None if p is None else self.intern(p)
         return out
+
+    def glues(self, rid: int, side: FrozenSet[int]) -> int:
+        """What the remainder glues onto every path of a side, read through
+        the grown-id memo: _UNDEFINED, _DEFINED or _FIXED."""
+        out = self.glued.get((rid, side))
+        if out is None:
+            pids = list(side)
+            grown = [self[rid, pid] for pid in pids]
+            out = _UNDEFINED if None in grown else _FIXED if grown == pids else _DEFINED
+            self.glued[rid, side] = out
+        return out
+
+    def settled(self, z: int, x: int) -> bool:
+        """Whether every product of block (z, x) is the swap of its mirror
+        product and raises nothing, read off entries (z, x) and (x, z), the
+        sides and the memo alone (the proof is _star_failures')."""
+        e, m = self.entry(z, x), self.entry(x, z)
+        if e is _MEET:
+            return m is _MEET and z not in self.bent and x not in self.bent
+        if e is None or m != (e[1], e[0]):
+            return False
+        r1, r2 = e
+        left = _FIXED if r1 is None else self.glues(r1, self.ws[z])
+        right = _FIXED if r2 is None else self.glues(r2, self.ys[x])
+        if r1 is not None and r2 is not None:
+            return left == right == _FIXED
+        return _UNDEFINED not in (left, right)
 
     def times(self, w: int, z: int, x: int, y: int):
         """(w, z)(x, y) for coordinate ids: the product's (left id, right
@@ -236,77 +291,120 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
     """The involution, antimultiplicative-star and idempotent-order checks
-    on one element list."""
-    max_pairs = 2_000_000
+    on one element list.  The order check reads ef off the remainder table
+    and compares it with the order read off initial segments."""
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
-    checks = [_check("involution", not bad_inv, bad_inv[:5], count=len(elems))]
-    # (s, t) and its mirror (t*, s*) ask one equation, so the products are
-    # formed for the first of each mirror pair in (i, j) order only; mirror[i]
-    # is set where star maps elems[i] into the list and back
-    index = {s: i for i, s in enumerate(elems)}
-    starred = [star(s) for s in elems]
-    image = [index.get(s) for s in starred]
-    mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
-    # Where star swaps the coordinates of s = (w, z) and t = (x, y), s t and
-    # t* s* = (y, x)(z, w) are read off the table at entries (z, x) and
-    # (x, z) as id pairs.  When both are zero and star fixes the zero,
-    # s t = t* s* = 0 is known and the pair is not visited.  The zero and
-    # elements off the involution go through product pair by pair, against
-    # every column.
     table = _RemainderTable(g, elems)
+    bad_star = _star_failures(g, elems, table)
+    idems = [(s, c) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
+    times, meet = table.times, table.meet
+    bad_ord = []
+    for e, ee in idems:
+        for f, ff in idems:
+            ef = times(*ee, *ff)
+            if ef is _MEET:
+                ef = meet(e, f)
+            if (ef == ee) != idempotent_leq_by_shape(g, e, f):
+                bad_ord.append(f"{e} <= {f}")
+    star_witnesses = [f"{elems[i]} * {elems[j]}" for i, j in bad_star[:5]]
+    return [
+        _check("involution", not bad_inv, bad_inv[:5], count=len(elems)),
+        _check("antimultiplicative_star", not bad_star, star_witnesses),
+        _check("idempotent_order_agreement", not bad_ord, bad_ord[:5], idempotents=len(idems)),
+    ]
+
+
+def _star_failures(
+    g: Ultragraph, elems: Sequence[SGElement], table: _RemainderTable
+) -> List[Tuple[int, int]]:
+    """The pairs (i, j) with star(s t) != t* s* for s = elems[i] and
+    t = elems[j], in (i, j) order.
+
+    Where star fixes the zero and swaps the coordinates of every listed
+    nonzero element, it is taken to swap every product too, as star does.
+    Then a pair with the zero holds by absorption, and the law is decided
+    per block (z, x), the products of s = (w, z) and t = (x, y).
+    A block holds, with no product formed, when both entries (z, x) and
+    (x, z) are zero, s t = 0 = t* s*, or when table.settled(z, x) and
+    table.settled(x, z) hold:
+
+    - entry (z, x) holds remainder ids (r1, r2) and entry (x, z) mirrors
+      it as (r2, r1).  s t glues w . r1 into its left slot and y . r2 into
+      its right one; t* s* = (y, x)(z, w) glues y . r2 into its left slot
+      and w . r1 into its right one, from the same memo cells.  So t* s* is
+      the swap of s t for every w and y, and the two raise together.
+      Neither raises when each cell (r1, w) and (r2, y) over the block's
+      sides is defined and, where both rules apply, gives its path back.
+    - both entries are _MEET, so z and x are sets Z and X meeting in a
+      nonempty C, and neither is bent (a coordinate of a listed element
+      whose two ranges differ), so range(w) = Z and range(y) = X.
+      product's length-zero branch then cuts w and y to C and raises
+      nothing: both cuts are C, and a rule that applies has X = C or
+      Z = C, where the cut keeps y or w.  So s t = (w', y') for w and y
+      cut to C, and t* s* = (y', w'), its swap.
+
+    Every other block goes back to its element pairs, read off the table
+    as id pairs.  When star moves the zero or is not the swap on a listed
+    element, every block goes back, and its pairs go through product and
+    star.  (s, t) and its mirror (t*, s*) ask one equation, so the
+    products are formed for the first of each mirror pair in the loop's
+    order, which keeps the first error raised.  The pairs are charged to
+    the table's budget before any product."""
     coords, n = table.coords, table.size
+    starred = [star(s) for s in elems]
     tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
     off = [j for j in range(len(elems)) if not tabled[j]]
+    skip_zero = star(OMEGA) == OMEGA
+    loose = not skip_zero or any(coords[j] is not None for j in off)
+    if not loose:
+        off = []  # the zero alone, whose pairs hold by absorption
+    # the blocks sent back to element pairs, x ascending in live[z]
+    entry, settled = table.entry, table.settled
+    live: List[List[int]] = [[] for _ in range(n)]
+    for z in range(n):
+        for x in range(z, n):
+            if entry(z, x) is None and entry(x, z) is None:
+                back = not skip_zero
+            else:
+                back = loose or not (settled(z, x) and settled(x, z))
+            if back:
+                live[z].append(x)
+                if x != z:
+                    live[x].append(z)
     by_left: List[List[int]] = [[] for _ in range(n)]
     rights = [0] * n
     for j in range(len(elems)):
         if tabled[j]:
             by_left[coords[j][0]].append(j)
             rights[coords[j][1]] += 1
-    # count the pairs the loop visits, block by block, before any product
-    skip_zero = star(OMEGA) == OMEGA
     visits = len(off) * len(elems)
-    live: List[List[int]] = []
     for z in range(n):
-        xs = [
-            x
-            for x in range(n)
-            if not skip_zero
-            or table.entry(z, x) is not None
-            or table.entry(x, z) is not None
-        ]
-        visits += rights[z] * (len(off) + sum(len(by_left[x]) for x in xs))
-        if visits > max_pairs:
-            raise SizeLimitError(
-                f"semigroup law check exceeded max_pairs={max_pairs} element pairs"
-            )
-        live.append(xs)
+        visits += rights[z] * (len(off) + sum(len(by_left[x]) for x in live[z]))
+    table.charge(visits)
+    if not visits:
+        return []
 
-    # the products on which star is not the swap: the listed elements off
-    # the involution, and the zero where star moves it
-    unswapped = {coords[j] for j in off if coords[j] is not None}
-    if not skip_zero:
-        unswapped.add(None)
-
-    def element(p: Optional[Tuple[int, int]]) -> SGElement:
-        return OMEGA if p is None else SGElement(table.paths[p[0]], table.paths[p[1]])
-
-    every = range(len(elems))
+    # mirror[i] is set where star maps elems[i] into the list and back
+    index = {s: i for i, s in enumerate(elems)}
+    image = [index.get(s) for s in starred]
+    mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
     times, meet = table.times, table.meet
     bad_pairs = []
     for i, s in enumerate(elems):
         mi = mirror[i]
-        on = tabled[i]
-        cols = every
-        if on:
+        if tabled[i]:
             w, z = coords[i]
             cols = itertools.chain(off, *(by_left[x] for x in live[z]))
+        else:
+            cols = range(len(elems)) if loose else ()
         for j in cols:
             mj = mirror[j]
             paired = mi is not None and mj is not None
             if paired and (mj, mi) < (i, j):
                 continue
-            if on and tabled[j]:
+            if not loose:
+                # star swaps every id pair, so the pair and its mirror
+                # fail together
                 x, y = coords[j]
                 st = times(w, z, x, y)
                 if st is _MEET:
@@ -314,39 +412,18 @@ def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
                 ts = times(y, x, z, w)
                 if ts is _MEET:
                     ts = meet(starred[j], starred[i])
-                if not (unswapped and (st in unswapped or ts in unswapped)):
-                    # star swaps both id pairs, so the pair and its mirror
-                    # fail together
-                    if st != (ts and (ts[1], ts[0])):
-                        bad_pairs.append((i, j))
-                        if paired and (mj, mi) != (i, j):
-                            bad_pairs.append((mj, mi))
-                    continue
-                st, ts = element(st), element(ts)
-            else:
-                st = product(g, s, elems[j])
-                ts = product(g, starred[j], starred[i])
+                if st != (ts and (ts[1], ts[0])):
+                    bad_pairs.append((i, j))
+                    if paired and (mj, mi) != (i, j):
+                        bad_pairs.append((mj, mi))
+                continue
+            st = product(g, s, elems[j])
+            ts = product(g, starred[j], starred[i])
             if star(st) != ts:
                 bad_pairs.append((i, j))
             if paired and (mj, mi) != (i, j) and star(ts) != st:
                 bad_pairs.append((mj, mi))
-    bad_star = [f"{elems[i]} * {elems[j]}" for i, j in sorted(bad_pairs)]
-    checks.append(_check("antimultiplicative_star", not bad_star, bad_star[:5]))
-    idems = [s for s in elems if not s.is_omega and is_idempotent(s)]
-    bad_ord = []
-    for e in idems:
-        for f in idems:
-            if idempotent_leq(g, e, f) != idempotent_leq_by_shape(g, e, f):
-                bad_ord.append(f"{e} <= {f}")
-    checks.append(
-        _check(
-            "idempotent_order_agreement",
-            not bad_ord,
-            bad_ord[:5],
-            idempotents=len(idems),
-        )
-    )
-    return checks
+    return sorted(bad_pairs)
 
 
 def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
@@ -386,7 +463,7 @@ def _cmd_groupoid(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 
 
 def _cmd_ck(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
-    rep = verify_ck(g, depth=args.depth)
+    rep = verify_ck(g, depth=args.depth, max_size=args.max_size)
     checks = [
         _check(entry.name, entry.passed, entry.details, depth=args.depth)
         for entry in rep.entries
@@ -486,8 +563,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("validate", parents=[common], help="structural validation")
 
-    p = sub.add_parser("lattice", parents=[common], help="vertex-set lattice")
-    p.add_argument("--max-size", type=int, default=4096)
+    # the lattice cap of every subcommand that builds the lattice on demand
+    lattice_cap = argparse.ArgumentParser(add_help=False)
+    lattice_cap.add_argument(
+        "--max-size", type=int, default=4096, help="most lattice sets to build"
+    )
+
+    p = sub.add_parser("lattice", parents=[common, lattice_cap], help="vertex-set lattice")
 
     p = sub.add_parser("paths", parents=[common], help="ultrapaths and lassos")
     p.add_argument("--max-len", type=int, default=3)
@@ -503,7 +585,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycle-bound", type=int, default=2)
     p.add_argument("--pairs", type=int, default=50, help="separation sample size")
 
-    p = sub.add_parser("ck", parents=[common], help="Cuntz-Krieger relations")
+    p = sub.add_parser("ck", parents=[common, lattice_cap], help="Cuntz-Krieger relations")
     p.add_argument("--depth", type=int, default=2)
 
     p = sub.add_parser("analyze", parents=[common], help="structural criteria")

@@ -287,8 +287,8 @@ class CKFamily:
     isometries: Dict[Edge, SGElement]
 
 
-def ck_family(g: Ultragraph) -> CKFamily:
-    nonempty = generate_lattice(g).nonempty()
+def ck_family(g: Ultragraph, max_size: int = 4096) -> CKFamily:
+    nonempty = generate_lattice(g, max_size).nonempty()
     require_no_sinks(g, "Cuntz-Krieger family construction")
     projections = {A: idempotent(vertex_path(A)) for A in nonempty}
     isometries = {
@@ -385,7 +385,9 @@ def _pivot_masks(size: int) -> List[int]:
     return [(size - 1) ^ (1 << k) for k in range((size - 1).bit_length())]
 
 
-def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
+def check_family(
+    g: Ultragraph, fam: CKFamily, depth: int, max_size: int = 4096
+) -> CheckReport:
     """Decide the Cuntz-Krieger relations for the given family by semigroup
     products and depth-d refinement.
 
@@ -409,7 +411,7 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     p_{v} p_{U - {v}}, a checked pair whose value is the zero, which
     absorbs.  A pair with B = U, where Y is empty, is checked directly.
     """
-    lat = generate_lattice(g)
+    lat = generate_lattice(g, max_size)
     require_no_sinks(g, "Cuntz-Krieger verification")
     if depth < 2:
         raise ValueError("verification depth must be at least 2")
@@ -545,10 +547,10 @@ def check_family(g: Ultragraph, fam: CKFamily, depth: int) -> CheckReport:
     return CheckReport(entries=tuple(entries))
 
 
-def verify_ck(g: Ultragraph, depth: int = 2) -> CheckReport:
+def verify_ck(g: Ultragraph, depth: int = 2, max_size: int = 4096) -> CheckReport:
     if depth < 2:  # a usage error, reported before ck_family's lattice guard
         raise ValueError("verification depth must be at least 2")
-    return check_family(g, ck_family(g), depth)
+    return check_family(g, ck_family(g, max_size), depth, max_size)
 
 
 def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:

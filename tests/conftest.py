@@ -702,8 +702,9 @@ def groupoid_laws_by_compose(
 
 def semigroup_laws_by_product(g: Ultragraph, elems) -> List[Tuple[str, bool, List[str]]]:
     """Oracle for cli._semigroup_laws, the loop it ran before its remainder
-    table answered in interned ids: (name, pass, first five witnesses) of
-    the involution, antimultiplicative-star and idempotent-order checks.
+    table answered in interned ids and the star law was settled per
+    coordinate pair: (name, pass, first five witnesses) of the involution,
+    antimultiplicative-star and idempotent-order checks.
 
     The (z, x) remainders of rule_remainders are read once per pair of
     distinct coordinates, as values, and every listed product is built as
@@ -711,8 +712,8 @@ def semigroup_laws_by_product(g: Ultragraph, elems) -> List[Tuple[str, bool, Lis
     two meeting sets go through product.  s t and t* s* = (y, x)(z, w) are
     compared through star, once per mirror pair, over the pairs whose
     (z, x) or (x, z) entry is not zero, in the loop's visit order.  Where
-    star(t) or star(s) is not listed, t* s* is formed by product.  No pair
-    budget is kept."""
+    star(t) or star(s) is not listed, t* s* is formed by product.  The
+    order check forms ef by idempotent_leq.  No pair budget is kept."""
     meet_mark = object()
     # the listed coordinates in order of first sight
     paths = list(dict.fromkeys(p for s in elems if not s.is_omega for p in s))

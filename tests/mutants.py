@@ -557,8 +557,8 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: decide a block from s t alone",
         "cli.py",
-        "            or table.entry(x, z) is not None\n",
-        "",
+        "            if entry(z, x) is None and entry(x, z) is None:\n",
+        "            if entry(z, x) is None:\n",
         CLI_TESTS,
     ),
     Mutant(
@@ -578,8 +578,8 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: skip the diagonal block",
         "cli.py",
-        "            for x in range(n)\n",
-        "            for x in range(n)\n            if x != z\n",
+        "        for x in range(z, n):\n",
+        "        for x in range(z + 1, n):\n",
         CLI_TESTS,
     ),
     Mutant(
@@ -634,8 +634,57 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: swap the ids of a product off the involution",
         "cli.py",
-        "if not (unswapped and (st in unswapped or ts in unswapped)):",
-        "if True:",
+        "loose = not skip_zero or any(coords[j] is not None for j in off)",
+        "loose = not skip_zero",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup rule_remainders: drop rule 2 onto a set, breaking the symmetry",
+        "semigroup.py",
+        "return initial_segment(g, x, z), initial_segment(g, z, x)",
+        "return initial_segment(g, x, z), (initial_segment(g, z, x) if x.word else None)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: settle a block whose entries do not mirror",
+        "cli.py",
+        "if e is None or m != (e[1], e[0]):",
+        "if e is None:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: settle a meet block with bent coordinates",
+        "cli.py",
+        "return m is _MEET and z not in self.bent and x not in self.bent",
+        "return m is _MEET",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: settle a block whose glue may raise",
+        "cli.py",
+        "return _UNDEFINED not in (left, right)",
+        "return True",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: settle two rules without the fixed-point test",
+        "cli.py",
+        "return left == right == _FIXED",
+        "return _UNDEFINED not in (left, right)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: charge one unit per coordinate, not per entry",
+        "cli.py",
+        "self.charge(n * n)",
+        "self.charge(n)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: charge no element pair",
+        "cli.py",
+        "table.charge(visits)",
+        "table.charge(0)",
         CLI_TESTS,
     ),
     Mutant(

@@ -41,6 +41,7 @@ from ultragraph import (
 from ultragraph.cli import main
 from ultragraph.semigroup import rule_remainders
 
+import conftest
 from conftest import (
     lattice_labels,
     product_by_rules,
@@ -304,6 +305,28 @@ def test_size_limit_exits_one(capsys):
     assert "size_limit" in out
 
 
+def test_ck_takes_the_lattice_cap(tmp_path, capsys):
+    """ck takes lattice's --max-size: GX's 8 sets fail a cap of 7 as
+    size_limit, the default and an explicit 4096 print the same bytes, and
+    ring(13)'s 8,192 sets, past the default, pass under a cap of 8192."""
+    code, out, _ = run(["ck", GX, "--max-size", "7", "--format", "json"], capsys)
+    assert code == 1
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["witnesses"]) for c in checks] == [
+        ("size_limit", ["lattice closure exceeded max_size=7"])
+    ]
+    default = run(["ck", GX, "--format", "json"], capsys)
+    assert default[0] == 0
+    assert run(["ck", GX, "--max-size", "4096", "--format", "json"], capsys) == default
+    ring13 = tmp_path / "ring13.ug"
+    ring13.write_text(emit(ring_ultragraph(13)))
+    code, out, _ = run(["ck", str(ring13), "--format", "json"], capsys)
+    assert code == 1 and "max_size=4096" in out
+    code, out, err = run(["ck", str(ring13), "--max-size", "8192", "--format", "json"], capsys)
+    assert code == 0, err
+    assert all(c["pass"] for c in json.loads(out)["checks"])
+
+
 def test_lattice_size_guard_comes_before_the_sink_check(tmp_path, capsys):
     # a 13-vertex chain ending in a sink: 2^13 lattice sets pass the 4096 cap
     chain = tmp_path / "chain.ug"
@@ -450,21 +473,39 @@ def _decode(table, ids):
     return SGElement(w, z), SGElement(x, y)
 
 
+def _send_every_block_back(monkeypatch):
+    """Settle no block per coordinate pair, so the star law visits the
+    element pairs of every block whose two entries are not both zero."""
+    monkeypatch.setattr(cli._RemainderTable, "settled", lambda table, z, x: False)
+
+
+def _meeting_sets(paths):
+    """The ordered pairs of length-zero coordinates whose sets meet: the
+    idempotent pairs whose order-check product goes through product."""
+    sets = [p for p in paths if not p.word]
+    return sum(1 for p in sets for q in sets if p.terminal & q.terminal)
+
+
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
+    """With every block sent back to its element pairs, the star law
+    forms the products of each asked pair once per mirror pair, and the
+    order check one product per idempotent pair."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     index = {s: i for i, s in enumerate(elems)}
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
     sets = [p for p in paths if not p.word]
-    # a pair is asked in the loop when the zero is in it or its block or
-    # the mirror block is nonzero, and once per mirror pair; the table reads
-    # every ordered pair of coordinates that are not both sets once
+    # a pair is asked in the loop when its block or the mirror block is
+    # nonzero, once per mirror pair, and never with the zero, whose pairs
+    # hold by absorption; the table reads every ordered pair of
+    # coordinates that are not both sets once
     asked = set()
-    for s in elems:
-        for t in elems:
-            if s == OMEGA or t == OMEGA or not _zero_block(g, s.right, t.left):
+    for s in elems[1:]:
+        for t in elems[1:]:
+            if not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
     glued = sum(1 for i, j in asked if _glued(elems[i], elems[j]))
+    meets = _meeting_sets(paths)
     calls = {"entries": 0, "id pairs": 0, "product": 0}
 
     def counting(name, fn):
@@ -484,33 +525,78 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
     _patch_kernel(monkeypatch, count_id_answers)
     monkeypatch.setattr(cli, "product", counting("product", product))
+    _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["antimultiplicative_star"]["pass"]
-    assert (len(elems), len(paths), len(sets), len(asked), glued) == (63, 18, 7, 817, 650)
+    sizes = (len(elems), len(paths), len(sets), len(asked), glued, meets)
+    assert sizes == (63, 18, 7, 754, 650, 37)
     assert calls == {
         "entries": len(paths) ** 2 - len(sets) ** 2,
-        "id pairs": 2 * glued,
-        "product": 2 * (len(asked) - glued),
+        "id pairs": 2 * glued + len(paths) ** 2 - meets,
+        "product": 2 * (len(asked) - glued) + meets,
     }
 
 
 def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch, capsys):
-    """GX at --max-len 2 has 18 nonzero idempotents.  The order check asks
-    idempotent_leq, one product, and idempotent_leq_by_shape, which reads
-    initial segments and forms none, on each of their 324 ordered pairs;
-    the law loop calls product under its own name in cli."""
-    calls = []
+    """GX at --max-len 2 has 18 nonzero idempotents.  The order check reads
+    ef off the remainder table, an id-level product or, for two meeting
+    sets, one product call, and asks idempotent_leq_by_shape, which forms
+    none, on each of their 324 ordered pairs.  idempotent_leq is not asked,
+    and the star law settles every block of GX with no product."""
+    formed = []
+
+    def kernel(table, ids, got):
+        if got is not cli._MEET:
+            formed.append(ids)
+        return got
 
     def counted(*args):
-        calls.append(args)
+        formed.append(args)
         return product(*args)
 
-    monkeypatch.setattr(semigroup, "product", counted)
+    def forbidden(*args):
+        raise AssertionError("idempotent_leq formed a product")
+
+    _patch_kernel(monkeypatch, kernel)
+    monkeypatch.setattr(cli, "product", counted)
+    monkeypatch.setattr(semigroup, "product", forbidden)
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["idempotent_order_agreement"]["details"]["idempotents"] == 18
-    assert len(calls) == 18 * 18
+    assert len(formed) == 18 * 18
+
+
+def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
+    """GX at --max-len 3: 154 elements on 27 coordinates, 7 of them sets.
+    The star law reads the 27^2 entries, the 7^2 of two sets without
+    rule_remainders, and settles every block; the only products are the
+    order check's, one per pair of its 27 idempotents."""
+    g = parse_file(GX)
+    paths = list(dict.fromkeys(s.left for s in generate_elements(g, 3)[1:]))
+    sets = [p for p in paths if not p.word]
+    meets = _meeting_sets(paths)
+    calls = {"entries": 0, "times": 0, "product": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
+    monkeypatch.setattr(cli._RemainderTable, "times", counting("times", cli._RemainderTable.times))
+    monkeypatch.setattr(cli, "product", counting("product", product))
+    code, out, err = run(["semigroup", GX, "--max-len", "3", "--format", "json"], capsys)
+    assert code == 0, err
+    assert json.loads(out)["checks"][0]["details"]["count"] == 154
+    assert (len(paths), len(sets), meets) == (27, 7, 37)
+    assert calls == {
+        "entries": len(paths) ** 2 - len(sets) ** 2,
+        "times": len(paths) ** 2,
+        "product": meets,
+    }
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
@@ -530,6 +616,7 @@ def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert want[0] == "[{u} | (e, {u})] * [(e, {u}) | (e, {u})]"
     _patch_kernel(monkeypatch, faulty_times)
+    _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert checks["antimultiplicative_star"]["witnesses"] == want
@@ -599,6 +686,7 @@ def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch,
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) >= 2
     _patch_kernel(monkeypatch, faulty_times)
+    _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert not checks["antimultiplicative_star"]["pass"]
@@ -713,8 +801,12 @@ def _path(word, terminal):
 # hand-built pairs on GX whose coordinates end in different sets, each
 # with an idempotent or a partner its product with it fails on: rules 1
 # and 2 both apply and disagree, rule 1's remainder does not extend w,
-# and rule 2's does not extend y
+# rule 2's does not extend y, and two meeting sets whose meet misses w
 _MISMATCHED = {
+    "meet": [
+        SGElement(_path("", "v"), _path("", "u")),
+        SGElement(_path("", "u"), _path("", "u")),
+    ],
     "disagree": [
         SGElement(_path("e", "wu"), _path("e", "u")),
         SGElement(_path("e", "u"), _path("e", "u")),
@@ -734,7 +826,9 @@ def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
     """Lists generate_elements never makes: an element dropped, so star
     leaves the list, an element listed twice, and hand-built pairs with
     mismatched terminals, alone, with their stars, and after GX's list.
-    The mismatched pairs raise each of glue's three errors somewhere."""
+    The mismatched pairs raise each of glue's three errors somewhere, and
+    two sets of a meet block raise one through product's length-zero
+    branch."""
     g = gx()
     elems = generate_elements(g, 2)
     k = next(i for i, s in enumerate(elems) if s.left is not None and s.left != s.right)
@@ -761,39 +855,152 @@ def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
     }
 
 
-def test_semigroup_pair_budget_fails_before_any_product(monkeypatch, capsys):
-    """GX at --max-len 12 lists 48,046 elements, about 2.3e9 ordered pairs:
-    the law check counts the pairs it would visit and stops at once."""
-    formed = []
+def _damaged_entries(g, paths):
+    """One entry (z, x) of GX's list and remainders for it that no longer
+    mirror entry (x, z), by name: an entry with one set remainder read as
+    the zero, an entry with both rules swapped into the wrong slots, a zero
+    entry given a set remainder on the range of z, and a diagonal entry of
+    a path with edges losing its rule 2."""
+    words = [p for p in paths if p.word]
+    entries = {
+        (z, x): rule_remainders(g, z, x) for z in words for x in paths if z != x
+    }
+    # one rule, whose remainder is a set, so that it glues onto every path
+    one = next(
+        k
+        for k, e in entries.items()
+        if (e[0] is None) != (e[1] is None) and not (e[0] or e[1]).word
+    )
+    zero = next(k for k, e in entries.items() if e == (None, None))
+    diag = words[0]
+    r1, r2 = rule_remainders(g, diag, diag)
+    return {
+        "one rule dropped": (one, (None, None)),
+        "rules swapped": (one, entries[one][::-1]),
+        "zero made nonzero": (zero, (Ultrapath((), zero[0].terminal), None)),
+        "diagonal rule 2 dropped": ((diag, diag), (r1, None)),
+    }
+
+
+def _reading(key, value):
+    """rule_remainders with entry key read as value."""
+
+    def remainders(g, z, x):
+        return value if (z, x) == key else rule_remainders(g, z, x)
+
+    return remainders
+
+
+def test_semigroup_damaged_entries_fall_back_to_the_oracle(monkeypatch):
+    """An entry that stops mirroring its transpose sends both blocks back
+    to their element pairs: the law checks answer as the product oracle
+    does over the same damaged remainders, word for word."""
+    g = gx()
+    elems = generate_elements(g, 2)
+    paths = list(dict.fromkeys(s.left for s in elems[1:]))
+    failed = []
+    for name, (key, value) in _damaged_entries(g, paths).items():
+        for module in (cli, conftest, semigroup):
+            monkeypatch.setattr(module, "rule_remainders", _reading(key, value))
+        got, want = _law_outcomes(g, elems)
+        monkeypatch.undo()
+        assert got == want, name
+        if isinstance(got, str) or not got[1][1]:
+            failed.append(name)
+    assert failed == ["one rule dropped", "rules swapped", "zero made nonzero"]
+
+
+def test_semigroup_budget_charges_the_pairs_of_blocks_sent_back(monkeypatch):
+    """With one entry broken, the budget charges the 18^2 entries of GX's
+    list at --max-len 2 and the element pairs of the two blocks sent back,
+    (w, z)(x, y) and (y, x)(z, w), before any product: one unit less and
+    the check stops before forming one."""
+    g = gx()
+    elems = generate_elements(g, 2)
+    paths = list(dict.fromkeys(s.left for s in elems[1:]))
+    (z, x), value = _damaged_entries(g, paths)["one rule dropped"]
+    monkeypatch.setattr(cli, "rule_remainders", _reading((z, x), value))
+
+    def with_right(p):
+        return sum(1 for s in elems[1:] if s.right == p)
+
+    def with_left(p):
+        return sum(1 for s in elems[1:] if s.left == p)
+
+    pairs = with_right(z) * with_left(x) + with_right(x) * with_left(z)
+    monkeypatch.setattr(cli._RemainderTable, "max_pairs", len(paths) ** 2 + pairs)
+    assert cli._star_failures(g, elems, cli._RemainderTable(g, elems))
 
     def forbidden(*args):
-        formed.append(args)
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(cli, "product", forbidden)
     monkeypatch.setattr(cli._RemainderTable, "times", forbidden)
-    code, out, err = run(["semigroup", GX, "--max-len", "12", "--format", "json"], capsys)
+    monkeypatch.setattr(cli._RemainderTable, "max_pairs", len(paths) ** 2 + pairs - 1)
+    with pytest.raises(core.SizeLimitError):
+        cli._star_failures(g, elems, cli._RemainderTable(g, elems))
+
+
+def test_semigroup_pair_budget_fails_before_any_product(tmp_path, monkeypatch, capsys):
+    """ring(11) at --max-len 2 lists 9,534 elements on 2,501 coordinates:
+    6.3M table entries, past the budget, which the law check charges
+    before it reads an entry or forms a product."""
+    path = tmp_path / "ring11.ug"
+    path.write_text(emit(ring_ultragraph(11)))
+    formed = []
+
+    def forbidden(*args):
+        formed.append(args)
+        raise AssertionError("a product was formed or an entry read")
+
+    monkeypatch.setattr(cli, "product", forbidden)
+    monkeypatch.setattr(cli, "rule_remainders", forbidden)
+    monkeypatch.setattr(cli._RemainderTable, "times", forbidden)
+    code, out, err = run(["semigroup", str(path), "--max-len", "2", "--format", "json"], capsys)
     assert code == 1, err
     checks = json.loads(out)["checks"]
     assert [(c["name"], c["pass"]) for c in checks] == [("size_limit", False)]
-    assert "max_pairs=2000000" in checks[0]["witnesses"][0]
+    assert checks[0]["witnesses"] == [
+        "semigroup law check exceeded max_pairs=2000000 entries and pairs"
+    ]
     assert not formed
 
 
-def test_semigroup_pair_budget_admits_ring3(tmp_path, capsys):
-    """ring(3) at --max-len 2 has 2,348 elements; the loop visits 680,566
-    of their 5.5M ordered pairs, inside the budget."""
-    path = tmp_path / "ring3.ug"
-    path.write_text(emit(ring_ultragraph(3)))
-    code, out, err = run(["semigroup", str(path), "--max-len", "2", "--format", "json"], capsys)
+def _semigroup_json(capsys, path, max_len):
+    code, out, err = run(["semigroup", path, "--max-len", str(max_len), "--format", "json"], capsys)
     assert code == 0, err
     checks = json.loads(out)["checks"]
-    assert [c["name"] for c in checks] == [
-        "involution",
-        "antimultiplicative_star",
-        "idempotent_order_agreement",
+    assert [(c["name"], c["pass"]) for c in checks] == [
+        ("involution", True),
+        ("antimultiplicative_star", True),
+        ("idempotent_order_agreement", True),
     ]
-    assert checks[0]["details"]["count"] == 2348
+    return [c["details"] for c in checks]
+
+
+def test_semigroup_pair_budget_admits_ring3(tmp_path, capsys):
+    """ring(3) at --max-len 2 has 2,348 elements on 127 coordinates: the
+    16,129 entries settle every block, inside the budget."""
+    path = tmp_path / "ring3.ug"
+    path.write_text(emit(ring_ultragraph(3)))
+    details = _semigroup_json(capsys, str(path), 2)
+    assert (details[0]["count"], details[2]["idempotents"]) == (2348, 127)
+
+
+def test_semigroup_pair_budget_admits_ring3_at_length_three(tmp_path, capsys):
+    """ring(3) at --max-len 3: 38,060 elements, 1.45e9 ordered pairs, on
+    511 coordinates, so 261,121 entries, inside the budget."""
+    path = tmp_path / "ring3.ug"
+    path.write_text(emit(ring_ultragraph(3)))
+    details = _semigroup_json(capsys, str(path), 3)
+    assert (details[0]["count"], details[2]["idempotents"]) == (38060, 511)
+
+
+def test_semigroup_pair_budget_admits_gx_at_length_twelve(capsys):
+    """GX at --max-len 12: 48,046 elements, about 2.3e9 ordered pairs, on
+    429 coordinates, so 184,041 entries, inside the budget."""
+    details = _semigroup_json(capsys, GX, 12)
+    assert (details[0]["count"], details[2]["idempotents"]) == (48046, 429)
 
 
 def test_precondition_violations_exit_two(tmp_path, capsys):
@@ -821,7 +1028,7 @@ _FUZZ_FLAGS = {
         "--cycle-bound": (0, 1, 2),
         "--pairs": (-1, 0, 3),
     },
-    "ck": {"--depth": (1, 2, 3)},
+    "ck": {"--depth": (1, 2, 3), "--max-size": (0, 1, 2, 7, 8)},
     "analyze": {"--bound": (0, 1, 2)},
     "skew": {"--window": (-1, 0, 1)},
 }
