@@ -35,6 +35,7 @@ from .core import (
     reachable_from,
     reaches,
     require_no_sinks,
+    sinks,
     validate,
 )
 from .fileformat import ParseError, emit, emit_file, parse, parse_file

@@ -6,15 +6,18 @@ first-return loop count, capped at 2, follows from the components its
 out-edges lie in, and a graph is cofinal when every vertex reaches a
 source of every cyclic component.  Both feed a conservative simplicity
 verdict.  The pruned first-return walk stays for explicit loop bounds and
-for listing loops.  A windowed skew product by the integers gives the
+for listing loops.  Loop-freeness is decided by peeling the vertex arcs
+x -> y, y in the range of an edge from x, without the edge adjacency.  A
+windowed skew product by the integers, built level by level, gives the
 loop-free cover used to probe AF behaviour.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Mapping, Optional, Set, Tuple
 
 from .core import (
     Edge,
@@ -25,7 +28,7 @@ from .core import (
     edge_components,
     reaches,
     require_no_sinks,
-    validate,
+    sinks,
 )
 from .groupoid import CheckResult
 
@@ -220,8 +223,43 @@ def _restricted_cycle(
 
 def is_loop_free(g: Ultragraph) -> bool:
     """No loop at all, equivalently an acyclic edge-adjacency relation: the
-    finite-graph indicator of an AF algebra."""
-    return _restricted_cycle(g, set(g.edges)) is None
+    finite-graph indicator of an AF algebra.
+
+    Decided by peeling the vertex arcs x -> y, one for each edge e whose
+    source x = s(e) is declared and each declared y in r(e), in Kahn's
+    manner: linear in the range sizes, with no edge adjacency built.  The
+    edge adjacency has a cycle iff these arcs do:
+
+    - An edge cycle e_1 -> e_2 -> ... -> e_1 has s(e_(i+1)) in r(e_i),
+      every source declared, so s(e_1) -> s(e_2) -> ... -> s(e_1) is a
+      vertex cycle.
+    - A vertex cycle v_1 -> v_2 -> ... -> v_1 runs through edges e_i with
+      s(e_i) = v_i and v_(i+1) in r(e_i); then s(e_(i+1)) = v_(i+1) is a
+      declared vertex in r(e_i), so e_i -> e_(i+1), an edge cycle.
+    - An edge from an undeclared source follows no edge and gives no arc;
+      an undeclared range vertex emits no edge and ends no cycle.
+
+    Every vertex on or after a vertex cycle keeps a positive in-degree, so
+    the arcs are acyclic iff the peel reaches every declared vertex.
+    """
+    vs = g.vertices
+    arcs: Dict[Vertex, List[Vertex]] = {}
+    for e in g.edges:
+        x = g.source.get(e)
+        if x in vs:
+            arcs.setdefault(x, []).extend(g.range[e] & vs)
+    indeg = dict.fromkeys(vs, 0)
+    indeg.update(Counter(itertools.chain.from_iterable(arcs.values())))
+    ready = [v for v, d in indeg.items() if not d]
+    seen = 0
+    while ready:
+        x = ready.pop()
+        seen += 1
+        for y in arcs.get(x, ()):
+            indeg[y] -= 1
+            if not indeg[y]:
+                ready.append(y)
+    return seen == len(indeg)
 
 
 @dataclass(frozen=True)
@@ -326,7 +364,9 @@ def skew_product(g: Ultragraph, k: int) -> Ultragraph:
     Vertices are (v, n) for |n| <= k, edges (e, n) for -k <= n < k, with
     source (s(e), n) and range r(e) x {n+1}.  Every edge raises the level,
     so the result is always loop-free.  Raises SizeLimitError, before
-    building anything, when either count passes 200,000.
+    building anything, when either count passes 200,000.  The level tags
+    are formed once, and each edge's source and range are read once and
+    copied to every level.
     """
     if k < 1:
         raise ValueError("window radius must be at least 1")
@@ -338,19 +378,22 @@ def skew_product(g: Ultragraph, k: int) -> Ultragraph:
             f"skew window {k} has {n_vertices} vertices and {n_edges} edges, "
             f"past max_count={max_count}"
         )
-    vertices = [
-        f"{v}__{_level_tag(n)}"
-        for v in g.vertices_sorted()
-        for n in range(-k, k + 1)
-    ]
-    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
-    for e in g.edges_sorted():
-        for n in range(-k, k):
-            edges[f"{e}__{_level_tag(n)}"] = (
-                f"{g.source[e]}__{_level_tag(n)}",
-                tuple(f"{w}__{_level_tag(n + 1)}" for w in sorted(g.range[e])),
-            )
-    return Ultragraph.build(vertices, edges)
+    # tags[i] names level i - k, so an edge at tags[i] ends at tags[i + 1]
+    tags = [f"__{_level_tag(n)}" for n in range(-k, k + 1)]
+    levels = list(zip(tags, tags[1:]))
+    source: Dict[Edge, Vertex] = {}
+    ranges: Dict[Edge, FrozenSet[Vertex]] = {}
+    for e in g.edges:
+        s, r = g.source[e], g.range[e]
+        for tag, up in levels:
+            source[e + tag] = s + tag
+            ranges[e + tag] = frozenset([w + up for w in r])
+    return Ultragraph(
+        vertices=frozenset([v + tag for v in g.vertices for tag in tags]),
+        edges=frozenset(source),
+        source=source,
+        range=ranges,
+    )
 
 
 def check_singular_equivalence(
@@ -360,8 +403,8 @@ def check_singular_equivalence(
     the window-k skew product of g, are exactly the singular vertices of g,
     relabeled.  Levels at the window edge are excluded: the top level is
     artificially singular."""
-    base_sinks = validate(g).sinks
-    skew_sinks = validate(skew).sinks
+    base_sinks = sinks(g)
+    skew_sinks = sinks(skew)
     bad: List[str] = []
     for n in range(-k + 1, k):
         tag = f"__{_level_tag(n)}"

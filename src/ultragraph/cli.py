@@ -30,6 +30,7 @@ from .core import (
     Ultragraph,
     format_set,
     generate_lattice,
+    sinks,
     validate,
 )
 from .fileformat import ParseError, emit_file, parse_file
@@ -49,8 +50,8 @@ from .paths import (
 from .semigroup import (
     OMEGA,
     SGElement,
+    _leq_by_shape,
     generate_elements,
-    idempotent_leq_by_shape,
     product,
     rule_remainders,
     star,
@@ -111,7 +112,7 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
             sample=" ".join(map(str, sample)),
         )
     ]
-    if validate(g).sinks:
+    if sinks(g):
         checks.append(_check("lassos", True, skipped="graph has sinks"))
     else:
         count, sample = count_lassos(g, args.prefix_bound, args.cycle_bound)
@@ -304,7 +305,7 @@ def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
             ef = times(*ee, *ff)
             if ef is _MEET:
                 ef = meet(e, f)
-            if (ef == ee) != idempotent_leq_by_shape(g, e, f):
+            if (ef == ee) != _leq_by_shape(g, e, f):
                 bad_ord.append(f"{e} <= {f}")
     star_witnesses = [f"{elems[i]} * {elems[j]}" for i, j in bad_star[:5]]
     return [

@@ -215,20 +215,28 @@ def validate(g: Ultragraph) -> ValidationReport:
             for w in sorted(rng):
                 if w not in g.vertices:
                     errors.append(f"edge '{e}': range vertex '{w}' is not declared")
-    emitting = {g.source[e] for e in g.edges if g.source.get(e) in g.vertices}
-    sinks = tuple(v for v in g.vertices_sorted() if v not in emitting)
-    warnings = tuple(f"sink vertex '{v}'" for v in sinks)
+    found = sinks(g)
     return ValidationReport(
-        sinks=sinks,
+        sinks=found,
         errors=tuple(errors),
-        warnings=warnings,
+        warnings=tuple(f"sink vertex '{v}'" for v in found),
     )
 
 
+def sinks(g: Ultragraph) -> Tuple[Vertex, ...]:
+    """The declared vertices that emit no edge, in sorted order: the sorted
+    vertices minus the declared sources.  An edge whose source is not a
+    declared vertex makes no vertex emit."""
+    emitting = g.vertices.intersection(g._out_edges)
+    if len(emitting) == len(g.vertices):
+        return ()
+    return tuple(v for v in g.vertices_sorted() if v not in emitting)
+
+
 def require_no_sinks(g: Ultragraph, operation: str) -> None:
-    report = validate(g)
-    if report.sinks:
-        names = ", ".join(report.sinks)
+    found = sinks(g)
+    if found:
+        names = ", ".join(found)
         raise GraphStructureError(
             f"{operation} requires a sink-free ultragraph; sinks: {names}"
         )

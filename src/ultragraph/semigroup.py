@@ -195,6 +195,12 @@ def idempotent_leq_by_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
     """
     if not (is_idempotent(e) and is_idempotent(f)):
         raise ValueError("order is defined on idempotents only")
+    return _leq_by_shape(g, e, f)
+
+
+def _leq_by_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
+    """idempotent_leq_by_shape for callers that have already picked e and f
+    as idempotents: the same answer with no idempotent check."""
     if e.is_omega or f.is_omega:
         return e.is_omega
     return initial_segment(g, e.left, f.left) is not None

@@ -121,6 +121,49 @@ def brute_adjacency(g: Ultragraph) -> Dict[str, Tuple[str, ...]]:
     }
 
 
+def skew_product_by_build(g: Ultragraph, k: int) -> Ultragraph:
+    """Window [-k, k] of the skew product, built the way analysis.skew_product
+    built it before it went level by level: every range re-sorted and every
+    level tag formatted afresh per name, then one Ultragraph.build.  The
+    window and size guards are left to skew_product."""
+
+    def tag(n: int) -> str:
+        return f"m{-n}" if n < 0 else f"p{n}"
+
+    vertices = [f"{v}__{tag(n)}" for v in g.vertices_sorted() for n in range(-k, k + 1)]
+    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+    for e in g.edges_sorted():
+        for n in range(-k, k):
+            edges[f"{e}__{tag(n)}"] = (
+                f"{g.source[e]}__{tag(n)}",
+                tuple(f"{w}__{tag(n + 1)}" for w in sorted(g.range[e])),
+            )
+    return Ultragraph.build(vertices, edges)
+
+
+def sinks_by_sources(g: Ultragraph) -> Tuple[str, ...]:
+    """Sink oracle from the definition: the sorted declared vertices that
+    are the source of no edge."""
+    return tuple(
+        v for v in sorted(g.vertices) if all(g.source.get(e) != v for e in g.edges)
+    )
+
+
+def loosely_declared_graph(rng: random.Random) -> Ultragraph:
+    """A small graph built through Ultragraph.build whose edges may start
+    at, and end in, undeclared vertices, with self-loops and edge-free
+    graphs among them.  Edge sources are drawn from below their range
+    vertices' indices more often than not, so loop-free graphs are common."""
+    pool = [f"v{i}" for i in range(rng.randint(1, 6))]
+    declared = [v for v in pool if rng.random() < 0.8] or pool[:1]
+    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+    for i in range(rng.randint(0, 7)):
+        j = rng.randrange(len(pool))
+        ahead = pool[j + 1 :] if rng.random() < 0.7 and j + 1 < len(pool) else pool
+        edges[f"e{i}"] = (pool[j], tuple(rng.sample(ahead, rng.randint(1, min(3, len(ahead))))))
+    return Ultragraph.build(declared, edges)
+
+
 def warshall_reach(g: Ultragraph) -> Dict[str, frozenset]:
     """Vertex reachability oracle by Warshall's closure of the one-step
     relation "w -> v iff some edge from w has v in its range", with every

@@ -387,6 +387,34 @@ MUTANTS = (
         ANALYSIS_TESTS,
     ),
     Mutant(
+        "skew_product: put the range at level n instead of n+1",
+        "analysis.py",
+        "ranges[e + tag] = frozenset([w + up for w in r])",
+        "ranges[e + tag] = frozenset([w + tag for w in r])",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "is_loop_free: the peel skips one in-degree decrement",
+        "analysis.py",
+        "for y in arcs.get(x, ()):",
+        "for y in arcs.get(x, ())[1:]:",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "is_loop_free: the peel counts arcs from undeclared sources",
+        "analysis.py",
+        "        if x in vs:\n",
+        "        if True:\n",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
+        "is_loop_free: the peel compares seen with one less than the vertex count",
+        "analysis.py",
+        "return seen == len(indeg)",
+        "return seen >= len(indeg) - 1",
+        ANALYSIS_TESTS,
+    ),
+    Mutant(
         "check_family: no zero for an empty meet",
         "groupoid.py",
         "want_of[0] = OMEGA",
@@ -517,6 +545,13 @@ MUTANTS = (
         "core.py",
         "entries = sum(len(es) for ps in parts.values() for es in ps)",
         "entries = sum(len(es) for ps in list(parts.values())[1:] for es in ps)",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
+        "sinks: treat an undeclared source as emitting",
+        "core.py",
+        "emitting = g.vertices.intersection(g._out_edges)",
+        "emitting = set(g._out_edges)",
         ("tests/test_core.py",),
     ),
     Mutant(

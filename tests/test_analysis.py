@@ -24,15 +24,17 @@ from ultragraph import (
     skew_product,
     validate,
 )
-from ultragraph.analysis import _first_return_words
+from ultragraph.analysis import _first_return_words, _restricted_cycle
 
 from conftest import (
     cofinal_by_lassos,
     cofinal_by_vertex_search,
     levelled_first_return_words,
+    loosely_declared_graph,
     naive_loop_count,
     random_ultragraph,
     ring_ultragraph,
+    skew_product_by_build,
 )
 
 
@@ -318,6 +320,60 @@ def test_skew_product_always_loop_free(g_branch, g_loop, g_split):
             continue
         for k in (1, 2, 3):
             assert is_loop_free(skew_product(g, k))
+
+
+def test_loop_free_peel_matches_the_adjacency_search():
+    """The vertex-arc peel gives the coloured search's verdict on the edge
+    adjacency, also with self-loops and with undeclared sources and range
+    vertices."""
+    rng = random.Random(89)
+    graphs = [loosely_declared_graph(rng) for _ in range(1500)]
+    graphs += [random_ultragraph(rng, max_vertices=5, max_edges=6) for _ in range(500)]
+    verdicts = []
+    for g in graphs:
+        want = _restricted_cycle(g, set(g.edges)) is None
+        assert is_loop_free(g) == want, {e: (g.source[e], sorted(g.range[e])) for e in g.edges}
+        verdicts.append(want)
+    assert 500 < sum(verdicts) < len(verdicts) - 500
+
+    def count(test):
+        return sum(1 for g in graphs if any(test(g, e) for e in g.edges))
+
+    assert count(lambda g, e: g.source[e] in g.range[e]) > 100
+    assert count(lambda g, e: g.source[e] not in g.vertices) > 100
+    assert count(lambda g, e: not g.range[e] <= g.vertices) > 100
+
+
+def test_loop_free_peel_sees_one_self_loop_and_ignores_undeclared_ends():
+    # one vertex is left unpeeled: b, whose only way out is its self-loop
+    assert not is_loop_free(Ultragraph.build(["a", "b"], {"e": ("a", ("b",)), "f": ("b", ("b",))}))
+    # zz is undeclared: its edge into a follows no edge, and a's edge into
+    # zz leads nowhere
+    g = Ultragraph.build(["a", "b"], {"e": ("zz", ("a",)), "f": ("a", ("b", "zz"))})
+    assert is_loop_free(g) and _restricted_cycle(g, set(g.edges)) is None
+
+
+def test_skew_product_matches_the_build_oracle(g_branch, g_loop, g_split):
+    rng = random.Random(83)
+    graphs = [g_branch, g_loop, g_split, sink_graph()]
+    graphs += [random_ultragraph(rng) for _ in range(200)]
+    graphs += [loosely_declared_graph(rng) for _ in range(50)]
+    for g in graphs:
+        for k in (1, 2, 3):
+            got, want = skew_product(g, k), skew_product_by_build(g, k)
+            assert got.vertices == want.vertices
+            assert got.edges == want.edges
+            assert dict(got.source) == dict(want.source)
+            assert dict(got.range) == dict(want.range)
+
+
+def test_skew_checks_build_no_edge_adjacency():
+    g = ring_ultragraph(6)
+    sk = skew_product(g, 3)
+    assert is_loop_free(sk)
+    assert check_singular_equivalence(g, sk, 3).passed
+    assert "_adjacency" not in vars(sk)
+    assert "_adjacency" not in vars(g)
 
 
 def test_singular_equivalence(g_branch, g_loop, g_split):

@@ -363,7 +363,8 @@ def test_wide_graph_keeps_its_lattice_and_fails_fast_on_adjacency(
 ):
     """Two vertices and 4,100 edges: the lattice has 4 sets, while the
     edge adjacency would hold 12,607,500 entries.  Every subcommand that
-    reads the adjacency fails as size_limit before building one entry."""
+    reads the adjacency fails as size_limit before building one entry;
+    skew reads none, and answers."""
     wide = tmp_path / "wide.ug"
     wide.write_text(
         "ultragraph\nvertex a\nvertex b\n"
@@ -391,6 +392,17 @@ def test_wide_graph_keeps_its_lattice_and_fails_fast_on_adjacency(
         assert checks[0]["witnesses"] == [
             "edge adjacency of 12607500 entries exceeded max_entries=2000000"
         ]
+    assert joined == []
+    # the window-1 skew product's adjacency would hold 12,607,500 entries
+    # too; its loop-freeness is decided without one
+    code, out, err = run(["skew", str(wide), "--format", "json"], capsys)
+    assert code == 0, err
+    checks = json.loads(out)["checks"]
+    assert [(c["name"], c["pass"]) for c in checks] == [
+        ("loop_free", True),
+        ("singular_equivalence_window_1", True),
+    ]
+    assert checks[0]["details"] == {"window": 1, "vertices": 6, "edges": 8200}
     assert joined == []
     # the spy sees the entries of an adjacency within the budget
     run(["paths", GX], capsys)
@@ -541,9 +553,10 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
 def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch, capsys):
     """GX at --max-len 2 has 18 nonzero idempotents.  The order check reads
     ef off the remainder table, an id-level product or, for two meeting
-    sets, one product call, and asks idempotent_leq_by_shape, which forms
-    none, on each of their 324 ordered pairs.  idempotent_leq is not asked,
-    and the star law settles every block of GX with no product."""
+    sets, one product call, and asks the unchecked shape order, which forms
+    none and asks no is_idempotent, on each of their 324 ordered pairs.
+    idempotent_leq is not asked, and the star law settles every block of
+    GX with no product."""
     formed = []
 
     def kernel(table, ids, got):
@@ -558,9 +571,13 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
     def forbidden(*args):
         raise AssertionError("idempotent_leq formed a product")
 
+    def unasked(*args):
+        raise AssertionError("the order check asked is_idempotent")
+
     _patch_kernel(monkeypatch, kernel)
     monkeypatch.setattr(cli, "product", counted)
     monkeypatch.setattr(semigroup, "product", forbidden)
+    monkeypatch.setattr(semigroup, "is_idempotent", unasked)
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["idempotent_order_agreement"]["details"]["idempotents"] == 18

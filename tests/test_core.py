@@ -15,7 +15,11 @@ from ultragraph import (
     generate_lattice,
     reachable_from,
     reaches,
+    gw,
+    gx,
+    gy,
     require_no_sinks,
+    sinks,
     validate,
     verify_ck,
 )
@@ -26,8 +30,10 @@ from conftest import (
     additive_indicator,
     brute_adjacency,
     closure_lattice,
+    loosely_declared_graph,
     powerset_lattice,
     random_ultragraph,
+    sinks_by_sources,
     warshall_reach,
 )
 
@@ -50,6 +56,21 @@ def test_validate_reports_sinks_as_warnings():
     assert rep.sinks == ("b",)
     assert any("sink" in w for w in rep.warnings)
     with pytest.raises(GraphStructureError):
+        require_no_sinks(g, "testing")
+
+
+def test_sinks_match_validate_and_the_source_oracle():
+    rng = random.Random(97)
+    graphs = [gx(), gy(), gw()]
+    graphs += [loosely_declared_graph(rng) for _ in range(300)]
+    graphs += [random_ultragraph(rng) for _ in range(100)]
+    for g in graphs:
+        assert sinks(g) == validate(g).sinks == sinks_by_sources(g)
+    # a emits, b is a sink, and the edge from the undeclared zz makes no
+    # declared vertex emit, though it brings the sources to |V|
+    g = Ultragraph.build(["a", "b"], {"e": ("a", ("b",)), "f": ("zz", ("a",))})
+    assert sinks(g) == ("b",)
+    with pytest.raises(GraphStructureError, match="sinks: b"):
         require_no_sinks(g, "testing")
 
 

@@ -31,6 +31,7 @@ from ultragraph import (
     star,
     vertex_path,
 )
+from ultragraph.semigroup import _leq_by_shape
 
 from conftest import (
     eval_path_char_by_product,
@@ -143,6 +144,7 @@ def test_idempotents_commute_and_order_routes_agree(g_branch):
             assert idempotent_leq(g_branch, e, f) == idempotent_leq_by_shape(
                 g_branch, e, f
             )
+            assert _leq_by_shape(g_branch, e, f) == idempotent_leq_by_shape(g_branch, e, f)
     with pytest.raises(ValueError):
         idempotent_leq(g_branch, t_edge(g_branch, "e"), idems[0])
 

@@ -66,16 +66,17 @@ def test_only_generate_lattice_handles_a_lattice():
 
 
 def test_order_and_semicharacters_form_no_product():
-    """idempotent_leq_by_shape and eval_char read initial segments: they
-    stay a route to the idempotent order independent of product."""
+    """idempotent_leq_by_shape, its unchecked helper _leq_by_shape (the
+    semigroup order check's route) and eval_char read initial segments:
+    they stay a route to the idempotent order independent of product."""
     tree = ast.parse((SRC / "semigroup.py").read_text())
+    names = ("_leq_by_shape", "eval_char", "idempotent_leq_by_shape")
     routes = {
         node.name: node
         for node in ast.walk(tree)
-        if isinstance(node, ast.FunctionDef)
-        and node.name in ("idempotent_leq_by_shape", "eval_char")
+        if isinstance(node, ast.FunctionDef) and node.name in names
     }
-    assert sorted(routes) == ["eval_char", "idempotent_leq_by_shape"]
+    assert sorted(routes) == list(names)
     found = [
         f"{name}:{node.lineno} {node.id}"
         for name, fn in sorted(routes.items())
