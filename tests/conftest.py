@@ -11,6 +11,7 @@ from ultragraph import (
     OMEGA,
     CheckReport,
     CheckResult,
+    CylinderSet,
     GroupoidElement,
     LassoPath,
     LatticeG0,
@@ -36,6 +37,7 @@ from ultragraph import (
     witness,
 )
 from ultragraph.analysis import _restricted_cycle
+from ultragraph.groupoid import _cylinder_words
 from ultragraph.paths import concat
 from ultragraph.semigroup import (
     glue,
@@ -398,6 +400,61 @@ def ck_meet_failures_by_sets(g: Ultragraph, fam) -> List[str]:
                     f"{format_set(A)} * {format_set(B)}: got {got}, want {want}"
                 )
     return bad
+
+
+def ck_meet_failures_by_pivots(g: Ultragraph, fam) -> List[str]:
+    """Oracle for check_family's projection_meets verdict, the loop it ran
+    before it formed one chain pair per set: the diagonal pairs (A, A) and
+    every pair of nonempty sets in set_key order with a pivot on either
+    side, U, the vertex set, or a U - {v}.  Each pair wants the projection
+    of the meet, or the zero when the meet is empty; a set with no
+    projection is reported once, as its row comes up, and skipped as a
+    column.  Its lines are lines of ck_meet_failures_by_sets."""
+    nonempty = powerset_lattice(g)[1:]
+    U = frozenset(g.vertices)
+    pivots = {U, *(U - {v} for v in U)}
+    bad: List[str] = []
+    for i, A in enumerate(nonempty):
+        pa = fam.projections.get(A)
+        if pa is None:
+            bad.append(f"missing projection {format_set(A)}")
+            continue
+        for B in nonempty[i:]:
+            pb = fam.projections.get(B)
+            if pb is None or not (A == B or A in pivots or B in pivots):
+                continue
+            got = product_by_rules(g, pa, pb)
+            want = fam.projections.get(A & B) if A & B else OMEGA
+            if got != want:
+                bad.append(f"{format_set(A)} * {format_set(B)}: got {got}, want {want}")
+    return bad
+
+
+def word_masks_by_cylinders(g: Ultragraph, depth: int):
+    """Oracle for groupoid._word_masks, the route it took before it read a
+    length-zero base on two or more vertices off its vertices' masks: every
+    base, whatever its word and set, is refined by _cylinder_words and
+    memoised.  It returns words_of and fmt_mask with _word_masks' contract:
+    each word gets a bit on first sight, and fmt_mask lists a mask's words
+    sorted, at most 12 of them."""
+    word_bit: Dict[Tuple[str, ...], int] = {}
+    memo: Dict[Ultrapath, int] = {}
+
+    def words_of(base: Ultrapath) -> int:
+        if base not in memo:
+            mask = 0
+            for w in _cylinder_words(g, CylinderSet(base=base), depth):
+                mask |= 1 << word_bit.setdefault(w, len(word_bit))
+            memo[base] = mask
+        return memo[base]
+
+    def fmt_mask(mask: int) -> str:
+        listed = list(word_bit)
+        words = sorted(listed[i] for i in range(mask.bit_length()) if mask >> i & 1)
+        shown = " ".join("".join(w) or "." for w in words[:12])
+        return f"[{shown}]" + (f" (+{len(words) - 12} more)" if len(words) > 12 else "")
+
+    return words_of, fmt_mask
 
 
 def join_failures_by_sets(sets, masks, fmt_mask) -> List[str]:

@@ -352,6 +352,20 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "_word_masks: OR all but one vertex of a length-zero base",
+        "groupoid.py",
+        "map(vertex_words, base.terminal)",
+        "map(vertex_words, sorted(base.terminal)[1:])",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_word_masks: let the vertex cache read words_of, a closure cycle",
+        "groupoid.py",
+        "lambda v: refined(",
+        "lambda v: words_of(",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "_cycle_kinds: count every cyclic component as a simple cycle",
         "analysis.py",
         "kinds[head] = all(sum(f in members for f in adj[e]) == 1 for e in comp)",
@@ -424,43 +438,71 @@ MUTANTS = (
     Mutant(
         "check_family: read the meet's projection at the union's mask",
         "groupoid.py",
-        "want = want_of[ma & vmasks[j]]",
-        "want = want_of[ma | vmasks[j]]",
+        "want = want_of[x & y]",
+        "want = want_of[x | y]",
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_family: drop the diagonal from a non-pivot row",
+        "check_family: drop the diagonals",
         "groupoid.py",
-        "else [i] + [j for j in pivot_cols if j > i]",
-        "else [j for j in pivot_cols if j > i]",
+        "pairs = [(m, m)] if m and not (full ^ m) & (full ^ m) - 1 else []",
+        "pairs = []",
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_family: drop U from the pivots",
+        "check_family: drop U's diagonal",
         "groupoid.py",
-        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat)))}",
-        "pivots = {*filter(None, _pivot_masks(len(lat)))}",
+        "pairs = [(m, m)] if m and not",
+        "pairs = [(m, m)] if m and m != full and not",
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_family: skip the last vertex's pivot",
+        "check_family: drop the first vertex's U - {v} diagonal",
         "groupoid.py",
-        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat)))}",
-        "pivots = {len(lat) - 1, *filter(None, _pivot_masks(len(lat))[:-1])}",
+        "pairs = [(m, m)] if m and not",
+        "pairs = [(m, m)] if m and m != full ^ 1 and not",
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_family: let a pivot row read only pivot columns",
+        "check_family: drop the empty-meet pair",
         "groupoid.py",
-        "cols = range(i, len(projs)) if ma in pivots",
-        "cols = [j for j in pivot_cols if j >= i] if ma in pivots",
+        "if m != full and full ^ low:",
+        "if m and m != full and full ^ low:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: drop the chain pairs with U on a side",
+        "groupoid.py",
+        "if m != full and full ^ low:",
+        "if m | low != full and full ^ low:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: skip the last vertex's chain pair",
+        "groupoid.py",
+        "if m != full and full ^ low:",
+        "if m != full and full ^ low and m != full >> 1:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: form chain pairs in the pivot rows only",
+        "groupoid.py",
+        "if m != full and full ^ low:",
+        "if pairs and m != full and full ^ low:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_family: take the pivot at the least vertex inside A",
+        "groupoid.py",
+        "low = ~m & (m + 1)",
+        "low = m & -m or 1",
         GROUPOID_TESTS,
     ),
     Mutant(
         "check_family: store a missing projection as the zero",
         "groupoid.py",
-        "        want_of[m] = p\n",
-        "        want_of[m] = OMEGA if p is None else p\n",
+        "want_of[m] = fam.projections.get(A)\n",
+        "want_of[m] = fam.projections.get(A, OMEGA)\n",
         GROUPOID_TESTS,
     ),
     Mutant(
@@ -515,8 +557,8 @@ MUTANTS = (
     Mutant(
         "check_set_identities: cut only the first vertex",
         "groupoid.py",
-        "zip(g.vertices_sorted(), _pivot_masks(len(lat)))",
-        "zip(g.vertices_sorted()[:1], _pivot_masks(len(lat)))",
+        "for k, v in enumerate(g.vertices_sorted())]",
+        "for k, v in enumerate(g.vertices_sorted()[:1])]",
         GROUPOID_TESTS,
     ),
     Mutant(

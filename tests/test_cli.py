@@ -321,7 +321,7 @@ def test_ck_takes_the_lattice_cap(tmp_path, capsys):
     ring13 = tmp_path / "ring13.ug"
     ring13.write_text(emit(ring_ultragraph(13)))
     code, out, _ = run(["ck", str(ring13), "--format", "json"], capsys)
-    assert code == 1 and "max_size=4096" in out
+    assert code == 1 and "size_limit" in out and "max_size=4096" in out
     code, out, err = run(["ck", str(ring13), "--max-size", "8192", "--format", "json"], capsys)
     assert code == 0, err
     assert all(c["pass"] for c in json.loads(out)["checks"])

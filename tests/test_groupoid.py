@@ -1,5 +1,6 @@
 """Groupoid elements, slices, cylinder refinement, Cuntz-Krieger checks."""
 
+import gc
 import math
 import random
 
@@ -55,6 +56,7 @@ from ultragraph import (
 )
 
 from conftest import (
+    ck_meet_failures_by_pivots,
     ck_meet_failures_by_sets,
     cylinder_words_by_levels,
     groupoid_laws_by_compose,
@@ -67,6 +69,7 @@ from conftest import (
     separation_depth,
     sparse_sink_free,
     word_count_up_to,
+    word_masks_by_cylinders,
 )
 
 
@@ -560,9 +563,10 @@ def _assert_witnesses_fail_in_oracle(entry, oracle, sep=" + "):
 
 def _family_word_masks(g, fam, depth):
     """The word mask of each nonempty lattice set's projection, None when
-    the family has none, beside the sets and the mask formatter."""
+    the family has none, beside the sets and the mask formatter, read by
+    the cylinder oracle rather than the route check_family takes."""
     sets = powerset_lattice(g)[1:]
-    words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+    words_of, fmt_mask = word_masks_by_cylinders(g, depth)
     masks = []
     for A in sets:
         p = fam.projections.get(A)
@@ -578,15 +582,17 @@ def _family_word_masks(g, fam, depth):
     depth=st.sampled_from((2, 3)),
 )
 def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
-    """projection_meets reads the diagonal and pivot pairs and
-    projection_joins one split per set; each gives the verdict of the
-    frozenset all-pairs loop, and each witness is a line of that loop."""
+    """projection_meets reads one chain pair per set and the diagonals of
+    U and each U - {v}, and projection_joins one split per set; each gives
+    the verdict of the frozenset all-pairs loop and of the diagonal and
+    pivot loop, and each witness is a line of the all-pairs loop."""
     g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
     fam = _damaged_family(g, damage, pick)
     got = {e.name: e for e in check_family(g, fam, depth).entries}
 
     want_meets = ck_meet_failures_by_sets(g, fam)
     _assert_witnesses_fail_in_oracle(got["projection_meets"], want_meets, " * ")
+    assert (not ck_meet_failures_by_pivots(g, fam)) == (not want_meets)
 
     want_joins = join_failures_by_sets(*_family_word_masks(g, fam, depth))
     _assert_witnesses_fail_in_oracle(got["projection_joins"], want_joins)
@@ -600,7 +606,8 @@ def test_ck_mask_loops_match_set_oracles(seed, damage, pick, depth):
 def test_pivot_meets_give_the_all_pairs_verdict_on_any_elements(seed, picks):
     """Any S_G elements in place of projections, not only damaged ones:
     check_family runs to the end, and projection_meets gives the verdict
-    of the all-pairs loop, each witness a line of it."""
+    of the all-pairs loop and of the diagonal and pivot loop, each witness
+    a line of the all-pairs loop."""
     g = random_ultragraph(random.Random(seed), max_vertices=4, max_edges=5, sink_free=True)
     elems = generate_elements(g, 1)
     fam = ck_family(g)
@@ -608,27 +615,57 @@ def test_pivot_meets_give_the_all_pairs_verdict_on_any_elements(seed, picks):
     for at, pick in picks:
         fam.projections[sets[at % len(sets)]] = elems[pick % len(elems)]
     got = {e.name: e for e in check_family(g, fam, 2).entries}
-    _assert_witnesses_fail_in_oracle(
-        got["projection_meets"], ck_meet_failures_by_sets(g, fam), " * "
-    )
+    want_meets = ck_meet_failures_by_sets(g, fam)
+    _assert_witnesses_fail_in_oracle(got["projection_meets"], want_meets, " * ")
+    assert (not ck_meet_failures_by_pivots(g, fam)) == (not want_meets)
 
 
 def test_non_idempotent_source_projection_fails_domination():
     """A vertex projection that is no idempotent has no order to read: the
-    domination check names the edge and the set instead of raising."""
+    domination check names the edge and the set instead of raising.  The
+    meets fail first at the empty set's chain pair, {u} against U - {u},
+    a line of the all-pairs loop."""
     g = gx()
     fam = ck_family(g)
     fam.projections[fz("u")] = fam.isometries["e"]
     failed = {e.name: e.details for e in check_family(g, fam, 2).failures()}
     assert failed["isometry_source_domination"] == ("edge g: projection {u} is not idempotent",)
-    assert failed["projection_meets"][0].startswith("{u} * {u}: got omega")
+    first = failed["projection_meets"][0]
+    assert first == "{u} * {v w}: got [(e, {w}) | {w}], want omega"
+    assert first in ck_meet_failures_by_sets(g, fam)
 
 
-@pytest.mark.parametrize("n", range(3, 13))
+def test_each_kind_of_chain_loop_pair_can_fail_alone():
+    """Families that fail the all-pairs meet loop at one pair only, each a
+    kind of pair the chain loop forms: U's diagonal with one vertex, a
+    U - {v} diagonal at either vertex, the empty set's chain pair, and the
+    last vertex's chain pair (U - {v}, U).  The chain loop reports that
+    pair and nothing else."""
+    one = Ultragraph.build(["a"], {"e": ("a", ("a",))})
+    two = Ultragraph.build(["a", "b"], {"e": ("a", ("a",)), "f": ("b", ("a",))})
+    cases = [
+        (one, "a", lambda fam: fam.isometries["e"], "{a} * {a}"),
+        (two, "a", lambda fam: fam.isometries["e"], "{a} * {a}"),
+        (two, "b", lambda fam: fam.isometries["f"], "{b} * {b}"),
+        (two, "a", lambda fam: fam.projections[fz("a", "b")], "{a} * {b}"),
+        (two, "ab", lambda fam: fam.projections[fz("b")], "{a} * {a b}"),
+    ]
+    for g, key, value, pair in cases:
+        fam = ck_family(g)
+        fam.projections[frozenset(key)] = value(fam)
+        oracle = ck_meet_failures_by_sets(g, fam)
+        assert len(oracle) == 1 and oracle[0].startswith(pair + ": got "), oracle
+        meets = {e.name: e for e in check_family(g, fam, 2).entries}["projection_meets"]
+        assert meets.details == tuple(oracle)
+
+
+@pytest.mark.parametrize("n", range(1, 15))
 def test_verify_ck_products_are_the_diagonal_and_pivot_pairs(n):
-    """verify_ck calls product once per diagonal pair and once per pair of
-    distinct sets at least one of which is a pivot (U or a U - {v}), and
-    three times per edge: t_e* t_e, t_e t_e* and the domination order."""
+    """verify_ck calls product once per diagonal of a pivot, U or a
+    U - {v}, once per set other than U for its chain pair, one side of
+    which is a pivot, and three times per edge: t_e* t_e, t_e t_e* and the
+    domination order.  That is 2^n + n meets, not one per pair of sets;
+    with one vertex U - {v} is empty, and U's diagonal is the one meet."""
     g = ring_ultragraph(n)
     calls = []
 
@@ -639,9 +676,8 @@ def test_verify_ck_products_are_the_diagonal_and_pivot_pairs(n):
     with mock.patch.object(groupoid_module, "product", counted), mock.patch.object(
         semigroup_module, "product", counted
     ):
-        rep = verify_ck(g, 2)
-    sets, pivots = 2**n - 1, n + 1
-    assert len(calls) == sets + pivots * (sets - 1) - math.comb(pivots, 2) + 3 * len(g.edges)
+        rep = verify_ck(g, 2, max_size=2**n)
+    assert len(calls) == (2**n + n if n > 1 else 1) + 3 * len(g.edges)
     assert rep.passed
 
 
@@ -710,7 +746,7 @@ def test_set_identity_mask_loops_match_set_oracles(seed, pick, depth):
     g = random_ultragraph(random.Random(seed), max_vertices=5, max_edges=7, sink_free=True)
     sets = powerset_lattice(g)
     bent_set = sets[pick % len(sets)]
-    real = groupoid_module._word_masks
+    real = word_masks_by_cylinders
 
     def bent_word_masks(g, depth):
         words_of, fmt_mask = real(g, depth)
@@ -729,6 +765,45 @@ def test_set_identity_mask_loops_match_set_oracles(seed, pick, depth):
     want_joins = join_failures_by_sets(sets, masks, fmt_mask)
     _assert_witnesses_fail_in_oracle(got[f"meet_identity_depth_{depth}"], want_meets, " ^ ")
     _assert_witnesses_fail_in_oracle(got[f"join_identity_depth_{depth}"], want_joins)
+
+
+def test_verify_ck_leaves_no_reference_cycle():
+    """The word-mask closures hold no cycle, so a check's memo tables are
+    freed when it returns, not at the next full collection."""
+    g = ring_ultragraph(6)
+    verify_ck(g, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        verify_ck(g, 2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _mask_words(fmt_mask, mask):
+    """Every word of the mask, one formatted bit at a time."""
+    return sorted(fmt_mask(1 << i) for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), depth=st.sampled_from((2, 3)))
+def test_word_masks_match_the_cylinder_oracle(seed, depth):
+    """_word_masks reads a length-zero base on two or more vertices off
+    its vertices' masks.  On every lattice set, the empty set included,
+    and every edge base, asked for in a seeded order, it gives the words
+    that refining each base by _cylinder_words gives."""
+    rng = random.Random(seed)
+    g = random_ultragraph(rng, max_vertices=5, max_edges=7, sink_free=True)
+    bases = [Ultrapath((), A) for A in powerset_lattice(g)]
+    bases += [Ultrapath((e,), g.range[e]) for e in sorted(g.edges)]
+    rng.shuffle(bases)
+    words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+    want_of, want_fmt = word_masks_by_cylinders(g, depth)
+    for base in bases:
+        got, want = words_of(base), want_of(base)
+        assert _mask_words(fmt_mask, got) == _mask_words(want_fmt, want), base
+        assert fmt_mask(got) == want_fmt(want)
 
 
 def test_mutation_missing_isometry_fails_family_shape(g_branch):
