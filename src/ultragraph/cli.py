@@ -16,7 +16,7 @@ import itertools
 import json
 import random
 import sys
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (
     check_singular_equivalence,
@@ -129,11 +129,7 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     return checks, None
 
 
-_UNREAD = object()
 _MEET = object()
-# what one remainder glues onto every path of a side: some concatenation
-# undefined, all defined, or all defined and each giving its path back
-_UNDEFINED, _DEFINED, _FIXED = range(3)
 
 
 class _RemainderTable(dict):
@@ -149,18 +145,13 @@ class _RemainderTable(dict):
     length-zero branch.  Remainders, grown paths w . x' and y . z', and
     the coordinates of meet products are interned in the same id space on
     first sight, so a product is a (left id, right id) pair and equal
-    paths have equal ids.  Entries are filled on first read, and the table
-    maps (remainder id, path id) to the grown path's id, filled on first
-    read too, so it takes O(|P|^2 + |P| R) memory for R distinct
-    remainders and no product of two elements is stored.  The memo is the
-    table itself rather than an object pointing back at it, since such a
-    cycle would keep every table alive until a full garbage collection.
-    The |P|^2 entries are charged to a budget of max_pairs entries and
-    element pairs before any is read.
-
-    Block (z, x) holds the products (w, z)(x, y) of listed elements.  Its
-    sides are ws[z], the ids of the w listed with right coordinate z, and
-    ys[x], those of the y listed with left coordinate x.
+    paths have equal ids.  The |P|^2 entries are charged to a budget of
+    max_pairs entries and element pairs, then filled.  The table maps
+    (remainder id, path id) to the grown path's id, filled on first read,
+    so it takes O(|P|^2 + |P| R) memory for R distinct remainders and no
+    product of two elements is stored.  The memo is the table itself
+    rather than an object pointing back at it, since such a cycle would
+    keep every table alive until a full garbage collection.
     """
 
     max_pairs = 2_000_000
@@ -175,17 +166,13 @@ class _RemainderTable(dict):
         ]
         self.size = n = len(self.paths)
         self.charge(n * n)
-        self.rows = [[_UNREAD] * n for _ in range(n)]
-        ws: List[set] = [set() for _ in range(n)]
-        ys: List[set] = [set() for _ in range(n)]
-        self.bent = set()  # the coordinates of elements whose two ranges differ
+        heads = self.paths[:n]
+        self.rows = [[self._read(z, x) for x in heads] for z in heads]
+        self.bent = set()  # the coordinates of elements whose ranges differ or are empty
         for c in filter(None, self.coords):
-            ws[c[1]].add(c[0])
-            ys[c[0]].add(c[1])
-            if self.paths[c[0]].terminal != self.paths[c[1]].terminal:
+            left, right = (self.paths[k].terminal for k in c)
+            if left != right or not left:
                 self.bent.update(c)
-        self.ws, self.ys = ([frozenset(s) for s in side] for side in (ws, ys))
-        self.glued: Dict[Tuple[int, FrozenSet[int]], int] = {}
 
     def charge(self, count: int) -> None:
         """Count entries or element pairs against max_pairs."""
@@ -200,12 +187,6 @@ class _RemainderTable(dict):
         if pid == len(self.paths):
             self.paths.append(p)
         return pid
-
-    def entry(self, z: int, x: int):
-        e = self.rows[z][x]
-        if e is _UNREAD:
-            e = self.rows[z][x] = self._read(self.paths[z], self.paths[x])
-        return e
 
     def _read(self, z: Ultrapath, x: Ultrapath):
         if not z.word and not x.word:
@@ -225,32 +206,17 @@ class _RemainderTable(dict):
         out = self[key] = None if p is None else self.intern(p)
         return out
 
-    def glues(self, rid: int, side: FrozenSet[int]) -> int:
-        """What the remainder glues onto every path of a side, read through
-        the grown-id memo: _UNDEFINED, _DEFINED or _FIXED."""
-        out = self.glued.get((rid, side))
-        if out is None:
-            pids = list(side)
-            grown = [self[rid, pid] for pid in pids]
-            out = _UNDEFINED if None in grown else _FIXED if grown == pids else _DEFINED
-            self.glued[rid, side] = out
-        return out
-
     def settled(self, z: int, x: int) -> bool:
         """Whether every product of block (z, x) is the swap of its mirror
-        product and raises nothing, read off entries (z, x) and (x, z), the
-        sides and the memo alone (the proof is _star_failures')."""
-        e, m = self.entry(z, x), self.entry(x, z)
-        if e is _MEET:
-            return m is _MEET and z not in self.bent and x not in self.bent
-        if e is None or m != (e[1], e[0]):
+        product and raises nothing, read off entries (z, x) and (x, z) and
+        the bent coordinates alone, so symmetric in z and x (the proof is
+        _star_failures')."""
+        if z in self.bent or x in self.bent:
             return False
-        r1, r2 = e
-        left = _FIXED if r1 is None else self.glues(r1, self.ws[z])
-        right = _FIXED if r2 is None else self.glues(r2, self.ys[x])
-        if r1 is not None and r2 is not None:
-            return left == right == _FIXED
-        return _UNDEFINED not in (left, right)
+        e, m = self.rows[z][x], self.rows[x][z]
+        if e is _MEET or m is _MEET:
+            return e is m
+        return e is not None and m == (e[1], e[0])
 
     def times(self, w: int, z: int, x: int, y: int):
         """(w, z)(x, y) for coordinate ids: the product's (left id, right
@@ -258,8 +224,6 @@ class _RemainderTable(dict):
         and 2 raise their errors in product's order: x's remainder, then
         z's, then a disagreement."""
         e = self.rows[z][x]
-        if e is _UNREAD:
-            e = self.entry(z, x)
         if e is None or e is _MEET:
             return e
         r1, r2 = e
@@ -326,23 +290,22 @@ def _star_failures(
     Then a pair with the zero holds by absorption, and the law is decided
     per block (z, x), the products of s = (w, z) and t = (x, y).
     A block holds, with no product formed, when both entries (z, x) and
-    (x, z) are zero, s t = 0 = t* s*, or when table.settled(z, x) and
-    table.settled(x, z) hold:
+    (x, z) are zero, s t = 0 = t* s*, or when table.settled(z, x): neither
+    z nor x is bent (a coordinate of a listed element whose two ranges
+    differ or are empty), so range(w) = range(z) and range(y) = range(x)
+    are nonempty, and
 
     - entry (z, x) holds remainder ids (r1, r2) and entry (x, z) mirrors
-      it as (r2, r1).  s t glues w . r1 into its left slot and y . r2 into
-      its right one; t* s* = (y, x)(z, w) glues y . r2 into its left slot
-      and w . r1 into its right one, from the same memo cells.  So t* s* is
-      the swap of s t for every w and y, and the two raise together.
-      Neither raises when each cell (r1, w) and (r2, y) over the block's
-      sides is defined and, where both rules apply, gives its path back.
+      it as (r2, r1), so t* s* = (y, x)(z, w) glues y . r2 and w . r1 into
+      the slots where s t glues w . r1 and y . r2.  r1 starts at a vertex
+      of range(z) or is a nonempty set inside it, so w . r1 is defined, as
+      is y . r2.  Both rules apply only when x and z extend each other,
+      x = z; then r1 = r2 = range(z) gives w and y back, and they agree.
     - both entries are _MEET, so z and x are sets Z and X meeting in a
-      nonempty C, and neither is bent (a coordinate of a listed element
-      whose two ranges differ), so range(w) = Z and range(y) = X.
-      product's length-zero branch then cuts w and y to C and raises
-      nothing: both cuts are C, and a rule that applies has X = C or
-      Z = C, where the cut keeps y or w.  So s t = (w', y') for w and y
-      cut to C, and t* s* = (y', w'), its swap.
+      nonempty C, range(w) = Z and range(y) = X.  product's length-zero
+      branch then cuts w and y to C and raises nothing: both cuts are C,
+      and a rule that applies has X = C or Z = C, where the cut keeps y
+      or w.  So s t = (w', y') for w and y cut to C, and t* s* = (y', w').
 
     Every other block goes back to its element pairs, read off the table
     as id pairs.  When star moves the zero or is not the swap on a listed
@@ -360,14 +323,14 @@ def _star_failures(
     if not loose:
         off = []  # the zero alone, whose pairs hold by absorption
     # the blocks sent back to element pairs, x ascending in live[z]
-    entry, settled = table.entry, table.settled
+    rows, settled = table.rows, table.settled
     live: List[List[int]] = [[] for _ in range(n)]
     for z in range(n):
         for x in range(z, n):
-            if entry(z, x) is None and entry(x, z) is None:
+            if rows[z][x] is None and rows[x][z] is None:
                 back = not skip_zero
             else:
-                back = loose or not (settled(z, x) and settled(x, z))
+                back = loose or not settled(z, x)
             if back:
                 live[z].append(x)
                 if x != z:

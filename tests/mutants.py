@@ -634,8 +634,8 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: decide a block from s t alone",
         "cli.py",
-        "            if entry(z, x) is None and entry(x, z) is None:\n",
-        "            if entry(z, x) is None:\n",
+        "            if rows[z][x] is None and rows[x][z] is None:\n",
+        "            if rows[z][x] is None:\n",
         CLI_TESTS,
     ),
     Mutant(
@@ -725,29 +725,36 @@ MUTANTS = (
     Mutant(
         "remainder table: settle a block whose entries do not mirror",
         "cli.py",
-        "if e is None or m != (e[1], e[0]):",
-        "if e is None:",
+        "return e is not None and m == (e[1], e[0])",
+        "return e is not None",
         CLI_TESTS,
     ),
     Mutant(
-        "remainder table: settle a meet block with bent coordinates",
+        "remainder table: settle a block with bent coordinates",
         "cli.py",
-        "return m is _MEET and z not in self.bent and x not in self.bent",
-        "return m is _MEET",
+        "        if z in self.bent or x in self.bent:\n",
+        "        if False:\n",
         CLI_TESTS,
     ),
     Mutant(
-        "remainder table: settle a block whose glue may raise",
+        "remainder table: test only z for bent",
         "cli.py",
-        "return _UNDEFINED not in (left, right)",
+        "        if z in self.bent or x in self.bent:\n",
+        "        if z in self.bent:\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: count an empty terminal as matched",
+        "cli.py",
+        "if left != right or not left:",
+        "if left != right:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: treat _MEET against a non-meet entry as mirrored",
+        "cli.py",
+        "return e is m",
         "return True",
-        CLI_TESTS,
-    ),
-    Mutant(
-        "remainder table: settle two rules without the fixed-point test",
-        "cli.py",
-        "return left == right == _FIXED",
-        "return _UNDEFINED not in (left, right)",
         CLI_TESTS,
     ),
     Mutant(

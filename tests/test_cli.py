@@ -498,6 +498,37 @@ def _meeting_sets(paths):
     return sum(1 for p in sets for q in sets if p.terminal & q.terminal)
 
 
+def _count_star_law_concats(monkeypatch, calls):
+    """Count in calls["star law concat"] the concat calls cli makes while
+    _star_failures runs, outside the table fill and the order check."""
+    star_failures, concat_ = cli._star_failures, cli.concat
+    inside = []
+
+    def running(*args):
+        inside.append(True)
+        try:
+            return star_failures(*args)
+        finally:
+            inside.pop()
+
+    def counted(*args):
+        calls["star law concat"] += bool(inside)
+        return concat_(*args)
+
+    calls["star law concat"] = 0
+    monkeypatch.setattr(cli, "_star_failures", running)
+    monkeypatch.setattr(cli, "concat", counted)
+
+
+def _assert_settled_is_symmetric(table):
+    """settled answers block (z, x) as it answers block (x, z), so the star
+    law asks it once per unordered coordinate pair."""
+    n = table.size
+    for z in range(n):
+        for x in range(z, n):
+            assert table.settled(z, x) == table.settled(x, z), (table.paths[z], table.paths[x])
+
+
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     """With every block sent back to its element pairs, the star law
     forms the products of each asked pair once per mirror pair, and the
@@ -587,10 +618,13 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
 def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     """GX at --max-len 3: 154 elements on 27 coordinates, 7 of them sets.
     The star law reads the 27^2 entries, the 7^2 of two sets without
-    rule_remainders, and settles every block; the only products are the
-    order check's, one per pair of its 27 idempotents."""
+    rule_remainders, and settles every block by a symmetric settled,
+    growing no path; the only products are the order check's, one per
+    pair of its 27 idempotents."""
     g = parse_file(GX)
-    paths = list(dict.fromkeys(s.left for s in generate_elements(g, 3)[1:]))
+    elems = generate_elements(g, 3)
+    _assert_settled_is_symmetric(cli._RemainderTable(g, elems))
+    paths = list(dict.fromkeys(s.left for s in elems[1:]))
     sets = [p for p in paths if not p.word]
     meets = _meeting_sets(paths)
     calls = {"entries": 0, "times": 0, "product": 0}
@@ -605,6 +639,7 @@ def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
     monkeypatch.setattr(cli._RemainderTable, "times", counting("times", cli._RemainderTable.times))
     monkeypatch.setattr(cli, "product", counting("product", product))
+    _count_star_law_concats(monkeypatch, calls)
     code, out, err = run(["semigroup", GX, "--max-len", "3", "--format", "json"], capsys)
     assert code == 0, err
     assert json.loads(out)["checks"][0]["details"]["count"] == 154
@@ -613,7 +648,22 @@ def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
         "entries": len(paths) ** 2 - len(sets) ** 2,
         "times": len(paths) ** 2,
         "product": meets,
+        "star law concat": 0,
     }
+
+
+def test_remainder_table_settles_a_meet_entry_only_against_a_meet():
+    """Two sets that meet read _MEET both ways, so a _MEET entry whose
+    mirror is a pair of remainder ids, or the zero, settles neither block."""
+    g = gx()
+    table = cli._RemainderTable(g, generate_elements(g, 2))
+    n, rows = table.size, table.rows
+    z, x = next((z, x) for z in range(n) for x in range(n) if z != x and rows[z][x] is cli._MEET)
+    ids = next(e for row in rows for e in row if isinstance(e, tuple))
+    assert table.settled(z, x) and table.settled(x, z)
+    for damaged in (ids, None):
+        rows[x][z] = damaged
+        assert not table.settled(z, x) and not table.settled(x, z)
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
@@ -818,7 +868,9 @@ def _path(word, terminal):
 # hand-built pairs on GX whose coordinates end in different sets, each
 # with an idempotent or a partner its product with it fails on: rules 1
 # and 2 both apply and disagree, rule 1's remainder does not extend w,
-# rule 2's does not extend y, and two meeting sets whose meet misses w
+# rule 2's does not extend y, and two meeting sets whose meet misses w;
+# and a pair whose coordinates both end in the empty set, on which the
+# diagonal remainder, the empty set, extends nothing
 _MISMATCHED = {
     "meet": [
         SGElement(_path("", "v"), _path("", "u")),
@@ -836,16 +888,17 @@ _MISMATCHED = {
         SGElement(_path("g", "w"), _path("g", "w")),
         SGElement(_path("", "u"), _path("", "v")),
     ],
+    "empty": [SGElement(_path("g", ""), _path("e", ""))],
 }
 
 
 def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
     """Lists generate_elements never makes: an element dropped, so star
     leaves the list, an element listed twice, and hand-built pairs with
-    mismatched terminals, alone, with their stars, and after GX's list.
-    The mismatched pairs raise each of glue's three errors somewhere, and
-    two sets of a meet block raise one through product's length-zero
-    branch."""
+    mismatched or empty terminals, alone, with their stars, and after GX's
+    list.  The mismatched pairs raise each of glue's three errors
+    somewhere, and two sets of a meet block raise one through product's
+    length-zero branch.  On each list settled is symmetric."""
     g = gx()
     elems = generate_elements(g, 2)
     k = next(i for i, s in enumerate(elems) if s.left is not None and s.left != s.right)
@@ -861,6 +914,7 @@ def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
         cases[f"GX then {name}"] = elems + pairs
     raised = set()
     for name, case in cases.items():
+        _assert_settled_is_symmetric(cli._RemainderTable(g, case))
         got, want = _law_outcomes(g, case)
         assert got == want, name
         if isinstance(got, str):
@@ -995,13 +1049,17 @@ def _semigroup_json(capsys, path, max_len):
     return [c["details"] for c in checks]
 
 
-def test_semigroup_pair_budget_admits_ring3(tmp_path, capsys):
+def test_semigroup_pair_budget_admits_ring3(tmp_path, monkeypatch, capsys):
     """ring(3) at --max-len 2 has 2,348 elements on 127 coordinates: the
-    16,129 entries settle every block, inside the budget."""
+    16,129 entries settle every block, inside the budget, and the star
+    law grows no path."""
     path = tmp_path / "ring3.ug"
     path.write_text(emit(ring_ultragraph(3)))
+    calls = {}
+    _count_star_law_concats(monkeypatch, calls)
     details = _semigroup_json(capsys, str(path), 2)
     assert (details[0]["count"], details[2]["idempotents"]) == (2348, 127)
+    assert calls == {"star law concat": 0}
 
 
 def test_semigroup_pair_budget_admits_ring3_at_length_three(tmp_path, capsys):

@@ -173,7 +173,8 @@ def test_lassos_have_one_build_route():
 def test_every_mutant_matches_its_module_once():
     """tests/mutants.py replaces one exact piece of text per mutant; a
     rewrite that orphans or duplicates that text is caught here, without
-    running the mutation check itself."""
+    running the mutation check itself.  Names are unique, since the script
+    selects mutants by name, and every covering test file exists."""
     spec = importlib.util.spec_from_file_location(
         "mutants", Path(__file__).with_name("mutants.py")
     )
@@ -186,3 +187,9 @@ def test_every_mutant_matches_its_module_once():
         if (count := (SRC / m.module).read_text().count(m.old)) != 1
     ]
     assert not stale, stale
+    names = [m.name for m in mutants.MUTANTS]
+    assert len(set(names)) == len(names), sorted(n for n in names if names.count(n) > 1)
+    missing = sorted(
+        {t for m in mutants.MUTANTS for t in m.tests if not (mutants.REPO / t).is_file()}
+    )
+    assert not missing, missing
