@@ -52,6 +52,7 @@ from .semigroup import (
     SGElement,
     _leq_by_shape,
     generate_elements,
+    glue,
     product,
     rule_remainders,
     star,
@@ -132,45 +133,37 @@ def _cmd_paths(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 _MEET = object()
 
 
-class _RemainderTable(dict):
-    """Products of the elements of one list, on interned path ids.
+class _RemainderTable:
+    """The remainder entries of one element list, on interned coordinates.
 
     Whether and how (w, z)(x, y) rewrites hangs on the inner pair (z, x)
     alone; w and y are only glued onto its remainders.  So the |P|
     distinct coordinates of the list are interned as ids 0..|P|-1, and
-    entry (z, x) of a |P| x |P| table holds the ids of the two remainders
-    from rule_remainders, None when no rule applies (every product with
-    inner coordinates (z, x) is zero), or _MEET for two overlapping
-    length-zero coordinates, whose products go through product's
-    length-zero branch.  Remainders, grown paths w . x' and y . z', and
-    the coordinates of meet products are interned in the same id space on
-    first sight, so a product is a (left id, right id) pair and equal
-    paths have equal ids.  The |P|^2 entries are charged to a budget of
-    max_pairs entries and element pairs, then filled.  The table maps
-    (remainder id, path id) to the grown path's id, filled on first read,
-    so it takes O(|P|^2 + |P| R) memory for R distinct remainders and no
-    product of two elements is stored.  The memo is the table itself
-    rather than an object pointing back at it, since such a cycle would
-    keep every table alive until a full garbage collection.
+    entry (z, x) of a |P| x |P| table holds the two remainders from
+    rule_remainders, None when no rule applies (every product with inner
+    coordinates (z, x) is zero), or _MEET for two overlapping length-zero
+    coordinates, whose products go through product's length-zero branch.
+    The |P|^2 entries are charged to a budget of max_pairs entries and
+    element pairs, then filled.
     """
 
     max_pairs = 2_000_000
 
     def __init__(self, g: Ultragraph, elems: Sequence[Tuple[Optional[Ultrapath], ...]]):
         self.g, self.spent = g, 0
-        self.ids: Dict[Ultrapath, int] = {}
-        self.paths: List[Ultrapath] = []
+        ids: Dict[Ultrapath, int] = {}
         # (left id, right id) per element, None for the zero
         self.coords = [
-            None if w is None else (self.intern(w), self.intern(y)) for w, y in elems
+            None if w is None else (ids.setdefault(w, len(ids)), ids.setdefault(y, len(ids)))
+            for w, y in elems
         ]
-        self.size = n = len(self.paths)
+        self.paths = paths = list(ids)
+        self.size = n = len(paths)
         self.charge(n * n)
-        heads = self.paths[:n]
-        self.rows = [[self._read(z, x) for x in heads] for z in heads]
+        self.rows = [[self._read(z, x) for x in paths] for z in paths]
         self.bent = set()  # the coordinates of elements whose ranges differ or are empty
         for c in filter(None, self.coords):
-            left, right = (self.paths[k].terminal for k in c)
+            left, right = (paths[k].terminal for k in c)
             if left != right or not left:
                 self.bent.update(c)
 
@@ -182,29 +175,13 @@ class _RemainderTable(dict):
                 f"semigroup law check exceeded max_pairs={self.max_pairs} entries and pairs"
             )
 
-    def intern(self, p: Ultrapath) -> int:
-        pid = self.ids.setdefault(p, len(self.paths))
-        if pid == len(self.paths):
-            self.paths.append(p)
-        return pid
-
     def _read(self, z: Ultrapath, x: Ultrapath):
         if not z.word and not x.word:
             # listed terminals are nonempty, so only the overlap rule can
             # apply, and it applies iff the sets meet
             return _MEET if z.terminal & x.terminal else None
-        rem1, rem2 = rule_remainders(self.g, z, x)
-        if rem1 is None and rem2 is None:
-            return None
-        return tuple(None if r is None else self.intern(r) for r in (rem1, rem2))
-
-    def __missing__(self, key: Tuple[int, int]) -> Optional[int]:
-        """The id of paths[pid] . paths[rid] for key (rid, pid), None when
-        concat is undefined."""
-        rid, pid = key
-        p = concat(self.g, self.paths[pid], self.paths[rid])
-        out = self[key] = None if p is None else self.intern(p)
-        return out
+        rems = rule_remainders(self.g, z, x)
+        return None if rems == (None, None) else rems
 
     def settled(self, z: int, x: int) -> bool:
         """Whether every product of block (z, x) is the swap of its mirror
@@ -218,37 +195,6 @@ class _RemainderTable(dict):
             return e is m
         return e is not None and m == (e[1], e[0])
 
-    def times(self, w: int, z: int, x: int, y: int):
-        """(w, z)(x, y) for coordinate ids: the product's (left id, right
-        id), None for the zero, or _MEET when meet must form it.  Rules 1
-        and 2 raise their errors in product's order: x's remainder, then
-        z's, then a disagreement."""
-        e = self.rows[z][x]
-        if e is None or e is _MEET:
-            return e
-        r1, r2 = e
-        out = None
-        if r1 is not None:
-            left = self[r1, w]
-            if left is None:
-                raise RuntimeError("remainder of x does not extend w")
-            out = left, y
-        if r2 is not None:
-            right = self[r2, y]
-            if right is None:
-                raise RuntimeError("remainder of z does not extend y")
-            if out is None:
-                out = w, right
-            elif out != (w, right):
-                raise RuntimeError("overlapping rules disagree")
-        return out
-
-    def meet(self, s, t) -> Optional[Tuple[int, int]]:
-        """product(s, t) as interned ids, for elements s and t whose inner
-        coordinates read _MEET."""
-        st = product(self.g, s, t)
-        return None if st.left is None else (self.intern(st.left), self.intern(st.right))
-
 
 def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
     return _semigroup_laws(g, generate_elements(g, args.max_len)), None
@@ -261,22 +207,40 @@ def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
     bad_inv = [str(s) for s in elems if star(star(s)) != s]
     table = _RemainderTable(g, elems)
     bad_star = _star_failures(g, elems, table)
-    idems = [(s, c) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
-    times, meet = table.times, table.meet
-    bad_ord = []
-    for e, ee in idems:
-        for f, ff in idems:
-            ef = times(*ee, *ff)
-            if ef is _MEET:
-                ef = meet(e, f)
-            if (ef == ee) != _leq_by_shape(g, e, f):
-                bad_ord.append(f"{e} <= {f}")
+    idems = [(s, c[0]) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
+    bad_ord = [
+        f"{e} <= {f}"
+        for e, f, ef in _idempotent_products(g, table, idems)
+        if (ef == e) != _leq_by_shape(g, e, f)
+    ]
     star_witnesses = [f"{elems[i]} * {elems[j]}" for i, j in bad_star[:5]]
     return [
         _check("involution", not bad_inv, bad_inv[:5], count=len(elems)),
         _check("antimultiplicative_star", not bad_star, star_witnesses),
         _check("idempotent_order_agreement", not bad_ord, bad_ord[:5], idempotents=len(idems)),
     ]
+
+
+def _idempotent_products(g: Ultragraph, table: _RemainderTable, idems):
+    """(e, f, ef) for every ordered pair of listed idempotents e = (z, z)
+    and f = (x, x), given with the id of z and x, with ef read off entry
+    (z, x): the zero where no rule applies, product for two meeting sets,
+    and otherwise glue on the entry's remainders, as product does after
+    rule_remainders."""
+    rows = table.rows
+    for e, z in idems:
+        row, w = rows[z], e.left
+        for f, x in idems:
+            entry = row[x]
+            if entry is None:
+                yield e, f, OMEGA
+            elif entry is _MEET:
+                yield e, f, product(g, e, f)
+            else:
+                r1, r2 = entry
+                grown_w = None if r1 is None else concat(g, w, r1)
+                grown_y = None if r2 is None else concat(g, f.left, r2)
+                yield e, f, glue(w, f.left, r1, r2, grown_w, grown_y)
 
 
 def _star_failures(
@@ -307,13 +271,13 @@ def _star_failures(
       and a rule that applies has X = C or Z = C, where the cut keeps y
       or w.  So s t = (w', y') for w and y cut to C, and t* s* = (y', w').
 
-    Every other block goes back to its element pairs, read off the table
-    as id pairs.  When star moves the zero or is not the swap on a listed
-    element, every block goes back, and its pairs go through product and
-    star.  (s, t) and its mirror (t*, s*) ask one equation, so the
-    products are formed for the first of each mirror pair in the loop's
-    order, which keeps the first error raised.  The pairs are charged to
-    the table's budget before any product."""
+    Every other block goes back to its element pairs, and so does every
+    block when star moves the zero or is not the swap on a listed element;
+    their pairs go through product and star.  (s, t) and its mirror
+    (t*, s*) ask one equation, so the products are formed for the first of
+    each mirror pair in the loop's order, which keeps the first error
+    raised.  The pairs are charged to the table's budget before any
+    product."""
     coords, n = table.coords, table.size
     starred = [star(s) for s in elems]
     tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
@@ -352,34 +316,17 @@ def _star_failures(
     index = {s: i for i, s in enumerate(elems)}
     image = [index.get(s) for s in starred]
     mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]
-    times, meet = table.times, table.meet
     bad_pairs = []
     for i, s in enumerate(elems):
         mi = mirror[i]
         if tabled[i]:
-            w, z = coords[i]
-            cols = itertools.chain(off, *(by_left[x] for x in live[z]))
+            cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))
         else:
             cols = range(len(elems)) if loose else ()
         for j in cols:
             mj = mirror[j]
             paired = mi is not None and mj is not None
             if paired and (mj, mi) < (i, j):
-                continue
-            if not loose:
-                # star swaps every id pair, so the pair and its mirror
-                # fail together
-                x, y = coords[j]
-                st = times(w, z, x, y)
-                if st is _MEET:
-                    st = meet(s, elems[j])
-                ts = times(y, x, z, w)
-                if ts is _MEET:
-                    ts = meet(starred[j], starred[i])
-                if st != (ts and (ts[1], ts[0])):
-                    bad_pairs.append((i, j))
-                    if paired and (mj, mi) != (i, j):
-                        bad_pairs.append((mj, mi))
                 continue
             st = product(g, s, elems[j])
             ts = product(g, starred[j], starred[i])

@@ -437,10 +437,11 @@ def check_family(
 
     # shape: projections sit on their own index, a set of the graph's
     # vertices, and isometries sit on an edge of the graph and are squares
-    shape_bad: List[str] = []
-    for A, gen in sorted(fam.projections.items(), key=lambda kv: set_key(kv[0])):
+    # sort only the offending keys, stably, so a key's messages keep their order
+    shape_at: List[Tuple[VSet, str]] = []
+    for A, gen in fam.projections.items():
         if not A <= g.vertices:
-            shape_bad.append(f"projection {format_set(A)} is not a lattice set")
+            shape_at.append((A, f"projection {format_set(A)} is not a lattice set"))
         good = (
             not gen.is_omega
             and gen.left == gen.right
@@ -448,7 +449,8 @@ def check_family(
             and gen.left.terminal == A
         )
         if not good:
-            shape_bad.append(f"projection {format_set(A)} carries {gen}")
+            shape_at.append((A, f"projection {format_set(A)} carries {gen}"))
+    shape_bad = [msg for _, msg in sorted(shape_at, key=lambda am: set_key(am[0]))]
     for e, gen in sorted(fam.isometries.items()):
         if e not in g.edges:
             shape_bad.append(f"isometry {e} is not an edge")

@@ -138,16 +138,15 @@ def rule_remainders(
 def glue(
     w: Ultrapath,
     y: Ultrapath,
-    rule1: object,
-    rule2: object,
+    rule1: Optional[Ultrapath],
+    rule2: Optional[Ultrapath],
     grown_w: Optional[Ultrapath],
     grown_y: Optional[Ultrapath],
 ) -> SGElement:
     """Rules 1 and 2 on (w, z)(x, y), given what rule_remainders found for
-    (z, x): rule1 and rule2 are the remainders x' and z', or any stand-in
-    for them, None when the rule does not apply; grown_w = w . x' and
-    grown_y = y . z', None when the concatenation is undefined.  The zero
-    when neither rule applies."""
+    (z, x): rule1 and rule2 are the remainders x' and z', None when the
+    rule does not apply; grown_w = w . x' and grown_y = y . z', None when
+    the concatenation is undefined.  The zero when neither rule applies."""
     out = OMEGA
     if rule1 is not None:
         if grown_w is None:

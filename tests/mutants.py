@@ -590,6 +590,13 @@ MUTANTS = (
         ("tests/test_core.py",),
     ),
     Mutant(
+        "emitted_edges: skip edges from undeclared sources",
+        "core.py",
+        "chain.from_iterable(map(g.out_edges, A))",
+        "chain.from_iterable(map(g.out_edges, A & g.vertices))",
+        ("tests/test_core.py",),
+    ),
+    Mutant(
         "sinks: treat an undeclared source as emitting",
         "core.py",
         "emitting = g.vertices.intersection(g._out_edges)",
@@ -625,6 +632,13 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "check_family: list offending projection keys unsorted",
+        "groupoid.py",
+        "for _, msg in sorted(shape_at, key=lambda am: set_key(am[0]))]",
+        "for _, msg in shape_at]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "check_family: drop the missing-isometry report",
         "groupoid.py",
         "        if e not in fam.isometries:\n",
@@ -648,7 +662,7 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: a live block does not add its columns",
         "cli.py",
-        "cols = itertools.chain(off, *(by_left[x] for x in live[z]))",
+        "cols = itertools.chain(off, *(by_left[x] for x in live[coords[i][1]]))",
         "cols = itertools.chain(off)",
         CLI_TESTS,
     ),
@@ -662,15 +676,15 @@ MUTANTS = (
     Mutant(
         "remainder table: store an entry's two remainders swapped",
         "cli.py",
-        "for r in (rem1, rem2))",
-        "for r in (rem2, rem1))",
+        "return None if rems == (None, None) else rems",
+        "return None if rems == (None, None) else rems[::-1]",
         CLI_TESTS,
     ),
     Mutant(
-        "remainder table: key the concat memo by remainder only",
+        "order-check read: grow y by rule 1's remainder",
         "cli.py",
-        "left = self[r1, w]",
-        "left = self[r1, 0]",
+        "grown_w = None if r1 is None else concat(g, w, r1)",
+        "grown_w = None if r1 is None else concat(g, f.left, r1)",
         CLI_TESTS,
     ),
     Mutant(
@@ -681,35 +695,56 @@ MUTANTS = (
         CLI_TESTS,
     ),
     Mutant(
-        "id kernel: drop rule 2",
-        "cli.py",
-        "if r2 is not None:",
-        "if False:",
+        "glue: drop rule 2",
+        "semigroup.py",
+        "    if rule2 is not None:\n",
+        "    if False:\n",
         CLI_TESTS,
     ),
     Mutant(
-        "id kernel: drop the disagreement check",
-        "cli.py",
-        "elif out != (w, right):",
-        "elif False:",
+        "glue: drop the disagreement check",
+        "semigroup.py",
+        "    if later != first:\n",
+        "    if False:\n",
         CLI_TESTS,
     ),
     Mutant(
-        "id kernel: key rule 2's grown-id memo by remainder alone",
+        "order-check read: grow w by rule 2's remainder",
         "cli.py",
-        "right = self[r2, y]",
-        "right = self[r2, 0]",
+        "grown_y = None if r2 is None else concat(g, f.left, r2)",
+        "grown_y = None if r2 is None else concat(g, w, r2)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "order-check read: read entry (x, z) for (z, x)",
+        "cli.py",
+        "            entry = row[x]\n",
+        "            entry = rows[x][z]\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "order-check read: pass r1 and r2 to glue swapped",
+        "cli.py",
+        "glue(w, f.left, r1, r2, grown_w, grown_y)",
+        "glue(w, f.left, r2, r1, grown_w, grown_y)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "order-check read: read a None entry as _MEET",
+        "cli.py",
+        "yield e, f, OMEGA",
+        "yield e, f, product(g, e, f)",
         CLI_TESTS,
     ),
     Mutant(
         "semigroup law loop: compare s t with t* s* unswapped",
         "cli.py",
-        "if st != (ts and (ts[1], ts[0])):",
+        "if star(st) != ts:",
         "if st != ts:",
         CLI_TESTS,
     ),
     Mutant(
-        "semigroup law loop: swap the ids of a product off the involution",
+        "semigroup law loop: settle blocks when a listed element is off the involution",
         "cli.py",
         "loose = not skip_zero or any(coords[j] is not None for j in off)",
         "loose = not skip_zero",

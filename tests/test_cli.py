@@ -39,7 +39,7 @@ from ultragraph import (
     star,
 )
 from ultragraph.cli import main
-from ultragraph.semigroup import rule_remainders
+from ultragraph.semigroup import glue, rule_remainders
 
 import conftest
 from conftest import (
@@ -461,28 +461,18 @@ def _zero_block(g, z, x):
 
 
 def _glued(s, t):
-    """Whether the remainder table forms s t from its remainder ids rather
-    than through product: both are nonzero and the inner pair is not two
+    """Whether product forms s t by glue on remainders rather than by its
+    length-zero branch: both are nonzero and the inner pair is not two
     sets.  Where no rule applies the product is the zero either way."""
     return not (s.is_omega or t.is_omega) and bool(s.right.word or t.left.word)
 
 
-def _patch_kernel(monkeypatch, wrap):
-    """Route the id-level product of cli._RemainderTable through
-    wrap(table, (w, z, x, y), answer), which sees the coordinate ids and
-    the table's own answer, and returns what the law loop reads."""
-    times = cli._RemainderTable.times
-
-    def patched(table, *ids):
-        return wrap(table, ids, times(table, *ids))
-
-    monkeypatch.setattr(cli._RemainderTable, "times", patched)
-
-
-def _decode(table, ids):
-    """The elements (w, z) and (x, y) that coordinate ids name."""
-    w, z, x, y = (table.paths[k] for k in ids)
-    return SGElement(w, z), SGElement(x, y)
+def _glued_entries(g, paths):
+    """The ordered pairs of coordinates, not both sets, whose entry holds
+    remainders: the idempotent pairs the order check hands to glue."""
+    return sum(
+        1 for z in paths for x in paths if (z.word or x.word) and not _zero_block(g, z, x)
+    )
 
 
 def _send_every_block_back(monkeypatch):
@@ -531,8 +521,9 @@ def _assert_settled_is_symmetric(table):
 
 def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     """With every block sent back to its element pairs, the star law
-    forms the products of each asked pair once per mirror pair, and the
-    order check one product per idempotent pair."""
+    forms the two products of each asked pair through product, once per
+    mirror pair, and the order check one glue or product call per
+    idempotent pair whose entry is not zero."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     index = {s: i for i, s in enumerate(elems)}
@@ -547,9 +538,8 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
         for t in elems[1:]:
             if not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
-    glued = sum(1 for i, j in asked if _glued(elems[i], elems[j]))
     meets = _meeting_sets(paths)
-    calls = {"entries": 0, "id pairs": 0, "product": 0}
+    calls = {"entries": 0, "glue": 0, "product": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -558,46 +548,41 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
 
         return counted
 
-    def count_id_answers(table, ids, got):
-        # an answer the loop reads as ids, not one it hands to product
-        if got is not cli._MEET:
-            calls["id pairs"] += 1
-            assert got is None or all(isinstance(k, int) for k in got)
-        return got
-
     monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
-    _patch_kernel(monkeypatch, count_id_answers)
+    monkeypatch.setattr(cli, "glue", counting("glue", glue))
     monkeypatch.setattr(cli, "product", counting("product", product))
     _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["antimultiplicative_star"]["pass"]
-    sizes = (len(elems), len(paths), len(sets), len(asked), glued, meets)
-    assert sizes == (63, 18, 7, 754, 650, 37)
+    sizes = (len(elems), len(paths), len(sets), len(asked), meets)
+    assert sizes == (63, 18, 7, 754, 37)
     assert calls == {
         "entries": len(paths) ** 2 - len(sets) ** 2,
-        "id pairs": 2 * glued + len(paths) ** 2 - meets,
-        "product": 2 * (len(asked) - glued) + meets,
+        "glue": _glued_entries(g, paths),
+        "product": 2 * len(asked) + meets,
     }
 
 
 def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch, capsys):
     """GX at --max-len 2 has 18 nonzero idempotents.  The order check reads
-    ef off the remainder table, an id-level product or, for two meeting
-    sets, one product call, and asks the unchecked shape order, which forms
-    none and asks no is_idempotent, on each of their 324 ordered pairs.
-    idempotent_leq is not asked, and the star law settles every block of
-    GX with no product."""
+    ef off the remainder table, with one glue call on an entry's remainders
+    or, for two meeting sets, one product call, and asks the unchecked
+    shape order, which forms none and asks no is_idempotent, on each of
+    their 324 ordered pairs.  A zero entry forms nothing.  idempotent_leq
+    is not asked, and the star law settles every block of GX with no
+    product."""
+    g = parse_file(GX)
+    paths = list(dict.fromkeys(s.left for s in generate_elements(g, 2)[1:]))
     formed = []
 
-    def kernel(table, ids, got):
-        if got is not cli._MEET:
-            formed.append(ids)
-        return got
+    def glued(w, y, *args):
+        formed.append((SGElement(w, w), SGElement(y, y)))
+        return glue(w, y, *args)
 
-    def counted(*args):
-        formed.append(args)
-        return product(*args)
+    def counted(g, e, f):
+        formed.append((e, f))
+        return product(g, e, f)
 
     def forbidden(*args):
         raise AssertionError("idempotent_leq formed a product")
@@ -605,29 +590,31 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
     def unasked(*args):
         raise AssertionError("the order check asked is_idempotent")
 
-    _patch_kernel(monkeypatch, kernel)
+    monkeypatch.setattr(cli, "glue", glued)
     monkeypatch.setattr(cli, "product", counted)
     monkeypatch.setattr(semigroup, "product", forbidden)
     monkeypatch.setattr(semigroup, "is_idempotent", unasked)
     code, checks = _semigroup_checks(capsys)
     assert code == 0
     assert checks["idempotent_order_agreement"]["details"]["idempotents"] == 18
-    assert len(formed) == 18 * 18
+    nonzero = 18 * 18 - sum(1 for z in paths for x in paths if _zero_block(g, z, x))
+    assert (len(formed), len(set(formed))) == (nonzero, nonzero) == (160, 160)
 
 
 def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     """GX at --max-len 3: 154 elements on 27 coordinates, 7 of them sets.
     The star law reads the 27^2 entries, the 7^2 of two sets without
     rule_remainders, and settles every block by a symmetric settled,
-    growing no path; the only products are the order check's, one per
-    pair of its 27 idempotents."""
+    growing no path; the only products are the order check's, one glue
+    call per pair of its 27 idempotents whose entry holds remainders and
+    one product per pair of meeting sets."""
     g = parse_file(GX)
     elems = generate_elements(g, 3)
     _assert_settled_is_symmetric(cli._RemainderTable(g, elems))
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
     sets = [p for p in paths if not p.word]
     meets = _meeting_sets(paths)
-    calls = {"entries": 0, "times": 0, "product": 0}
+    calls = {"entries": 0, "glue": 0, "product": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -637,7 +624,7 @@ def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
         return counted
 
     monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
-    monkeypatch.setattr(cli._RemainderTable, "times", counting("times", cli._RemainderTable.times))
+    monkeypatch.setattr(cli, "glue", counting("glue", glue))
     monkeypatch.setattr(cli, "product", counting("product", product))
     _count_star_law_concats(monkeypatch, calls)
     code, out, err = run(["semigroup", GX, "--max-len", "3", "--format", "json"], capsys)
@@ -646,7 +633,7 @@ def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     assert (len(paths), len(sets), meets) == (27, 7, 37)
     assert calls == {
         "entries": len(paths) ** 2 - len(sets) ** 2,
-        "times": len(paths) ** 2,
+        "glue": _glued_entries(g, paths),
         "product": meets,
         "star law concat": 0,
     }
@@ -667,22 +654,19 @@ def test_remainder_table_settles_a_meet_entry_only_against_a_meet():
 
 
 def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
-    """An id-level product that is wrongly zero whenever w is (e, {u})
-    makes the idempotent (e, {u}) times itself zero, and must not hide the
-    rest of the diagonal block ((e, {u}), (e, {u})) from the witness list."""
+    """A product that is wrongly zero whenever w is (e, {u}) makes the
+    idempotent (e, {u}) times itself zero, and must not hide the rest of
+    the diagonal block ((e, {u}), (e, {u})) from the witness list."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     eu = Ultrapath(("e",), frozenset({"u"}))
-
-    def faulty_times(table, ids, got):
-        return None if got is not cli._MEET and table.paths[ids[0]] == eu else got
 
     def faulty(g, s, t):
         return OMEGA if _glued(s, t) and s.left == eu else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert want[0] == "[{u} | (e, {u})] * [(e, {u}) | (e, {u})]"
-    _patch_kernel(monkeypatch, faulty_times)
+    monkeypatch.setattr(cli, "product", faulty)
     _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
@@ -691,8 +675,9 @@ def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
 
 @pytest.mark.parametrize("turned", [False, True], ids=["block", "mirror block"])
 def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, capsys):
-    """A remainder table entry that is wrongly nonzero on one orientation
-    of a zero block is visited, and its mirror block is asked too."""
+    """A remainder entry that is wrongly nonzero on one orientation of a
+    zero block, in the table and in product alike, is visited, and its
+    mirror block is asked too."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
@@ -713,6 +698,7 @@ def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, cap
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) == 5
     monkeypatch.setattr(cli, "rule_remainders", faulty_remainders)
+    monkeypatch.setattr(semigroup, "rule_remainders", faulty_remainders)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
     assert checks["antimultiplicative_star"]["witnesses"] == want
@@ -720,8 +706,8 @@ def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, cap
 
 @pytest.mark.parametrize("zeroed", ["one pair", "one row"])
 def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch, capsys):
-    """An id-level product that is wrongly zero on what glue would see for
-    one product, or on every product whose left coordinate is one w, is
+    """A product that is wrongly zero on what glue would see for one
+    product, or on every product whose left coordinate is one w, is
     reported at every pair it touches, in (i, j) order."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
@@ -742,17 +728,12 @@ def test_semigroup_mirror_pairs_report_faults_in_pair_order(zeroed, monkeypatch,
     def hit(args):
         return args == key if zeroed == "one pair" else args[0] == key[0]
 
-    def faulty_times(table, ids, got):
-        if got is not cli._MEET and hit(glue_args(*_decode(table, ids))):
-            return None
-        return got
-
     def faulty(g, s, t):
         return OMEGA if _glued(s, t) and hit(glue_args(s, t)) else product(g, s, t)
 
     want = _all_pairs_star_witnesses(g, elems, faulty, star)
     assert len(want) >= 2
-    _patch_kernel(monkeypatch, faulty_times)
+    monkeypatch.setattr(cli, "product", faulty)
     _send_every_block_back(monkeypatch)
     code, checks = _semigroup_checks(capsys)
     assert code == 1
@@ -789,18 +770,18 @@ def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys)
 
 
 def _table_products_match(g, elems):
-    """Every product of two nonzero listed elements, as the table answers
-    it in ids and decoded, is product's and the rule oracle's."""
+    """ef as the order check reads it off the remainder table is product's
+    and the rule oracle's on every ordered pair of listed idempotents, and
+    every pair is read once, e before f in list order."""
     table = cli._RemainderTable(g, elems)
-    for i, s in enumerate(elems):
-        for j, t in enumerate(elems):
-            if s.is_omega or t.is_omega:
-                continue
-            got = table.times(*table.coords[i], *table.coords[j])
-            if got is cli._MEET:
-                got = table.meet(s, t)
-            got = OMEGA if got is None else SGElement(*(table.paths[k] for k in got))
-            assert got == product(g, s, t) == product_by_rules(g, s, t), (s, t)
+    ids = [(s, c[0]) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
+    idems = [s for s in elems if not s.is_omega and s.left == s.right]
+    assert [e for e, _ in ids] == idems
+    read = []
+    for e, f, ef in cli._idempotent_products(g, table, ids):
+        assert ef == product(g, e, f) == product_by_rules(g, e, f), (e, f)
+        read.append((e, f))
+    assert read == [(e, f) for e in idems for f in idems]
 
 
 @pytest.mark.parametrize(
@@ -990,7 +971,8 @@ def test_semigroup_budget_charges_the_pairs_of_blocks_sent_back(monkeypatch):
     elems = generate_elements(g, 2)
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
     (z, x), value = _damaged_entries(g, paths)["one rule dropped"]
-    monkeypatch.setattr(cli, "rule_remainders", _reading((z, x), value))
+    for module in (cli, semigroup):
+        monkeypatch.setattr(module, "rule_remainders", _reading((z, x), value))
 
     def with_right(p):
         return sum(1 for s in elems[1:] if s.right == p)
@@ -1006,7 +988,6 @@ def test_semigroup_budget_charges_the_pairs_of_blocks_sent_back(monkeypatch):
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(cli, "product", forbidden)
-    monkeypatch.setattr(cli._RemainderTable, "times", forbidden)
     monkeypatch.setattr(cli._RemainderTable, "max_pairs", len(paths) ** 2 + pairs - 1)
     with pytest.raises(core.SizeLimitError):
         cli._star_failures(g, elems, cli._RemainderTable(g, elems))
@@ -1026,7 +1007,7 @@ def test_semigroup_pair_budget_fails_before_any_product(tmp_path, monkeypatch, c
 
     monkeypatch.setattr(cli, "product", forbidden)
     monkeypatch.setattr(cli, "rule_remainders", forbidden)
-    monkeypatch.setattr(cli._RemainderTable, "times", forbidden)
+    monkeypatch.setattr(cli, "glue", forbidden)
     code, out, err = run(["semigroup", str(path), "--max-len", "2", "--format", "json"], capsys)
     assert code == 1, err
     checks = json.loads(out)["checks"]

@@ -264,6 +264,11 @@ def test_emitted_edges(g_branch):
     assert emitted_edges(g_branch, fz("v")) == fz("e")
     assert emitted_edges(g_branch, fz("w", "u")) == fz("f", "g")
     assert emitted_edges(g_branch, frozenset()) == frozenset()
+    # an edge whose source is not a declared vertex is emitted by its source
+    g = Ultragraph.build("vw", {"e": ("v", "w"), "f": ("w", "v"), "x": ("z", "v")})
+    assert emitted_edges(g, fz("z")) == fz("x")
+    assert emitted_edges(g, fz("v", "z")) == fz("e", "x")
+    assert emitted_edges(g, fz("v", "w")) == fz("e", "f")
 
 
 def test_ultrasets_are_exactly_singletons(g_branch, branch_lattice):

@@ -825,6 +825,34 @@ def test_projection_keyed_outside_the_vertex_set_fails_family_shape():
     assert failed == {"family_shape": ("projection {v zz} is not a lattice set",)}
 
 
+def test_family_shape_lists_bad_projection_keys_in_set_order():
+    """Keys outside the vertex set, interleaved in set_key order with
+    lattice keys that carry the wrong element and added in no order, are
+    reported in set_key order, a key's two messages together."""
+    g = gx()
+    fam = ck_family(g)
+    v = frozenset({"v"})
+    for names, gen in [
+        ("w zz", idempotent(Ultrapath((), frozenset({"w", "zz"})))),
+        ("u", OMEGA),
+        ("zz", idempotent(Ultrapath((), frozenset({"zz"})))),
+        ("v w", idempotent(Ultrapath((), v))),
+        ("u zz", OMEGA),
+        ("a", idempotent(Ultrapath((), frozenset({"a"})))),
+    ]:
+        fam.projections[frozenset(names.split())] = gen
+    shape = {e.name: e for e in check_family(g, fam, 2).entries}["family_shape"]
+    assert shape.details == (
+        "projection {a} is not a lattice set",
+        "projection {u} carries omega",
+        "projection {u zz} is not a lattice set",
+        "projection {u zz} carries omega",
+        "projection {v w} carries [{v} | {v}]",
+        "projection {w zz} is not a lattice set",
+        "projection {zz} is not a lattice set",
+    )
+
+
 def test_projection_at_the_empty_set_fails_its_check():
     g = gx()
     fam = ck_family(g)

@@ -109,8 +109,9 @@ def test_groupoid_law_check_runs_on_interned_points():
 
 
 def test_semigroup_law_check_runs_on_interned_paths():
-    """The remainder table answers products as id pairs: it builds no
-    SGElement, and glue, star and _agree stay out of it."""
+    """The remainder table holds entries on interned coordinates and forms
+    no product: it builds no SGElement, and glue, star and _agree stay out
+    of it."""
     tree = ast.parse((SRC / "cli.py").read_text())
     tables = [
         node
