@@ -197,6 +197,34 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "_PointTable.compose: break lag additivity",
+        "groupoid.py",
+        "lag += b[1]",
+        "lag += b[1] + (lag > 0 and b[1] > 0)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_groupoid_laws: skip the pair check",
+        "groupoid.py",
+        "mul(a, b) == (a[0], a[1] + b[1], b[2])",
+        "True",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_groupoid_laws: compare the pair product with itself",
+        "groupoid.py",
+        "mul(a, b) == (a[0], a[1] + b[1], b[2])",
+        "mul(a, b) == mul(a, b)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "check_groupoid_laws: decide by pairs after a units witness",
+        "groupoid.py",
+        "if not bad and all(",
+        "if all(",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "_first_return_words: drop the terminal test",
         "analysis.py",
         "        if v in g.range[e]:\n            yield tuple(path)",

@@ -915,8 +915,8 @@ def test_element_budgets_raise_size_limit(g_branch):
     with pytest.raises(SizeLimitError, match="max_count=3"):
         build_elements(g_branch, 1, 1, 2, max_count=3)
     assert check_groupoid_laws(g_branch, els).passed
-    with pytest.raises(SizeLimitError, match="composable triples"):
-        check_groupoid_laws(g_branch, els, max_triples=5)
+    with pytest.raises(SizeLimitError, match="composable pairs"):
+        check_groupoid_laws(g_branch, els, max_pairs=5)
 
 
 def test_lattice_budget_raises_size_limit_on_thirteen_vertices():
@@ -980,15 +980,8 @@ def test_refine_words_keeps_the_word_budget(g_branch, monkeypatch):
     assert built == []
 
 
-def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
-    els = build_elements(g_branch, 1, 1, 2)
-    triples = sum(
-        1
-        for a in els
-        for b in els
-        for c in els
-        if a.right == b.left and b.right == c.left
-    )
+def _counting_compose(monkeypatch):
+    """Patch _PointTable.compose to record its (a, b) calls."""
     calls = []
     real = groupoid_module._PointTable.compose
 
@@ -997,11 +990,32 @@ def test_triple_budget_fires_before_any_compose(g_branch, monkeypatch):
         return real(table, a, b)
 
     monkeypatch.setattr(groupoid_module._PointTable, "compose", counting)
-    with pytest.raises(SizeLimitError, match="composable triples"):
-        check_groupoid_laws(g_branch, els, max_triples=triples - 1)
+    return calls
+
+
+def test_pair_budget_fires_before_any_compose(g_branch, monkeypatch):
+    els = build_elements(g_branch, 1, 1, 2)
+    pairs = sum(1 for a in els for b in els if a.right == b.left)
+    calls = _counting_compose(monkeypatch)
+    with pytest.raises(SizeLimitError, match="composable pairs"):
+        check_groupoid_laws(g_branch, els, max_pairs=pairs - 1)
     assert calls == []
-    assert check_groupoid_laws(g_branch, els, max_triples=triples).passed
+    assert check_groupoid_laws(g_branch, els, max_pairs=pairs).passed
     assert calls
+
+
+@pytest.mark.parametrize("graph", [gx, lambda: ring_ultragraph(3)], ids=["GX", "ring(3)"])
+def test_groupoid_laws_compose_four_times_per_element_and_once_per_pair(graph, monkeypatch):
+    """On a passing sample the units loop forms four products per element
+    and associativity one per composable pair; a visit to the triples
+    would add at least one more per pair."""
+    g = graph()
+    els = build_elements(g, 1, 1, 2)
+    pairs = sum(1 for a in els for b in els if a.right == b.left)
+    assert pairs > len(els)
+    calls = _counting_compose(monkeypatch)
+    assert check_groupoid_laws(g, els).passed
+    assert len(calls) == 4 * len(els) + pairs
 
 
 def test_units_and_inverses_checks_the_right_unit_law(g_branch, monkeypatch):
@@ -1042,6 +1056,46 @@ def test_associativity_compares_both_bracketings(g_branch, monkeypatch):
         if c.left == b.right and c.lag != 0
     ]
     assert want
+    assert rep["associativity"].details == tuple(want[:5])
+
+
+@pytest.mark.parametrize("fault", ["pair", "units"])
+def test_associativity_falls_back_to_the_triples(g_branch, monkeypatch, fault):
+    """Two composes that add one to the lag: on two positive lags
+    ("pair"), which the pair loop forms and the units loop never does;
+    and, with the units left out of the sample, whenever the left factor
+    is not a sample element ("units"), which the units loop forms and the
+    pair loop never does.  Either fault sends the check to the triple
+    loop, which names the triples whose bracketings differ."""
+    els = build_elements(g_branch, 1, 1, 2)
+    if fault == "units":
+        els = [a for a in els if a.lag != 0 or a.left != a.right]
+    members = set(els)
+    ids = set(groupoid_module._PointTable(els).triples)
+
+    def damaged(table, a, b):
+        if a[2] != b[0]:
+            return None
+        extra = a[1] > 0 and b[1] > 0 if fault == "pair" else a not in ids
+        return (a[0], a[1] + b[1] + extra, b[2])
+
+    def mul(a, b):
+        extra = a.lag > 0 and b.lag > 0 if fault == "pair" else a not in members
+        return GroupoidElement(a.left, a.lag + b.lag + extra, b.right)
+
+    want = [
+        f"{a} . {b} . {c}"
+        for a in els
+        for b in els
+        if b.left == a.right
+        for c in els
+        if c.left == b.right and mul(mul(a, b), c) != mul(a, mul(b, c))
+    ]
+    assert want
+    monkeypatch.setattr(groupoid_module._PointTable, "compose", damaged)
+    rep = {e.name: e for e in check_groupoid_laws(g_branch, els).entries}
+    assert rep["units_and_inverses"].passed == (fault == "pair")
+    assert not rep["associativity"].passed
     assert rep["associativity"].details == tuple(want[:5])
 
 
