@@ -613,30 +613,38 @@ def build_elements(
     max_count: int = 100_000,
 ) -> Tuple[GroupoidElement, ...]:
     """Groupoid elements generated by semigroup pairs up to witness_len
-    acting on all lassos within the bounds."""
+    acting on all lassos within the bounds: s = (x, y) names
+    (x.mu, |x| - |y|, y.mu) for each lasso mu starting in terminal(x).
+
+    The point x.mu depends on x and mu alone, so each listed coordinate z
+    gets one point list: z.mu for the lassos mu of each vertex of
+    terminal(z), in sorted order.  Range-matched x and y share a terminal,
+    so their lists run over the same lassos in the same order, and zipping
+    them gives exactly the pair's matches.  Each distinct element then
+    runs the tail test once, in groupoid_element; it cannot fail, since
+    shift^|x|(x.mu) = mu = shift^|y|(y.mu).  The elements come sorted as
+    (left, lag, right) tuples; past max_count it raises SizeLimitError."""
     check_lasso_bounds(prefix_bound, cycle_bound)
     if witness_len < 0:
-        raise ValueError("max_len must be nonnegative")
+        raise ValueError("witness_len must be nonnegative")
     generate_lattice(g)  # its size guard comes before the sink check
-    lassos = enumerate_lassos(g, prefix_bound, cycle_bound)
+    by_source: Dict[str, List[LassoPath]] = {}
+    for mu in enumerate_lassos(g, prefix_bound, cycle_bound):
+        by_source.setdefault(lasso_source(g, mu), []).append(mu)
+    points: Dict[Ultrapath, List[LassoPath]] = {}
     out = set()
     for s in generate_elements(g, witness_len):
         if s.is_omega:
             continue
-        x, y = s.left, s.right
-        for mu in lassos:
-            if lasso_source(g, mu) not in x.terminal:
-                continue
-            left = concat_lasso(g, x, mu)
-            right = concat_lasso(g, y, mu)
-            out.add(groupoid_element(g, left, x.length - y.length, right))
-            if len(out) > max_count:
-                raise SizeLimitError(f"element build exceeded max_count={max_count}")
-    return tuple(sorted(out, key=_elem_key))
-
-
-def _elem_key(a: GroupoidElement):
-    return (a.left.prefix, a.left.cycle, a.lag, a.right.prefix, a.right.cycle)
+        for z in s:
+            if z not in points:
+                lassos = (mu for v in sorted(z.terminal) for mu in by_source.get(v, ()))
+                points[z] = [concat_lasso(g, z, mu) for mu in lassos]
+        x, y = s
+        out.update(zip(points[x], itertools.repeat(x.length - y.length), points[y]))
+        if len(out) > max_count:
+            raise SizeLimitError(f"element build exceeded max_count={max_count}")
+    return tuple(groupoid_element(g, *t) for t in sorted(out))
 
 
 class _PointTable:

@@ -21,9 +21,13 @@ from ultragraph import (
     Ultrapath,
     bisection_member,
     compose,
+    concat_lasso,
     edge_adjacency,
+    enumerate_lassos,
     format_set,
+    generate_elements,
     generate_lattice,
+    groupoid_element,
     gw,
     gx,
     gy,
@@ -38,7 +42,7 @@ from ultragraph import (
 )
 from ultragraph.analysis import _restricted_cycle
 from ultragraph.groupoid import _cylinder_words
-from ultragraph.paths import concat
+from ultragraph.paths import check_lasso_bounds, concat
 from ultragraph.semigroup import (
     glue,
     idempotent_leq,
@@ -743,6 +747,41 @@ def separation_depth(
         if not bisection_member(g, deeper, b):
             return k
     return None
+
+
+def elements_by_pair_loop(
+    g: Ultragraph,
+    witness_len: int,
+    prefix_bound: int,
+    cycle_bound: int,
+    max_count: int = 100_000,
+) -> Tuple[GroupoidElement, ...]:
+    """Oracle for groupoid.build_elements, the loop it ran before each
+    coordinate got one point list: every nonzero semigroup pair against
+    every lasso, both points concatenated and tail-checked per match."""
+    check_lasso_bounds(prefix_bound, cycle_bound)
+    if witness_len < 0:
+        raise ValueError("witness_len must be nonnegative")
+    generate_lattice(g)  # its size guard comes before the sink check
+    lassos = enumerate_lassos(g, prefix_bound, cycle_bound)
+    out = set()
+    for s in generate_elements(g, witness_len):
+        if s.is_omega:
+            continue
+        x, y = s.left, s.right
+        for mu in lassos:
+            if lasso_source(g, mu) not in x.terminal:
+                continue
+            left = concat_lasso(g, x, mu)
+            right = concat_lasso(g, y, mu)
+            out.add(groupoid_element(g, left, x.length - y.length, right))
+            if len(out) > max_count:
+                raise SizeLimitError(f"element build exceeded max_count={max_count}")
+
+    def key(a: GroupoidElement):
+        return (a.left.prefix, a.left.cycle, a.lag, a.right.prefix, a.right.cycle)
+
+    return tuple(sorted(out, key=key))
 
 
 def groupoid_laws_by_compose(

@@ -394,6 +394,34 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "build_elements: take both points from the left coordinate",
+        "groupoid.py",
+        "itertools.repeat(x.length - y.length), points[y])",
+        "itertools.repeat(x.length - y.length), points[x])",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "build_elements: flip the lag",
+        "groupoid.py",
+        "itertools.repeat(x.length - y.length)",
+        "itertools.repeat(y.length - x.length)",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "build_elements: list only the lassos of the terminal's least vertex",
+        "groupoid.py",
+        "for v in sorted(z.terminal)",
+        "for v in sorted(z.terminal)[:1]",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "build_elements: raise on reaching max_count elements",
+        "groupoid.py",
+        "if len(out) > max_count:",
+        "if len(out) >= max_count:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "_cycle_kinds: count every cyclic component as a simple cycle",
         "analysis.py",
         "kinds[head] = all(sum(f in members for f in adj[e]) == 1 for e in comp)",

@@ -131,7 +131,7 @@ def test_negative_bounds_and_pairs_exit_two(capsys, tmp_path):
         (["paths", str(sink), "--prefix-bound", "-2", "--cycle-bound", "0"], "cycle_bound"),
         (["groupoid", str(sink), "--prefix-bound", "-2"], "prefix_bound"),
         (["groupoid", str(sink), "--cycle-bound", "0"], "cycle_bound"),
-        (["groupoid", str(sink), "--witness-len", "-1"], "max_len"),
+        (["groupoid", str(sink), "--witness-len", "-1"], "witness_len"),
     ):
         code, out, err = run(argv, capsys)
         assert code == 2 and out == "", argv
@@ -179,7 +179,7 @@ def test_flag_errors_come_before_the_lattice_guard(tmp_path, capsys):
         (["ck", "--depth", "1"], "error: verification depth must be at least 2"),
         (["groupoid", "--cycle-bound", "0"], "error: cycle_bound must be positive"),
         (["groupoid", "--prefix-bound", "-1"], "error: prefix_bound must not be negative"),
-        (["groupoid", "--witness-len", "-1"], "error: max_len must be nonnegative"),
+        (["groupoid", "--witness-len", "-1"], "error: witness_len must be nonnegative"),
     )
     for n in (6, 13):
         path = tmp_path / f"ring{n}.ug"

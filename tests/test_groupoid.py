@@ -59,6 +59,7 @@ from conftest import (
     ck_meet_failures_by_pivots,
     ck_meet_failures_by_sets,
     cylinder_words_by_levels,
+    elements_by_pair_loop,
     groupoid_laws_by_compose,
     join_failures_by_sets,
     meet_identity_failures_by_sets,
@@ -910,6 +911,102 @@ def test_build_elements_deterministic(g_branch):
     assert len(a) == len(set(a))
 
 
+def _build_outcome(build, g, *args):
+    try:
+        return build(g, *args)
+    except (ValueError, SizeLimitError, GraphStructureError) as exc:
+        return (type(exc).__name__, str(exc))
+
+
+BUILD_BOUNDS = ((1, 1, 1), (1, 1, 2), (2, 1, 2), (1, 0, 3))
+
+
+def _plain_ring(n):
+    """The directed n-cycle e_i: v_i -> {v_(i+1 mod n)} alone."""
+    return Ultragraph.build(
+        [f"v{i}" for i in range(n)],
+        {f"e{i}": (f"v{i}", (f"v{(i + 1) % n}",)) for i in range(n)},
+    )
+
+
+def test_build_elements_match_the_pair_oracle(g_branch, g_loop, g_split):
+    """build_elements returns the pair loop's tuple (g_branch, g_loop and
+    g_split are GX, GY and GW) and raises its errors, type and text, in
+    its order.  Witness length 2 runs ring(2..4) at seed 0 only: the pair
+    loop scans every lasso per pair (2,347 pairs times 60 lassos on
+    ring(3)), and on all 24 rings it would take most of the suite's time."""
+    graphs = [(g, BUILD_BOUNDS) for g in (g_branch, g_loop, g_split)]
+    short = tuple(b for b in BUILD_BOUNDS if b[0] == 1)
+    graphs += [
+        (ring_ultragraph(n, seed), short if seed or n > 4 else BUILD_BOUNDS)
+        for n in range(2, 8)
+        for seed in range(4)
+    ]
+    graphs += [
+        (random_ultragraph(random.Random(seed), 3, 4, sink_free=seed % 3 > 0), BUILD_BOUNDS)
+        for seed in range(9)
+    ]
+    built = 0
+    for g, bounds in graphs:
+        for b in bounds:
+            got = _build_outcome(build_elements, g, *b)
+            assert got == _build_outcome(elements_by_pair_loop, g, *b), (g.edges, b)
+            built += bool(got) and isinstance(got[0], GroupoidElement)
+    assert built > 100
+
+    sink = Ultragraph.build(["v", "w"], {"a": ("v", ("w",))})
+    ring13 = _plain_ring(13)
+    bad = [
+        (sink, (1, 1, 2)),
+        (g_branch, (1, 1, 0)),
+        (g_branch, (1, -1, 2)),
+        (g_branch, (-1, 1, 2)),
+        (ring13, (1, 1, 2)),
+        (sink, (-1, 1, 2)),
+        (ring13, (-1, 1, 0)),
+    ]
+    for g, b in bad:
+        got = _build_outcome(build_elements, g, *b)
+        assert isinstance(got[0], str), (g.edges, b)
+        assert got == _build_outcome(elements_by_pair_loop, g, *b), (g.edges, b)
+    assert _build_outcome(build_elements, g_branch, -1, 1, 2) == (
+        "ValueError",
+        "witness_len must be nonnegative",
+    )
+
+    for g in (g_branch, ring_ultragraph(3)):
+        els = build_elements(g, 1, 1, 2)
+        for build in (build_elements, elements_by_pair_loop):
+            assert build(g, 1, 1, 2, max_count=len(els)) == els
+            with pytest.raises(SizeLimitError) as exc:
+                build(g, 1, 1, 2, max_count=len(els) - 1)
+            assert str(exc.value) == f"element build exceeded max_count={len(els) - 1}"
+
+
+def test_element_build_concatenates_once_per_point(g_branch, monkeypatch):
+    """One concat_lasso per listed coordinate and lasso in its terminal,
+    and one groupoid_element per returned element; the pair loop made 64
+    and 8,760 concat_lasso calls on these two samples."""
+    calls = {"concat_lasso": 0, "groupoid_element": 0}
+
+    def counted(name):
+        original = getattr(groupoid_module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+
+        monkeypatch.setattr(groupoid_module, name, wrapper)
+
+    counted("concat_lasso")
+    counted("groupoid_element")
+    for g, want in ((g_branch, (18, 14)), (ring_ultragraph(3), (1_020, 1_440))):
+        calls.update(dict.fromkeys(calls, 0))
+        els = build_elements(g, 1, 1, 2)
+        assert (calls["concat_lasso"], calls["groupoid_element"]) == want
+        assert len(els) == want[1]
+
+
 def test_element_budgets_raise_size_limit(g_branch):
     els = build_elements(g_branch, 1, 1, 2)
     with pytest.raises(SizeLimitError, match="max_count=3"):
@@ -920,11 +1017,7 @@ def test_element_budgets_raise_size_limit(g_branch):
 
 
 def test_lattice_budget_raises_size_limit_on_thirteen_vertices():
-    n = 13
-    ring = Ultragraph.build(
-        [f"v{i}" for i in range(n)],
-        {f"e{i}": (f"v{i}", (f"v{(i + 1) % n}",)) for i in range(n)},
-    )
+    ring = _plain_ring(13)
     with pytest.raises(SizeLimitError):
         enumerate_paths(ring, 1)
     with pytest.raises(SizeLimitError):
