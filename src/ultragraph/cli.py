@@ -134,17 +134,37 @@ _MEET = object()
 
 
 class _RemainderTable:
-    """The remainder entries of one element list, on interned coordinates.
+    """The remainder entries of one element list, on interned coordinates,
+    read only where a prefix index says they can be nonzero.
 
     Whether and how (w, z)(x, y) rewrites hangs on the inner pair (z, x)
     alone; w and y are only glued onto its remainders.  So the |P|
     distinct coordinates of the list are interned as ids 0..|P|-1, and
-    entry (z, x) of a |P| x |P| table holds the two remainders from
-    rule_remainders, None when no rule applies (every product with inner
-    coordinates (z, x) is zero), or _MEET for two overlapping length-zero
-    coordinates, whose products go through product's length-zero branch.
-    The |P|^2 entries are charged to a budget of max_pairs entries and
-    element pairs, then filled.
+    entry (z, x) holds the two remainders from rule_remainders, None when
+    no rule applies (every product with inner coordinates (z, x) is zero),
+    or _MEET for two overlapping length-zero coordinates, whose products
+    go through product's length-zero branch.  rows[z] maps each x related
+    to z, in ascending order, to entry (z, x).  z and x are related when
+
+    - both have edges and one word is a prefix of the other;
+    - one is a set A and the other a path with edges that starts in A;
+    - both are sets, and they meet or one is empty.
+
+    An unrelated entry is None and is not read, and _leq_by_shape is false
+    there: rules 1 and 2 and _leq_by_shape need initial_segment to find a
+    remainder, so one word must be a prefix of the other, a path with
+    edges must start in the set it follows, a set never follows a path
+    with edges, and of two sets one must lie in the other, so they meet or
+    one is empty; the overlap rule needs two meeting sets.  The relation
+    is symmetric.  The index finds it with no all-pairs pass: each word's
+    prefixes, its own last, are looked up in a map of words to ids; each
+    set takes the paths bucketed under each of its vertices by the source
+    of their first edge; and the pairs of sets are tested one by one.
+
+    Before any entry is read the budget of max_pairs entries and element
+    pairs is charged |S|^2 for the S listed sets, the pairs the set-set
+    part tests, before that part is built, and then the entries of the
+    prefix part and of the source part, counted from its buckets.
     """
 
     max_pairs = 2_000_000
@@ -159,13 +179,41 @@ class _RemainderTable:
         ]
         self.paths = paths = list(ids)
         self.size = n = len(paths)
-        self.charge(n * n)
-        self.rows = [[self._read(z, x) for x in paths] for z in paths]
+        sets: List[int] = []
+        by_word: Dict[Tuple[str, ...], List[int]] = {}
+        by_source: Dict[str, List[int]] = {}
+        for k, p in enumerate(paths):
+            if p.word:
+                by_word.setdefault(p.word, []).append(k)
+                by_source.setdefault(g.source[p.word[0]], []).append(k)
+            else:
+                sets.append(k)
+        self.charge(len(sets) ** 2)
+        related = [set() for _ in range(n)]
+        for z, p in enumerate(paths):
+            for k in range(1, len(p.word) + 1):
+                for x in by_word.get(p.word[:k], ()):
+                    related[z].add(x)
+                    related[x].add(z)
+        starts = [(a, by_source.get(v, ())) for a in sets for v in paths[a].terminal]
+        self.charge(sum(map(len, related)) + 2 * sum(len(b) for _, b in starts))
+        for a, bucket in starts:
+            related[a].update(bucket)
+            for x in bucket:
+                related[x].add(a)
+        for a in sets:
+            at = paths[a].terminal
+            for b in sets:
+                bt = paths[b].terminal
+                if at & bt or not (at and bt):
+                    related[a].add(b)
+        self.rows = [
+            {x: self._read(paths[z], paths[x]) for x in sorted(r)} for z, r in enumerate(related)
+        ]
         self.bent = set()  # the coordinates of elements whose ranges differ or are empty
-        for c in filter(None, self.coords):
-            left, right = (paths[k].terminal for k in c)
-            if left != right or not left:
-                self.bent.update(c)
+        for w, y in elems:
+            if w is not None and (w.terminal != y.terminal or not w.terminal):
+                self.bent.update((ids[w], ids[y]))
 
     def charge(self, count: int) -> None:
         """Count entries or element pairs against max_pairs."""
@@ -190,7 +238,7 @@ class _RemainderTable:
         _star_failures')."""
         if z in self.bent or x in self.bent:
             return False
-        e, m = self.rows[z][x], self.rows[x][z]
+        e, m = self.rows[z].get(x), self.rows[x].get(z)
         if e is _MEET or m is _MEET:
             return e is m
         return e is not None and m == (e[1], e[0])
@@ -203,10 +251,18 @@ def _cmd_semigroup(g: Ultragraph, args) -> Tuple[List[Dict], Optional[Dict]]:
 def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
     """The involution, antimultiplicative-star and idempotent-order checks
     on one element list.  The order check reads ef off the remainder table
-    and compares it with the order read off initial segments."""
-    bad_inv = [str(s) for s in elems if star(star(s)) != s]
+    and compares it with the order read off initial segments, on the pairs
+    the table relates (_idempotent_products settles the rest)."""
+    # star once on each element and once on its image: the involution,
+    # and whether star swaps the element's two coordinates
+    bad_inv, tabled = [], []
+    for s in elems:
+        t = star(s)
+        if star(t) != s:
+            bad_inv.append(str(s))
+        tabled.append(s.left is not None and t.left == s.right and t.right == s.left)
     table = _RemainderTable(g, elems)
-    bad_star = _star_failures(g, elems, table)
+    bad_star = _star_failures(g, elems, tabled, table)
     idems = [(s, c[0]) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
     bad_ord = [
         f"{e} <= {f}"
@@ -223,14 +279,22 @@ def _semigroup_laws(g: Ultragraph, elems: Sequence[SGElement]) -> List[Dict]:
 
 def _idempotent_products(g: Ultragraph, table: _RemainderTable, idems):
     """(e, f, ef) for every ordered pair of listed idempotents e = (z, z)
-    and f = (x, x), given with the id of z and x, with ef read off entry
-    (z, x): the zero where no rule applies, product for two meeting sets,
-    and otherwise glue on the entry's remainders, as product does after
-    rule_remainders."""
+    and f = (x, x) whose coordinates the table relates, given with the id
+    of z and x, in list order, with ef read off entry (z, x): the zero
+    where no rule applies, product for two meeting sets, and otherwise
+    glue on the entry's remainders, as product does after rule_remainders.
+
+    The pairs left out are settled: there no rule applies, so ef = 0,
+    which is not the nonzero e, and z does not extend x, so
+    _leq_by_shape(e, f) is false too (_RemainderTable's index argument)."""
     rows = table.rows
+    at: Dict[int, List[int]] = {}  # the positions in idems of each coordinate id
+    for k, (_, x) in enumerate(idems):
+        at.setdefault(x, []).append(k)
     for e, z in idems:
         row, w = rows[z], e.left
-        for f, x in idems:
+        for k in sorted(k for x in row if x in at for k in at[x]):
+            f, x = idems[k]
             entry = row[x]
             if entry is None:
                 yield e, f, OMEGA
@@ -244,20 +308,25 @@ def _idempotent_products(g: Ultragraph, table: _RemainderTable, idems):
 
 
 def _star_failures(
-    g: Ultragraph, elems: Sequence[SGElement], table: _RemainderTable
+    g: Ultragraph,
+    elems: Sequence[SGElement],
+    tabled: Sequence[bool],
+    table: _RemainderTable,
 ) -> List[Tuple[int, int]]:
     """The pairs (i, j) with star(s t) != t* s* for s = elems[i] and
-    t = elems[j], in (i, j) order.
+    t = elems[j], in (i, j) order, given tabled[i]: whether elems[i] is
+    nonzero and star swaps its coordinates.
 
     Where star fixes the zero and swaps the coordinates of every listed
     nonzero element, it is taken to swap every product too, as star does.
     Then a pair with the zero holds by absorption, and the law is decided
     per block (z, x), the products of s = (w, z) and t = (x, y).
     A block holds, with no product formed, when both entries (z, x) and
-    (x, z) are zero, s t = 0 = t* s*, or when table.settled(z, x): neither
-    z nor x is bent (a coordinate of a listed element whose two ranges
-    differ or are empty), so range(w) = range(z) and range(y) = range(x)
-    are nonempty, and
+    (x, z) are zero, s t = 0 = t* s*, as on every pair the table does not
+    relate, so only related blocks are visited; or when
+    table.settled(z, x): neither z nor x is bent (a coordinate of a listed
+    element whose two ranges differ or are empty), so range(w) = range(z)
+    and range(y) = range(x) are nonempty, and
 
     - entry (z, x) holds remainder ids (r1, r2) and entry (x, z) mirrors
       it as (r2, r1), so t* s* = (y, x)(z, w) glues y . r2 and w . r1 into
@@ -272,15 +341,14 @@ def _star_failures(
       or w.  So s t = (w', y') for w and y cut to C, and t* s* = (y', w').
 
     Every other block goes back to its element pairs, and so does every
-    block when star moves the zero or is not the swap on a listed element;
-    their pairs go through product and star.  (s, t) and its mirror
-    (t*, s*) ask one equation, so the products are formed for the first of
-    each mirror pair in the loop's order, which keeps the first error
-    raised.  The pairs are charged to the table's budget before any
-    product."""
+    related block when star is not the swap on a listed element, whose
+    pairs all go back too, and every block, related or not, when star
+    moves the zero; their pairs go through product and star.  (s, t) and
+    its mirror (t*, s*) ask one equation, so the products are formed for
+    the first of each mirror pair in the loop's order, which keeps the
+    first error raised.  The pairs are charged to the table's budget
+    before any product."""
     coords, n = table.coords, table.size
-    starred = [star(s) for s in elems]
-    tabled = [s.left is not None and starred[i] == (s.right, s.left) for i, s in enumerate(elems)]
     off = [j for j in range(len(elems)) if not tabled[j]]
     skip_zero = star(OMEGA) == OMEGA
     loose = not skip_zero or any(coords[j] is not None for j in off)
@@ -290,8 +358,11 @@ def _star_failures(
     rows, settled = table.rows, table.settled
     live: List[List[int]] = [[] for _ in range(n)]
     for z in range(n):
-        for x in range(z, n):
-            if rows[z][x] is None and rows[x][z] is None:
+        row = rows[z]
+        for x in row if skip_zero else range(n):
+            if x < z:
+                continue
+            if row.get(x) is None and rows[x].get(z) is None:
                 back = not skip_zero
             else:
                 back = loose or not settled(z, x)
@@ -301,10 +372,10 @@ def _star_failures(
                     live[x].append(z)
     by_left: List[List[int]] = [[] for _ in range(n)]
     rights = [0] * n
-    for j in range(len(elems)):
+    for j, c in enumerate(coords):
         if tabled[j]:
-            by_left[coords[j][0]].append(j)
-            rights[coords[j][1]] += 1
+            by_left[c[0]].append(j)
+            rights[c[1]] += 1
     visits = len(off) * len(elems)
     for z in range(n):
         visits += rights[z] * (len(off) + sum(len(by_left[x]) for x in live[z]))
@@ -313,6 +384,7 @@ def _star_failures(
         return []
 
     # mirror[i] is set where star maps elems[i] into the list and back
+    starred = [star(s) for s in elems]
     index = {s: i for i, s in enumerate(elems)}
     image = [index.get(s) for s in starred]
     mirror = [k if k is not None and image[k] == i else None for i, k in enumerate(image)]

@@ -43,6 +43,11 @@ class SGElement(NamedTuple):
 
 OMEGA = SGElement(None, None)
 
+# builds an SGElement from a pair without the Python frame of the
+# NamedTuple's own __new__, for star and generate_elements, which build
+# one per listed element
+_new = tuple.__new__
+
 
 def pair(x: Ultrapath, y: Ultrapath) -> SGElement:
     if x.terminal != y.terminal:
@@ -172,7 +177,7 @@ def star(s: SGElement) -> SGElement:
     """The involution swapping coordinates; fixes the zero."""
     if s.left is None:
         return OMEGA
-    return SGElement(s.right, s.left)
+    return _new(SGElement, (s.right, s.left))
 
 
 def is_idempotent(s: SGElement) -> bool:
@@ -218,7 +223,7 @@ def generate_elements(
         group = by_range[terminal]
         for x in group:
             for y in group:
-                out.append(SGElement(x, y))
+                out.append(_new(SGElement, (x, y)))
                 if len(out) > max_count:
                     raise SizeLimitError(
                         f"element generation exceeded max_count={max_count}"

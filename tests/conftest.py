@@ -41,6 +41,7 @@ from ultragraph import (
     witness,
 )
 from ultragraph.analysis import _restricted_cycle
+from ultragraph.cli import _MEET
 from ultragraph.groupoid import _cylinder_words
 from ultragraph.paths import check_lasso_bounds, concat
 from ultragraph.semigroup import (
@@ -837,6 +838,31 @@ def groupoid_laws_by_compose(
                     bad.append(f"{a} . {b} . {c}")
     entries.append(CheckResult("associativity", not bad, tuple(bad[:5])))
     return CheckReport(entries=tuple(entries))
+
+
+def remainder_rows_by_all_pairs(g: Ultragraph, elems) -> List[List[object]]:
+    """Oracle for cli._RemainderTable.rows, the fill it ran before an index
+    chose which entries to read: every one of the |P| x |P| entries (z, x)
+    of the list's distinct coordinates, interned in order of first sight,
+    as the two remainders from rule_remainders, None when no rule applies,
+    or _MEET for two length-zero coordinates whose sets meet.  No budget
+    is kept."""
+    ids: Dict[Ultrapath, int] = {}
+    for w, y in elems:
+        if w is not None:
+            ids.setdefault(w, len(ids))
+            ids.setdefault(y, len(ids))
+    paths = list(ids)
+
+    def read(z, x):
+        if not z.word and not x.word:
+            # listed terminals are nonempty, so only the overlap rule can
+            # apply, and it applies iff the sets meet
+            return _MEET if z.terminal & x.terminal else None
+        rems = rule_remainders(g, z, x)
+        return None if rems == (None, None) else rems
+
+    return [[read(z, x) for x in paths] for z in paths]
 
 
 def semigroup_laws_by_product(g: Ultragraph, elems) -> List[Tuple[str, bool, List[str]]]:

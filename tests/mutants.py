@@ -704,14 +704,14 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: decide a block from s t alone",
         "cli.py",
-        "            if rows[z][x] is None and rows[x][z] is None:\n",
-        "            if rows[z][x] is None:\n",
+        "            if row.get(x) is None and rows[x].get(z) is None:\n",
+        "            if row.get(x) is None:\n",
         CLI_TESTS,
     ),
     Mutant(
         "semigroup law loop: drop the swap guard",
         "cli.py",
-        "s.left is not None and starred[i] == (s.right, s.left)",
+        "s.left is not None and t.left == s.right and t.right == s.left",
         "s.left is not None",
         CLI_TESTS,
     ),
@@ -725,8 +725,8 @@ MUTANTS = (
     Mutant(
         "semigroup law loop: skip the diagonal block",
         "cli.py",
-        "        for x in range(z, n):\n",
-        "        for x in range(z + 1, n):\n",
+        "            if x < z:\n",
+        "            if x <= z:\n",
         CLI_TESTS,
     ),
     Mutant(
@@ -837,8 +837,8 @@ MUTANTS = (
     Mutant(
         "remainder table: count an empty terminal as matched",
         "cli.py",
-        "if left != right or not left:",
-        "if left != right:",
+        "w.terminal != y.terminal or not w.terminal",
+        "w.terminal != y.terminal",
         CLI_TESTS,
     ),
     Mutant(
@@ -849,10 +849,73 @@ MUTANTS = (
         CLI_TESTS,
     ),
     Mutant(
-        "remainder table: charge one unit per coordinate, not per entry",
+        "remainder table: charge one unit per set, not per pair of sets",
         "cli.py",
-        "self.charge(n * n)",
-        "self.charge(n)",
+        "self.charge(len(sets) ** 2)",
+        "self.charge(len(sets))",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder table: charge none of the prefix and source entries",
+        "cli.py",
+        "self.charge(sum(map(len, related)) + 2 * sum(len(b) for _, b in starts))",
+        "self.charge(0)",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: drop the set-source bucket",
+        "cli.py",
+        "        for a, bucket in starts:\n",
+        "        for a, bucket in ():\n",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: relate a set to the paths starting in it one way only",
+        "cli.py",
+        "            related[a].update(bucket)\n",
+        "",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: stop the prefix walk one edge short",
+        "cli.py",
+        "for k in range(1, len(p.word) + 1):",
+        "for k in range(1, len(p.word)):",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: relate a word to its prefixes one way only",
+        "cli.py",
+        "                    related[x].add(z)\n",
+        "",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: drop the set-set meet bucket",
+        "cli.py",
+        "if at & bt or not (at and bt):",
+        "if not (at and bt):",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "remainder index: leave an empty set unrelated",
+        "cli.py",
+        "if at & bt or not (at and bt):",
+        "if at & bt:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "semigroup law loop: a star moving the zero visits only related blocks",
+        "cli.py",
+        "for x in row if skip_zero else range(n):",
+        "for x in row:",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "order-check read: visit every idempotent of a row's coordinates unsorted",
+        "cli.py",
+        "sorted(k for x in row if x in at for k in at[x])",
+        "[k for x in row if x in at for k in at[x]][::-1]",
         CLI_TESTS,
     ),
     Mutant(

@@ -46,6 +46,7 @@ from conftest import (
     lattice_labels,
     product_by_rules,
     random_ultragraph,
+    remainder_rows_by_all_pairs,
     ring_ultragraph,
     semigroup_laws_by_product,
 )
@@ -467,6 +468,31 @@ def _glued(s, t):
     return not (s.is_omega or t.is_omega) and bool(s.right.word or t.left.word)
 
 
+def _related(g, z, x):
+    """Whether a product with inner pair (z, x) can be nonzero by the shape
+    of z and x alone: one word is a prefix of the other, a set holds the
+    first source of a path with edges, or two sets meet or one is empty."""
+    if z.word and x.word:
+        n = min(len(z.word), len(x.word))
+        return z.word[:n] == x.word[:n]
+    if z.word or x.word:
+        a, p = (x, z) if z.word else (z, x)
+        return g.source[p.word[0]] in a.terminal
+    return bool(z.terminal & x.terminal) or not (z.terminal and x.terminal)
+
+
+def _index_reads(g, paths):
+    """The ordered pairs of coordinates, not both sets, that _related
+    relates: the entries the remainder table reads through rule_remainders."""
+    return sum(1 for z in paths for x in paths if (z.word or x.word) and _related(g, z, x))
+
+
+def _index_charge(g, paths):
+    """What the remainder table charges its budget: the entries it reads
+    through rule_remainders and |S|^2 for the pairs of its S sets."""
+    return _index_reads(g, paths) + sum(1 for p in paths if not p.word) ** 2
+
+
 def _glued_entries(g, paths):
     """The ordered pairs of coordinates, not both sets, whose entry holds
     remainders: the idempotent pairs the order check hands to glue."""
@@ -523,7 +549,11 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     """With every block sent back to its element pairs, the star law
     forms the two products of each asked pair through product, once per
     mirror pair, and the order check one glue or product call per
-    idempotent pair whose entry is not zero."""
+    idempotent pair whose entry is not zero.  The table reads 131 of the
+    324 entries through rule_remainders: for the words of the coordinates
+    with edges, counted with multiplicity, each word's strict prefixes both
+    ways and the word against itself, and each set against each path that
+    starts in it, both ways."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     index = {s: i for i, s in enumerate(elems)}
@@ -531,14 +561,19 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     sets = [p for p in paths if not p.word]
     # a pair is asked in the loop when its block or the mirror block is
     # nonzero, once per mirror pair, and never with the zero, whose pairs
-    # hold by absorption; the table reads every ordered pair of
-    # coordinates that are not both sets once
+    # hold by absorption
     asked = set()
     for s in elems[1:]:
         for t in elems[1:]:
             if not _zero_block(g, s.right, t.left):
                 asked.add(min((index[s], index[t]), (index[star(t)], index[star(s)])))
     meets = _meeting_sets(paths)
+    words = Counter(p.word for p in paths if p.word)
+    prefix = sum(
+        2 * n * words[w[:k]] for w, n in words.items() for k in range(1, len(w))
+    ) + sum(n * n for n in words.values())
+    starts = sum(1 for a in sets for p in paths if p.word and g.source[p.word[0]] in a.terminal)
+    assert prefix + 2 * starts == _index_reads(g, paths) == 131
     calls = {"entries": 0, "glue": 0, "product": 0}
 
     def counting(name, fn):
@@ -558,7 +593,7 @@ def test_semigroup_forms_one_product_per_mirror_pair(monkeypatch, capsys):
     sizes = (len(elems), len(paths), len(sets), len(asked), meets)
     assert sizes == (63, 18, 7, 754, 37)
     assert calls == {
-        "entries": len(paths) ** 2 - len(sets) ** 2,
+        "entries": prefix + 2 * starts,
         "glue": _glued_entries(g, paths),
         "product": 2 * len(asked) + meets,
     }
@@ -569,7 +604,8 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
     ef off the remainder table, with one glue call on an entry's remainders
     or, for two meeting sets, one product call, and asks the unchecked
     shape order, which forms none and asks no is_idempotent, on each of
-    their 324 ordered pairs.  A zero entry forms nothing.  idempotent_leq
+    the 168 of their 324 ordered pairs the table relates.  A zero entry
+    forms nothing, and an unrelated pair is not asked.  idempotent_leq
     is not asked, and the star law settles every block of GX with no
     product."""
     g = parse_file(GX)
@@ -599,12 +635,14 @@ def test_semigroup_order_check_forms_one_product_per_idempotent_pair(monkeypatch
     assert checks["idempotent_order_agreement"]["details"]["idempotents"] == 18
     nonzero = 18 * 18 - sum(1 for z in paths for x in paths if _zero_block(g, z, x))
     assert (len(formed), len(set(formed))) == (nonzero, nonzero) == (160, 160)
+    assert sum(1 for z in paths for x in paths if _related(g, z, x)) == 168
 
 
 def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     """GX at --max-len 3: 154 elements on 27 coordinates, 7 of them sets.
-    The star law reads the 27^2 entries, the 7^2 of two sets without
-    rule_remainders, and settles every block by a symmetric settled,
+    The table relates 321 of the 27^2 entries, and reads the 284 not of two
+    sets through rule_remainders; the 37 meeting pairs of the 7 sets are
+    read off the sets.  The star law settles every block by a symmetric settled,
     growing no path; the only products are the order check's, one glue
     call per pair of its 27 idempotents whose entry holds remainders and
     one product per pair of meeting sets."""
@@ -631,8 +669,9 @@ def test_semigroup_star_law_forms_no_product_on_gx(monkeypatch, capsys):
     assert code == 0, err
     assert json.loads(out)["checks"][0]["details"]["count"] == 154
     assert (len(paths), len(sets), meets) == (27, 7, 37)
+    assert _index_reads(g, paths) + meets == 321
     assert calls == {
-        "entries": len(paths) ** 2 - len(sets) ** 2,
+        "entries": _index_reads(g, paths),
         "glue": _glued_entries(g, paths),
         "product": meets,
         "star law concat": 0,
@@ -645,8 +684,8 @@ def test_remainder_table_settles_a_meet_entry_only_against_a_meet():
     g = gx()
     table = cli._RemainderTable(g, generate_elements(g, 2))
     n, rows = table.size, table.rows
-    z, x = next((z, x) for z in range(n) for x in range(n) if z != x and rows[z][x] is cli._MEET)
-    ids = next(e for row in rows for e in row if isinstance(e, tuple))
+    z, x = next((z, x) for z in range(n) for x in rows[z] if z != x and rows[z][x] is cli._MEET)
+    ids = next(e for row in rows for e in row.values() if isinstance(e, tuple))
     assert table.settled(z, x) and table.settled(x, z)
     for damaged in (ids, None):
         rows[x][z] = damaged
@@ -676,12 +715,18 @@ def test_semigroup_never_answers_a_diagonal_block_whole(monkeypatch, capsys):
 @pytest.mark.parametrize("turned", [False, True], ids=["block", "mirror block"])
 def test_semigroup_reports_a_nonzero_incomparable_block(turned, monkeypatch, capsys):
     """A remainder entry that is wrongly nonzero on one orientation of a
-    zero block, in the table and in product alike, is visited, and its
-    mirror block is asked too."""
+    zero block the table reads, (e, {u}) against (ef, {v}), whose word
+    extends e by an edge starting outside {u}, in the table and in product
+    alike, is visited, and its mirror block is asked too."""
     g = parse_file(GX)
     elems = generate_elements(g, 2)
     paths = list(dict.fromkeys(s.left for s in elems[1:]))
-    z0, x0 = next((z, x) for z in paths for x in paths if z.word and _zero_block(g, z, x))
+    z0, x0 = next(
+        (z, x)
+        for z in paths
+        for x in paths
+        if z.word and x.word and _related(g, z, x) and _zero_block(g, z, x)
+    )
     if turned:
         z0, x0 = x0, z0
     # a set remainder on range(z0) leaves every w of a (w, z0) as it is
@@ -769,10 +814,53 @@ def test_semigroup_pairs_off_an_involution_are_all_computed(monkeypatch, capsys)
         assert (e0, t) in computed and (t, e0) in computed
 
 
+def test_semigroup_star_law_moving_the_zero_asks_every_pair(monkeypatch):
+    """A star that moves the zero settles no block, not even one the table
+    does not relate: the star law fails at exactly the pairs the all-pairs
+    loop finds."""
+    g = gx()
+    elems = generate_elements(g, 2)
+
+    def moving(s):
+        return elems[1] if s.is_omega else star(s)
+
+    monkeypatch.setattr(cli, "star", moving)
+    starred = [moving(s) for s in elems]
+    tabled = [s.left is not None and t == (s.right, s.left) for s, t in zip(elems, starred)]
+    want = [
+        (i, j)
+        for i, s in enumerate(elems)
+        for j, t in enumerate(elems)
+        if moving(product(g, s, t)) != product(g, starred[j], starred[i])
+    ]
+    assert len(want) > len(elems)
+    assert cli._star_failures(g, elems, tabled, cli._RemainderTable(g, elems)) == want
+
+
+def test_semigroup_order_check_puts_an_empty_set_under_every_set():
+    """A hand-built idempotent on the empty set: initial_segment puts it
+    under every set, but no rule gives ef = e, so the order check reports
+    it against each listed set, itself included."""
+    g = gx()
+    empty, u = _path("", ""), _path("", "u")
+    checks = cli._semigroup_laws(g, [OMEGA, SGElement(empty, empty), SGElement(u, u)])
+    assert [(c["name"], c["pass"], c["witnesses"]) for c in checks] == [
+        ("involution", True, []),
+        ("antimultiplicative_star", True, []),
+        (
+            "idempotent_order_agreement",
+            False,
+            ["[{} | {}] <= [{} | {}]", "[{} | {}] <= [{u} | {u}]"],
+        ),
+    ]
+
+
 def _table_products_match(g, elems):
     """ef as the order check reads it off the remainder table is product's
-    and the rule oracle's on every ordered pair of listed idempotents, and
-    every pair is read once, e before f in list order."""
+    and the rule oracle's on every ordered pair of listed idempotents the
+    table relates, and every such pair is read once, e before f in list
+    order.  On every other pair ef is the zero by the rule oracle and the
+    shape order is false."""
     table = cli._RemainderTable(g, elems)
     ids = [(s, c[0]) for s, c in zip(elems, table.coords) if c is not None and c[0] == c[1]]
     idems = [s for s in elems if not s.is_omega and s.left == s.right]
@@ -781,7 +869,12 @@ def _table_products_match(g, elems):
     for e, f, ef in cli._idempotent_products(g, table, ids):
         assert ef == product(g, e, f) == product_by_rules(g, e, f), (e, f)
         read.append((e, f))
-    assert read == [(e, f) for e in idems for f in idems]
+    assert read == [(e, f) for e in idems for f in idems if _related(g, e.left, f.left)]
+    for e in idems:
+        for f in idems:
+            if not _related(g, e.left, f.left):
+                assert product_by_rules(g, e, f) == OMEGA, (e, f)
+                assert not semigroup.idempotent_leq_by_shape(g, e, f), (e, f)
 
 
 @pytest.mark.parametrize(
@@ -873,14 +966,11 @@ _MISMATCHED = {
 }
 
 
-def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
-    """Lists generate_elements never makes: an element dropped, so star
-    leaves the list, an element listed twice, and hand-built pairs with
-    mismatched or empty terminals, alone, with their stars, and after GX's
-    list.  The mismatched pairs raise each of glue's three errors
-    somewhere, and two sets of a meet block raise one through product's
-    length-zero branch.  On each list settled is symmetric."""
-    g = gx()
+def _damaged_lists(g):
+    """Lists generate_elements never makes, by name: an element dropped, so
+    star leaves the list, an element listed twice, and hand-built pairs
+    with mismatched or empty terminals, alone, with their stars, and after
+    GX's list."""
     elems = generate_elements(g, 2)
     k = next(i for i, s in enumerate(elems) if s.left is not None and s.left != s.right)
     e = next(i for i, s in enumerate(elems) if s.left is not None and s.left == s.right)
@@ -893,8 +983,16 @@ def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
         cases[name] = pairs
         cases[f"{name} with stars"] = pairs + [star(s) for s in pairs]
         cases[f"GX then {name}"] = elems + pairs
+    return cases
+
+
+def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
+    """The damaged lists: the mismatched pairs raise each of glue's three
+    errors somewhere, and two sets of a meet block raise one through
+    product's length-zero branch.  On each list settled is symmetric."""
+    g = gx()
     raised = set()
-    for name, case in cases.items():
+    for name, case in _damaged_lists(g).items():
         _assert_settled_is_symmetric(cli._RemainderTable(g, case))
         got, want = _law_outcomes(g, case)
         assert got == want, name
@@ -905,6 +1003,40 @@ def test_semigroup_laws_match_the_product_oracle_on_damaged_lists():
         "RuntimeError: remainder of x does not extend w",
         "RuntimeError: remainder of z does not extend y",
     }
+
+
+def _assert_rows_match_the_oracle(g, elems):
+    """Every entry (z, x) the remainder table holds is the all-pairs
+    fill's, and every pair it leaves out is the zero there."""
+    table = cli._RemainderTable(g, elems)
+    dense = remainder_rows_by_all_pairs(g, elems)
+    assert len(dense) == table.size
+    for z, row in enumerate(table.rows):
+        for x, want in enumerate(dense[z]):
+            if x in row:
+                assert row[x] == want, (table.paths[z], table.paths[x])
+            else:
+                assert want is None, (table.paths[z], table.paths[x])
+
+
+@pytest.mark.parametrize("max_len", [1, 2, 3])
+@pytest.mark.parametrize("graph", [gx, gy, gw], ids=["GX", "GY", "GW"])
+def test_remainder_rows_match_the_all_pairs_oracle(graph, max_len):
+    g = graph()
+    _assert_rows_match_the_oracle(g, generate_elements(g, max_len))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_remainder_rows_match_the_all_pairs_oracle_on_rings(n):
+    for seed in range(3):
+        g = ring_ultragraph(n, seed)
+        _assert_rows_match_the_oracle(g, generate_elements(g, 2))
+
+
+def test_remainder_rows_match_the_all_pairs_oracle_on_damaged_lists():
+    g = gx()
+    for case in _damaged_lists(g).values():
+        _assert_rows_match_the_oracle(g, case)
 
 
 def _damaged_entries(g, paths):
@@ -923,7 +1055,9 @@ def _damaged_entries(g, paths):
         for k, e in entries.items()
         if (e[0] is None) != (e[1] is None) and not (e[0] or e[1]).word
     )
-    zero = next(k for k, e in entries.items() if e == (None, None))
+    # a zero entry the table reads: a word and a longer word whose next
+    # edge starts outside the shorter one's terminal
+    zero = next(k for k, e in entries.items() if e == (None, None) and _related(g, *k))
     diag = words[0]
     r1, r2 = rule_remainders(g, diag, diag)
     return {
@@ -963,8 +1097,9 @@ def test_semigroup_damaged_entries_fall_back_to_the_oracle(monkeypatch):
 
 
 def test_semigroup_budget_charges_the_pairs_of_blocks_sent_back(monkeypatch):
-    """With one entry broken, the budget charges the 18^2 entries of GX's
-    list at --max-len 2 and the element pairs of the two blocks sent back,
+    """With one entry broken, the budget charges the index of GX's list at
+    --max-len 2, its 131 entries read through rule_remainders and the 7^2
+    pairs of its sets, and the element pairs of the two blocks sent back,
     (w, z)(x, y) and (y, x)(z, w), before any product: one unit less and
     the check stops before forming one."""
     g = gx()
@@ -981,22 +1116,25 @@ def test_semigroup_budget_charges_the_pairs_of_blocks_sent_back(monkeypatch):
         return sum(1 for s in elems[1:] if s.left == p)
 
     pairs = with_right(z) * with_left(x) + with_right(x) * with_left(z)
-    monkeypatch.setattr(cli._RemainderTable, "max_pairs", len(paths) ** 2 + pairs)
-    assert cli._star_failures(g, elems, cli._RemainderTable(g, elems))
+    tabled = [s.left is not None and star(s) == (s.right, s.left) for s in elems]
+    assert _index_charge(g, paths) == 131 + 7**2
+    monkeypatch.setattr(cli._RemainderTable, "max_pairs", _index_charge(g, paths) + pairs)
+    assert cli._star_failures(g, elems, tabled, cli._RemainderTable(g, elems))
 
     def forbidden(*args):
         raise AssertionError("a product was formed")
 
     monkeypatch.setattr(cli, "product", forbidden)
-    monkeypatch.setattr(cli._RemainderTable, "max_pairs", len(paths) ** 2 + pairs - 1)
+    monkeypatch.setattr(cli._RemainderTable, "max_pairs", _index_charge(g, paths) + pairs - 1)
     with pytest.raises(core.SizeLimitError):
-        cli._star_failures(g, elems, cli._RemainderTable(g, elems))
+        cli._star_failures(g, elems, tabled, cli._RemainderTable(g, elems))
 
 
 def test_semigroup_pair_budget_fails_before_any_product(tmp_path, monkeypatch, capsys):
-    """ring(11) at --max-len 2 lists 9,534 elements on 2,501 coordinates:
-    6.3M table entries, past the budget, which the law check charges
-    before it reads an entry or forms a product."""
+    """ring(11) at --max-len 2 lists 9,534 elements on 2,501 coordinates,
+    2,047 of them sets: the 2,047^2 = 4,190,209 pairs of sets are past the
+    budget, which the law check charges before it relates a pair, reads
+    an entry or forms a product."""
     path = tmp_path / "ring11.ug"
     path.write_text(emit(ring_ultragraph(11)))
     formed = []
@@ -1032,8 +1170,8 @@ def _semigroup_json(capsys, path, max_len):
 
 def test_semigroup_pair_budget_admits_ring3(tmp_path, monkeypatch, capsys):
     """ring(3) at --max-len 2 has 2,348 elements on 127 coordinates: the
-    16,129 entries settle every block, inside the budget, and the star
-    law grows no path."""
+    2,803 entries the index lists of the 16,129 pairs settle every block,
+    inside the budget, and the star law grows no path."""
     path = tmp_path / "ring3.ug"
     path.write_text(emit(ring_ultragraph(3)))
     calls = {}
@@ -1043,18 +1181,47 @@ def test_semigroup_pair_budget_admits_ring3(tmp_path, monkeypatch, capsys):
     assert calls == {"star law concat": 0}
 
 
-def test_semigroup_pair_budget_admits_ring3_at_length_three(tmp_path, capsys):
+def test_semigroup_pair_budget_admits_ring3_at_length_three(tmp_path, monkeypatch, capsys):
     """ring(3) at --max-len 3: 38,060 elements, 1.45e9 ordered pairs, on
-    511 coordinates, so 261,121 entries, inside the budget."""
+    511 coordinates, so 261,121 pairs of them, of which the index lists
+    16,723, inside the budget.  It reads 16,686 entries through
+    rule_remainders, and the check makes 50,095 initial_segment calls,
+    from 783,265 when it read every pair: a return of an all-pairs pass
+    fails here."""
     path = tmp_path / "ring3.ug"
     path.write_text(emit(ring_ultragraph(3)))
+    calls = Counter()
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(cli, "rule_remainders", counting("entries", rule_remainders))
+    monkeypatch.setattr(
+        semigroup, "initial_segment", counting("initial_segment", semigroup.initial_segment)
+    )
     details = _semigroup_json(capsys, str(path), 3)
     assert (details[0]["count"], details[2]["idempotents"]) == (38060, 511)
+    assert calls["entries"] < 20_000 and calls["initial_segment"] < 150_000, calls
+
+
+def test_semigroup_answers_ring7_at_length_three(tmp_path, capsys):
+    """ring(7) at --max-len 3: 94,365 elements on 1,452 coordinates, whose
+    2,108,304 pairs were past the budget; the index charges 220,206, and
+    every check passes."""
+    path = tmp_path / "ring7.ug"
+    path.write_text(emit(ring_ultragraph(7)))
+    details = _semigroup_json(capsys, str(path), 3)
+    assert (details[0]["count"], details[2]["idempotents"]) == (94365, 1452)
 
 
 def test_semigroup_pair_budget_admits_gx_at_length_twelve(capsys):
     """GX at --max-len 12: 48,046 elements, about 2.3e9 ordered pairs, on
-    429 coordinates, so 184,041 entries, inside the budget."""
+    429 coordinates, so 184,041 pairs of them, of which the index lists
+    17,009, inside the budget."""
     details = _semigroup_json(capsys, GX, 12)
     assert (details[0]["count"], details[2]["idempotents"]) == (48046, 429)
 
