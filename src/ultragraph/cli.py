@@ -13,9 +13,9 @@ from __future__ import annotations
 import argparse
 import functools
 import itertools
-import json
 import random
 import sys
+from json.encoder import encode_basestring_ascii
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .analysis import (
@@ -609,6 +609,40 @@ def _render_text(report: Dict) -> str:
     return "\n".join(lines)
 
 
+def _json(obj, pad: str = "\n") -> str:
+    """The text of json.dumps(obj, indent=2, sort_keys=True), byte for byte,
+    for the values a report holds: dicts with str keys, lists, tuples, str,
+    bool, None and int.  Any other type raises TypeError, as json.dumps
+    does; _check turns every other detail value into a string.  The
+    standard encoder falls back to its pure-Python loop whenever it
+    indents, so this renders directly, with strings and keys escaped by
+    the C encode_basestring_ascii.  pad is the newline and indent of the
+    enclosing level."""
+    if type(obj) is str:
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if type(obj) is int:
+        return int.__repr__(obj)
+    inner = pad + "  "
+    if type(obj) is dict:
+        if not obj:
+            return "{}"
+        items = [
+            encode_basestring_ascii(k) + ": " + _json(obj[k], inner) for k in sorted(obj)
+        ]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if type(obj) is list or type(obj) is tuple:
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + pad + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -636,7 +670,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if summary is not None:
         report["summary"] = summary
     if args.format == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
     else:
         print(_render_text(report))
     return 0 if all(c["pass"] for c in checks) else 1

@@ -14,7 +14,7 @@ vertices, then sorted edges with sorted ranges, so parse and emit round-trip.
 from __future__ import annotations
 
 import re
-from typing import Dict, List, Tuple
+from typing import Dict, FrozenSet, Set
 
 from .core import Ultragraph
 
@@ -28,68 +28,89 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _check_name(num: int, kind: str, name: str) -> str:
+def _check_name(num: int, kind: str, name: str) -> None:
     if not _NAME.match(name):
         raise ParseError(num, f"bad {kind} name '{name}'")
-    return name
 
 
 def parse(text: str) -> Ultragraph:
-    vertices: List[str] = []
-    seen_vertices: set = set()
-    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+    """One pass per line, splitting it into tokens once.  Only LF, CR LF
+    and CR end a line, the line ends text-mode universal newlines know, so
+    a form feed or U+2028 inside a comment stays in it.  A name already
+    declared passed the name check on its own line, so only new names are
+    matched against the pattern; the checks still fail in the order the
+    line reads: duplicate or bad name, then unknown references, then a
+    repeated range vertex."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    seen: Set[str] = set()
+    source: Dict[str, str] = {}
+    ranges: Dict[str, FrozenSet[str]] = {}
     header_seen = False
-    for num, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    for num, raw in enumerate(text.split("\n"), start=1):
+        tokens = raw.partition("#")[0].split()
+        if not tokens:
             continue
         if not header_seen:
-            if line != HEADER:
+            if tokens != [HEADER]:
+                line = raw.partition("#")[0].strip()
                 raise ParseError(num, f"expected header '{HEADER}', got '{line}'")
             header_seen = True
             continue
-        tokens = line.split()
-        if tokens[0] == "vertex":
-            if len(tokens) != 2:
-                raise ParseError(num, "vertex lines take exactly one name")
-            name = _check_name(num, "vertex", tokens[1])
-            if name in seen_vertices:
-                raise ParseError(num, f"duplicate vertex '{name}'")
-            seen_vertices.add(name)
-            vertices.append(name)
-        elif tokens[0] == "edge":
+        head = tokens[0]
+        if head == "edge":
             if len(tokens) < 5 or tokens[3] != "{" or tokens[-1] != "}":
                 raise ParseError(
                     num, "edge lines look like: edge <name> <source> { <vertex>... }"
                 )
-            name = _check_name(num, "edge", tokens[1])
-            if name in edges:
+            name, src = tokens[1], tokens[2]
+            if name in source:
                 raise ParseError(num, f"duplicate edge '{name}'")
-            src = _check_name(num, "vertex", tokens[2])
-            if src not in seen_vertices:
+            _check_name(num, "edge", name)
+            if src not in seen:
+                _check_name(num, "vertex", src)
                 raise ParseError(num, f"edge '{name}' has unknown source '{src}'")
             rng = tokens[4:-1]
             if not rng:
                 raise ParseError(num, f"edge '{name}' has an empty range")
-            for w in rng:
-                _check_name(num, "vertex", w)
-                if w not in seen_vertices:
-                    raise ParseError(num, f"edge '{name}' has unknown range vertex '{w}'")
-            if len(set(rng)) != len(rng):
+            if not seen.issuperset(rng):
+                for w in rng:
+                    if w not in seen:
+                        _check_name(num, "vertex", w)
+                        raise ParseError(
+                            num, f"edge '{name}' has unknown range vertex '{w}'"
+                        )
+            members = frozenset(rng)
+            if len(members) != len(rng):
                 raise ParseError(num, f"edge '{name}' repeats a range vertex")
-            edges[name] = (src, tuple(rng))
+            source[name] = src
+            ranges[name] = members
+        elif head == "vertex":
+            if len(tokens) != 2:
+                raise ParseError(num, "vertex lines take exactly one name")
+            name = tokens[1]
+            if name in seen:
+                raise ParseError(num, f"duplicate vertex '{name}'")
+            _check_name(num, "vertex", name)
+            seen.add(name)
         else:
-            raise ParseError(num, f"unknown directive '{tokens[0]}'")
+            raise ParseError(num, f"unknown directive '{head}'")
     if not header_seen:
         raise ParseError(1, f"missing header '{HEADER}'")
-    if not vertices:
+    if not seen:
         raise ParseError(1, "an ultragraph needs at least one vertex")
-    return Ultragraph.build(vertices, edges)
+    return Ultragraph(
+        vertices=frozenset(seen), edges=frozenset(source), source=source, range=ranges
+    )
 
 
 def parse_file(path: str) -> Ultragraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse(fh.read())
+    """Reads the file as UTF-8; a leading byte order mark, and only a
+    leading one, is dropped."""
+    # one read of the whole file needs no buffer object
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.read()
+    return parse(data.decode("utf-8-sig"))
 
 
 def emit(g: Ultragraph) -> str:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from typing import Dict, List, Optional, Tuple
 
 import pytest
@@ -15,6 +16,7 @@ from ultragraph import (
     GroupoidElement,
     LassoPath,
     LatticeG0,
+    ParseError,
     SGElement,
     SizeLimitError,
     Ultragraph,
@@ -111,6 +113,73 @@ def ring_ultragraph(n: int, seed: int = 0) -> Ultragraph:
         src = rng.choice(vs)
         edges[f"x{j}"] = (src, tuple(rng.sample(vs, min(3, n))))
     return Ultragraph.build(vs, edges)
+
+
+_ORACLE_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
+
+
+def parse_by_splitlines(text: str) -> Ultragraph:
+    """The parser as it was before the one-pass rewrite: each check in its
+    own loop over the line's tokens, every name matched against the
+    pattern, the graph made by Ultragraph.build.  Its lines end only at
+    LF, CR LF and CR, as in text-mode universal newlines, where
+    str.splitlines would also break at a form feed or U+2028."""
+
+    def check_name(num: int, kind: str, name: str) -> str:
+        if not _ORACLE_NAME.match(name):
+            raise ParseError(num, f"bad {kind} name '{name}'")
+        return name
+
+    vertices: List[str] = []
+    seen_vertices: set = set()
+    edges: Dict[str, Tuple[str, Tuple[str, ...]]] = {}
+    header_seen = False
+    for num, raw in enumerate(re.split(r"\r\n|\r|\n", text), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if not header_seen:
+            if line != "ultragraph":
+                raise ParseError(num, f"expected header 'ultragraph', got '{line}'")
+            header_seen = True
+            continue
+        tokens = line.split()
+        if tokens[0] == "vertex":
+            if len(tokens) != 2:
+                raise ParseError(num, "vertex lines take exactly one name")
+            name = check_name(num, "vertex", tokens[1])
+            if name in seen_vertices:
+                raise ParseError(num, f"duplicate vertex '{name}'")
+            seen_vertices.add(name)
+            vertices.append(name)
+        elif tokens[0] == "edge":
+            if len(tokens) < 5 or tokens[3] != "{" or tokens[-1] != "}":
+                raise ParseError(
+                    num, "edge lines look like: edge <name> <source> { <vertex>... }"
+                )
+            name = check_name(num, "edge", tokens[1])
+            if name in edges:
+                raise ParseError(num, f"duplicate edge '{name}'")
+            src = check_name(num, "vertex", tokens[2])
+            if src not in seen_vertices:
+                raise ParseError(num, f"edge '{name}' has unknown source '{src}'")
+            rng = tokens[4:-1]
+            if not rng:
+                raise ParseError(num, f"edge '{name}' has an empty range")
+            for w in rng:
+                check_name(num, "vertex", w)
+                if w not in seen_vertices:
+                    raise ParseError(num, f"edge '{name}' has unknown range vertex '{w}'")
+            if len(set(rng)) != len(rng):
+                raise ParseError(num, f"edge '{name}' repeats a range vertex")
+            edges[name] = (src, tuple(rng))
+        else:
+            raise ParseError(num, f"unknown directive '{tokens[0]}'")
+    if not header_seen:
+        raise ParseError(1, "missing header 'ultragraph'")
+    if not vertices:
+        raise ParseError(1, "an ultragraph needs at least one vertex")
+    return Ultragraph.build(vertices, edges)
 
 
 def brute_adjacency(g: Ultragraph) -> Dict[str, Tuple[str, ...]]:

@@ -2,7 +2,7 @@
 one-line change to a rule it is meant to pin?
 
 Each mutant replaces one exact piece of text in one module of
-src/ultragraph.  The script copies src/, tests/, fixtures/ and
+src/ultragraph.  The script copies src/, tests/, fixtures/, ugbench/ and
 pyproject.toml to a temporary directory, checks that the covering tests
 pass there unmutated, then applies each mutant in turn, runs its covering
 test files with pytest -x and restores the module.  A mutant is killed
@@ -38,6 +38,7 @@ SEMIGROUP_TESTS = ("tests/test_semigroup.py",)
 GROUPOID_TESTS = ("tests/test_groupoid.py", "tests/test_acceptance.py")
 ANALYSIS_TESTS = ("tests/test_analysis.py",)
 CLI_TESTS = ("tests/test_cli.py",)
+FILEFORMAT_TESTS = ("tests/test_fileformat.py",)
 
 
 class Mutant(NamedTuple):
@@ -926,6 +927,98 @@ MUTANTS = (
         CLI_TESTS,
     ),
     Mutant(
+        "render: drop the key sort",
+        "cli.py",
+        "_json(obj[k], inner) for k in sorted(obj)",
+        "_json(obj[k], inner) for k in obj",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "render: an empty dict as an open pair of braces",
+        "cli.py",
+        'return "{}"',
+        'return "{" + pad + "}"',
+        CLI_TESTS,
+    ),
+    Mutant(
+        "render: let bools reach int.__repr__",
+        "cli.py",
+        'if obj is True:\n        return "true"\n    if obj is False:\n'
+        '        return "false"\n    if type(obj) is int:',
+        "if isinstance(obj, int):",
+        CLI_TESTS,
+    ),
+    Mutant(
+        "render: indent every level by the same pad",
+        "cli.py",
+        'inner = pad + "  "',
+        'inner = "\\n  "',
+        CLI_TESTS,
+    ),
+    Mutant(
+        "parse: skip the name check on an undeclared range vertex",
+        "fileformat.py",
+        '_check_name(num, "vertex", w)',
+        "pass",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: skip the name check on an undeclared source",
+        "fileformat.py",
+        '_check_name(num, "vertex", src)',
+        "pass",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: skip the edge name check",
+        "fileformat.py",
+        '_check_name(num, "edge", name)',
+        "pass",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: accept a header line with trailing tokens",
+        "fileformat.py",
+        "if tokens != [HEADER]:",
+        "if tokens[0] != HEADER:",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: drop the repeat test",
+        "fileformat.py",
+        "if len(members) != len(rng):",
+        "if False:",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: trust a range without walking it",
+        "fileformat.py",
+        "if not seen.issuperset(rng):",
+        "if False:",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: split on splitlines() again",
+        "fileformat.py",
+        'enumerate(text.split("\\n"), start=1)',
+        "enumerate(text.splitlines(), start=1)",
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse: leave a lone CR inside its line",
+        "fileformat.py",
+        'text.replace("\\r\\n", "\\n").replace("\\r", "\\n")',
+        'text.replace("\\r\\n", "\\n")',
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
+        "parse_file: keep a leading byte order mark",
+        "fileformat.py",
+        'data.decode("utf-8-sig")',
+        'data.decode("utf-8")',
+        FILEFORMAT_TESTS,
+    ),
+    Mutant(
         "LassoPath: skip canonicalization",
         "paths.py",
         "tuple.__new__(cls, _canonical(tuple(prefix), tuple(cycle)))",
@@ -963,7 +1056,7 @@ def main(argv: Tuple[str, ...]) -> int:
     with tempfile.TemporaryDirectory(prefix="ug-mutants-") as tmp:
         root = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests", "fixtures"):
+        for name in ("src", "tests", "fixtures", "ugbench"):
             shutil.copytree(REPO / name, root / name, ignore=ignore)
         shutil.copy2(REPO / "pyproject.toml", root / "pyproject.toml")
         pkg = root / "src" / "ultragraph"

@@ -10,11 +10,12 @@ import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ultragraph.cli as cli
@@ -292,6 +293,18 @@ def test_parse_error_exits_two(tmp_path, capsys):
     assert code == 2
     assert "unknown source" in err
     assert out == ""
+
+
+def test_file_encodings(tmp_path, capsys):
+    """A leading byte order mark is dropped; bytes that are not UTF-8 exit 2."""
+    path = tmp_path / "g.ug"
+    path.write_bytes(b"\xef\xbb\xbf" + Path(GX).read_bytes())
+    code, out, err = run(["validate", GX], capsys)
+    assert run(["validate", str(path)], capsys) == (code, out.replace(GX, str(path)), err)
+    path.write_bytes("ultragraph\nvertex caf\xe9\n".encode("latin-1"))
+    code, out, err = run(["validate", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: 'utf-8' codec can't decode byte 0xe9 in position 21")
 
 
 def test_missing_file_exits_two(capsys):
@@ -1270,6 +1283,65 @@ _DAMAGED_LINES = (
 )
 
 
+def json_oracle(obj):
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+# the value types a report may hold, and so all that cli._json renders
+_REPORT_TYPES = (dict, list, tuple, str, bool, int, type(None))
+
+
+def _assert_renderable(obj):
+    assert type(obj) in _REPORT_TYPES, type(obj)
+    if type(obj) is dict:
+        for k, v in obj.items():
+            assert type(k) is str, type(k)
+            _assert_renderable(v)
+    elif type(obj) in (list, tuple):
+        for v in obj:
+            _assert_renderable(v)
+
+
+_AWKWARD_CHARACTERS = st.sampled_from(
+    ['"', "\\", "/", "\x00", "\x1f", "\x7f", "\n", "\r", "\t", "\x85", "\u2028", "\ufeff"]
+    + ["\ud800", "\udbff", "\udc00", "\udfff", "\u00e9", "\u4e2d", "\U0001f600"]
+)
+_TEXT = st.text(_AWKWARD_CHARACTERS | st.characters(), max_size=8)
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([0, -1, 2**63, -(2**63) - 1, -(10**40)])
+    | _TEXT,
+    lambda children: st.lists(children, max_size=4)
+    | st.lists(children, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, children, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(obj=_JSON_VALUES)
+@example({})
+@example([[], (), {}])
+@example({"a": {}, "b": [], "c": [{}, [[]], ()]})
+@example(["\ud800", "\udfff\ud800", "\x00\x1f\x7f", '"\\/', "caf\u00e9 \u2028 \U0001f600"])
+@example({"": None, "\u00e9": True, "\ud834": False, "B": -(10**30), "a": 0})
+@example([True, False, 1, 0, -1])
+def test_render_matches_json_dumps(obj):
+    assert cli._json(obj) == json_oracle(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, float("nan"), {1, 2}, b"x", object(), {"a": [0.0]}, {1: "a"}, {None: 1}, 1j],
+    ids=["float", "nan", "set", "bytes", "object", "nested float", "int key", "None key", "complex"],
+)
+def test_render_refuses_every_other_type(obj):
+    with pytest.raises(TypeError):
+        cli._json(obj)
+
+
 @st.composite
 def _cli_requests(draw):
     """A small graph file, with or without sinks and one time in four with
@@ -1304,23 +1376,37 @@ def _run_quiet(argv):
 @given(request=_cli_requests())
 def test_cli_contract_holds_on_small_inputs(request, tmp_path_factory):
     """Exit 0 when every check passes, 1 when one fails, 2 with an error on
-    stderr and nothing on stdout; the JSON report is pinned to timing_ms 0
-    and a second run prints the same bytes."""
+    stderr and nothing on stdout; the JSON report is pinned to timing_ms 0,
+    holds only the renderer's types, prints as json.dumps prints it, and a
+    second run prints the same bytes."""
     text, command, flags = request
     path = tmp_path_factory.getbasetemp() / "cli_contract.ug"
     path.write_text(text)
     argv = [command, str(path), "--format", "json"] + flags
-    first = _run_quiet(argv)
+    render = cli._json
+    reports = []
+
+    def spy(obj, pad="\n"):
+        if pad == "\n":
+            reports.append(obj)
+        return render(obj, pad)
+
+    with mock.patch.object(cli, "_json", spy):
+        first = _run_quiet(argv)
     code, out, err = first
     assert code in (0, 1, 2)
     if code == 2:
         assert out == "" and err.startswith("error: ")
+        assert reports == []
     else:
         assert err == ""
         doc = json.loads(out)
         assert doc["command"] == command and doc["timing_ms"] == 0
         assert doc["checks"]
         assert code == (0 if all(c["pass"] for c in doc["checks"]) else 1)
+        (report,) = reports
+        _assert_renderable(report)
+        assert out == json_oracle(report) + "\n"
     assert _run_quiet(argv) == first
 
 
