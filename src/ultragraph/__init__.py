@@ -39,7 +39,7 @@ from .core import (
     validate,
 )
 from .fileformat import ParseError, emit, emit_file, parse, parse_file
-from .fixtures import FIXTURES, gw, gx, gy
+from .fixtures import gw, gx, gy
 from .groupoid import (
     CheckReport,
     CheckResult,
@@ -53,7 +53,6 @@ from .groupoid import (
     check_groupoid_laws,
     check_hausdorff,
     check_orbit_density,
-    check_set_identities,
     ck_family,
     compose,
     cylinder_member,
@@ -79,7 +78,6 @@ from .paths import (
     lasso_source,
     make_lasso,
     make_path,
-    shift,
     shift_n,
     strip_lasso,
     unroll,

@@ -324,8 +324,9 @@ class StructureReport:
 
 
 def simplicity_verdict(g: Ultragraph, bound: Optional[int] = None) -> StructureReport:
-    """Conservative verdict: SimpleByThm when condition (K), cofinality and
-    the vacuous side condition all hold, NotCoveredByThm otherwise.  The
+    """Conservative verdict: SimpleByThm when condition (K) and cofinality
+    hold, NotCoveredByThm otherwise; the side condition on infinite
+    emitters holds vacuously (condition_2), so it adds no reason.  The
     negative verdict never claims non-simplicity, it only lists which
     hypotheses failed."""
     require_no_sinks(g, "simplicity verdict")
@@ -339,8 +340,6 @@ def simplicity_verdict(g: Ultragraph, bound: Optional[int] = None) -> StructureR
     if not cof.cofinal:
         v, cyc = cof.counterexample
         reasons.append(f"not cofinal: vertex {v} misses cycle {''.join(cyc)}")
-    if not c2:
-        reasons.append("side condition on infinite emitters fails")
     verdict = "SimpleByThm" if not reasons else "NotCoveredByThm"
     return StructureReport(
         condition_k=k,

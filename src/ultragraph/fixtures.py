@@ -34,6 +34,3 @@ def gw() -> Ultragraph:
             "q": ("b", ("b",)),
         },
     )
-
-
-FIXTURES = {"gx": gx, "gy": gy, "gw": gw}

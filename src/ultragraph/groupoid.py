@@ -305,8 +305,12 @@ def _check_word_budget(g: Ultragraph, depth: int) -> None:
     time, before any word is built; past 200,000 words raise
     SizeLimitError.  The graph has no sinks, so every word extends and no
     level has fewer words than the one before: the count may stop at the
-    first level past the limit.  It bounds every cylinder's words too."""
+    first level past the limit.  It bounds every cylinder's words too.
+    Refinement builds one level per edge of depth, so a depth past the
+    limit raises too, even where the words do not multiply."""
     max_count = 200_000
+    if depth > max_count:
+        raise SizeLimitError(f"depth-{depth} refinement exceeded max_count={max_count} levels")
     for n, level in enumerate(word_levels(g), 1):
         if sum(level.values()) > max_count:
             raise SizeLimitError(
@@ -561,50 +565,6 @@ def verify_ck(g: Ultragraph, depth: int = 2, max_size: int = 4096) -> CheckRepor
     return check_family(g, ck_family(g, max_size), depth, max_size)
 
 
-def check_set_identities(g: Ultragraph, depths: Iterable[int]) -> CheckReport:
-    """Refinement-level laws of the unit-space slices: binary meets and
-    joins match set intersection and union of refinements, and a set's
-    slice splits over the edges it emits (there are no finite boundary
-    points to add on a finite graph).  The meets read the pairs (A, U - {v})
-    for U the vertex set: they give words(A) <= words(U - {v}) <= words(U),
-    and B = (B + v) n (U - {v}) for v not in B, so by induction on |U - B|
-    every pair holds.  The joins read each set's split, as check_family.
-    As _word_masks ORs a length-zero base's vertex masks, join_identity
-    holds by construction on those bases; meet_identity still tests that
-    the vertex cylinders are disjoint, and edge_cover tests the OR route
-    against the edge bases, refined one by one."""
-    lat = generate_lattice(g)
-    require_no_sinks(g, "set identity checks")
-    cuts = [(g.vertices - {v}, (len(lat) - 1) ^ 1 << k) for k, v in enumerate(g.vertices_sorted())]
-    entries: List[CheckResult] = []
-    for depth in depths:
-        words_of, fmt_mask = _word_masks(g, depth)
-        # the word mask of each set, indexed by its vertex mask
-        words_at = [0] * len(lat)
-        for A, m in zip(lat.sets, lat.masks):
-            words_at[m] = words_of(Ultrapath((), A))
-        bad_meet = [
-            f"{format_set(A)} ^ {format_set(B)}"
-            for A, a in zip(lat.sets, lat.masks)
-            for B, b in cuts
-            if words_at[a & b] != words_at[a] & words_at[b]
-        ]
-        bad_cover: List[str] = []
-        for A, m in zip(lat.sets, lat.masks):
-            cover = 0
-            for e in sorted(emitted_edges(g, A)):
-                cover |= words_of(Ultrapath((e,), g.range[e]))
-            if cover != words_at[m]:
-                bad_cover.append(format_set(A))
-        for name, bad in (
-            ("meet_identity", bad_meet),
-            ("join_identity", _split_failures(g, words_at, fmt_mask)),
-            ("edge_cover", bad_cover),
-        ):
-            entries.append(CheckResult(f"{name}_depth_{depth}", not bad, tuple(bad[:8])))
-    return CheckReport(entries=tuple(entries))
-
-
 def build_elements(
     g: Ultragraph,
     witness_len: int,
@@ -621,9 +581,9 @@ def build_elements(
     terminal(z), in sorted order.  Range-matched x and y share a terminal,
     so their lists run over the same lassos in the same order, and zipping
     them gives exactly the pair's matches.  Each distinct element then
-    runs the tail test once, in groupoid_element; it cannot fail, since
-    shift^|x|(x.mu) = mu = shift^|y|(y.mu).  The elements come sorted as
-    (left, lag, right) tuples; past max_count it raises SizeLimitError."""
+    needs no tail test, since shift^|x|(x.mu) = mu = shift^|y|(y.mu).  The
+    elements come sorted as (left, lag, right) tuples; past max_count it
+    raises SizeLimitError."""
     check_lasso_bounds(prefix_bound, cycle_bound)
     if witness_len < 0:
         raise ValueError("witness_len must be nonnegative")
@@ -644,7 +604,7 @@ def build_elements(
         out.update(zip(points[x], itertools.repeat(x.length - y.length), points[y]))
         if len(out) > max_count:
             raise SizeLimitError(f"element build exceeded max_count={max_count}")
-    return tuple(groupoid_element(g, *t) for t in sorted(out))
+    return tuple(tuple.__new__(GroupoidElement, t) for t in sorted(out))
 
 
 class _PointTable:

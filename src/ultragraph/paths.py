@@ -39,10 +39,6 @@ class Ultrapath(NamedTuple):
     def length(self) -> int:
         return len(self.word)
 
-    @property
-    def range(self) -> VSet:
-        return self.terminal
-
     def __str__(self) -> str:
         if not self.word:
             return format_set(self.terminal)
@@ -309,11 +305,6 @@ def unroll(x: LassoPath, n: int) -> Tuple[Edge, ...]:
 def _canonical_lasso(prefix: Tuple[Edge, ...], cycle: Tuple[Edge, ...]) -> LassoPath:
     """A LassoPath from fields already in canonical form, set directly."""
     return tuple.__new__(LassoPath, (prefix, cycle))
-
-
-def shift(x: LassoPath) -> LassoPath:
-    """Drop the first edge."""
-    return shift_n(x, 1)
 
 
 def shift_n(x: LassoPath, n: int) -> LassoPath:

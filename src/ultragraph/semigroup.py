@@ -11,14 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .core import SizeLimitError, Ultragraph, VSet, set_key
 from .paths import (
     LassoPath,
     Ultrapath,
+    _counted_paths,
     concat,
-    enumerate_paths,
     initial_segment,
     strip_lasso,
 )
@@ -213,21 +213,24 @@ def _leq_by_shape(g: Ultragraph, e: SGElement, f: SGElement) -> bool:
 def generate_elements(
     g: Ultragraph, max_len: int, max_count: int = 200_000
 ) -> List[SGElement]:
-    """The zero plus every range-matched pair of ultrapaths up to max_len."""
-    paths = enumerate_paths(g, max_len, max_count=max_count)
-    by_range = {}
-    for p in paths:
-        by_range.setdefault(p.terminal, []).append(p)
+    """The zero plus every range-matched pair of ultrapaths up to max_len.
+
+    A terminal shared by n paths gives n^2 pairs, so a path drawn with k
+    before it in its terminal's group adds 2k + 1 of them: the pairs are
+    counted as the paths are drawn, and past max_count it raises
+    SizeLimitError before the rest are built."""
+    by_range: Dict[VSet, List[Ultrapath]] = {}
+    count = 1
+    for p in _counted_paths(g, max_len, max_count)[1]:
+        group = by_range.setdefault(p.terminal, [])
+        count += 2 * len(group) + 1
+        if count > max_count:
+            raise SizeLimitError(f"element generation exceeded max_count={max_count}")
+        group.append(p)
     out: List[SGElement] = [OMEGA]
     for terminal in sorted(by_range, key=set_key):
         group = by_range[terminal]
-        for x in group:
-            for y in group:
-                out.append(_new(SGElement, (x, y)))
-                if len(out) > max_count:
-                    raise SizeLimitError(
-                        f"element generation exceeded max_count={max_count}"
-                    )
+        out.extend(_new(SGElement, (x, y)) for x in group for y in group)
     return out
 
 

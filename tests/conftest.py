@@ -8,6 +8,7 @@ from typing import Dict, List, Optional, Tuple
 
 import pytest
 
+import ultragraph.groupoid as groupoid_module
 from ultragraph import (
     OMEGA,
     CheckReport,
@@ -25,6 +26,7 @@ from ultragraph import (
     compose,
     concat_lasso,
     edge_adjacency,
+    emitted_edges,
     enumerate_lassos,
     format_set,
     generate_elements,
@@ -557,6 +559,53 @@ def join_failures_by_sets(sets, masks, fmt_mask) -> List[str]:
                     f"{fmt_mask(lhs)} != {fmt_mask(rhs)}"
                 )
     return bad
+
+
+def check_set_identities(g: Ultragraph, depths) -> CheckReport:
+    """Oracle of groupoid._word_masks' vertex-OR route and of
+    groupoid._split_failures, by the refinement-level laws of the
+    unit-space slices, which the semilattice of S_G settles: binary meets
+    and joins match set intersection and union of refinements, and a
+    set's slice splits over the edges it emits (there are no finite
+    boundary points to add on a finite graph).  The meets read the pairs
+    (A, U - {v}) for U the vertex set: they give words(A) <= words(U - {v})
+    <= words(U), and B = (B + v) n (U - {v}) for v not in B, so by
+    induction on |U - B| every pair holds.  The joins read each set's
+    split, as check_family.  As _word_masks ORs a length-zero base's
+    vertex masks, join_identity holds by construction on those bases;
+    meet_identity still tests that the vertex cylinders are disjoint, and
+    edge_cover tests the OR route against the edge bases, refined one by
+    one.  _word_masks is read off the module, so a test can patch it."""
+    lat = generate_lattice(g)
+    require_no_sinks(g, "set identity checks")
+    cuts = [(g.vertices - {v}, (len(lat) - 1) ^ 1 << k) for k, v in enumerate(g.vertices_sorted())]
+    entries: List[CheckResult] = []
+    for depth in depths:
+        words_of, fmt_mask = groupoid_module._word_masks(g, depth)
+        # the word mask of each set, indexed by its vertex mask
+        words_at = [0] * len(lat)
+        for A, m in zip(lat.sets, lat.masks):
+            words_at[m] = words_of(Ultrapath((), A))
+        bad_meet = [
+            f"{format_set(A)} ^ {format_set(B)}"
+            for A, a in zip(lat.sets, lat.masks)
+            for B, b in cuts
+            if words_at[a & b] != words_at[a] & words_at[b]
+        ]
+        bad_cover: List[str] = []
+        for A, m in zip(lat.sets, lat.masks):
+            cover = 0
+            for e in sorted(emitted_edges(g, A)):
+                cover |= words_of(Ultrapath((e,), g.range[e]))
+            if cover != words_at[m]:
+                bad_cover.append(format_set(A))
+        for name, bad in (
+            ("meet_identity", bad_meet),
+            ("join_identity", groupoid_module._split_failures(g, words_at, fmt_mask)),
+            ("edge_cover", bad_cover),
+        ):
+            entries.append(CheckResult(f"{name}_depth_{depth}", not bad, tuple(bad[:8])))
+    return CheckReport(entries=tuple(entries))
 
 
 def meet_identity_failures_by_sets(sets, words_of) -> List[str]:

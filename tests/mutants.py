@@ -374,6 +374,20 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
+        "_check_word_budget: drop the depth guard",
+        "groupoid.py",
+        "if depth > max_count:",
+        "if False:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
+        "_check_word_budget: refuse a depth at the limit",
+        "groupoid.py",
+        "if depth > max_count:",
+        "if depth >= max_count:",
+        GROUPOID_TESTS,
+    ),
+    Mutant(
         "_word_masks: count words one edge short",
         "groupoid.py",
         "if n >= depth:",
@@ -570,11 +584,25 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_set_identities: read the meet's words at the union's mask",
+        "_word_masks: meet the vertex masks of a length-zero base",
         "groupoid.py",
-        "if words_at[a & b] != words_at[a] & words_at[b]",
-        "if words_at[a | b] != words_at[a] & words_at[b]",
+        "functools.reduce(operator.or_, map(vertex_words",
+        "functools.reduce(operator.and_, map(vertex_words",
         GROUPOID_TESTS,
+    ),
+    Mutant(
+        "generate_elements: count 2k pairs, not 2k + 1, per drawn path",
+        "semigroup.py",
+        "count += 2 * len(group) + 1",
+        "count += 2 * len(group)",
+        SEMIGROUP_TESTS,
+    ),
+    Mutant(
+        "generate_elements: count the pairs from zero, leaving the zero out",
+        "semigroup.py",
+        "    count = 1\n",
+        "    count = 0\n",
+        SEMIGROUP_TESTS,
     ),
     Mutant(
         "product: key the shared idempotent on w's set",
@@ -612,10 +640,10 @@ MUTANTS = (
         GROUPOID_TESTS,
     ),
     Mutant(
-        "check_set_identities: cut only the first vertex",
+        "_cylinder_words: let the first edge leave any vertex",
         "groupoid.py",
-        "for k, v in enumerate(g.vertices_sorted())]",
-        "for k, v in enumerate(g.vertices_sorted()[:1])]",
+        "ok_sources = base.terminal - blocked",
+        "ok_sources = g.vertices - blocked",
         GROUPOID_TESTS,
     ),
     Mutant(

@@ -20,7 +20,6 @@ from ultragraph import (
     check_groupoid_laws,
     check_hausdorff,
     check_orbit_density,
-    check_set_identities,
     check_singular_equivalence,
     ck_family,
     condition_K,
@@ -49,6 +48,7 @@ from ultragraph import (
 from ultragraph.cli import main as cli_main
 
 from conftest import (
+    check_set_identities,
     closure_lattice,
     cofinal_by_lassos,
     cofinal_by_lassos_full,

@@ -441,8 +441,14 @@ def test_element_overflow_is_a_failed_size_limit_check(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ck", GX, "--depth", "60"], ["skew", GX, "--window", "300000"]],
-    ids=["ck depth", "skew window"],
+    [
+        ["ck", GX, "--depth", "60"],
+        ["skew", GX, "--window", "300000"],
+        ["ck", GY, "--depth", "200001"],
+        ["semigroup", GY, "--max-len", "8000"],
+        ["groupoid", GY, "--witness-len", "8000"],
+    ],
+    ids=["ck depth", "skew window", "ck depth on one loop", "semigroup length", "witness length"],
 )
 def test_depth_and_window_guards_fail_fast(argv, capsys):
     code, out, err = run(argv + ["--format", "json"], capsys)

@@ -29,7 +29,6 @@ from ultragraph import (
     check_groupoid_laws,
     check_hausdorff,
     check_orbit_density,
-    check_set_identities,
     ck_family,
     compose,
     concat_lasso,
@@ -56,6 +55,7 @@ from ultragraph import (
 )
 
 from conftest import (
+    check_set_identities,
     ck_meet_failures_by_pivots,
     ck_meet_failures_by_sets,
     cylinder_words_by_levels,
@@ -985,8 +985,9 @@ def test_build_elements_match_the_pair_oracle(g_branch, g_loop, g_split):
 
 def test_element_build_concatenates_once_per_point(g_branch, monkeypatch):
     """One concat_lasso per listed coordinate and lasso in its terminal,
-    and one groupoid_element per returned element; the pair loop made 64
-    and 8,760 concat_lasso calls on these two samples."""
+    and no groupoid_element, whose tail test cannot fail on a built
+    element; the pair loop made 64 and 8,760 concat_lasso calls on these
+    two samples."""
     calls = {"concat_lasso": 0, "groupoid_element": 0}
 
     def counted(name):
@@ -1000,11 +1001,12 @@ def test_element_build_concatenates_once_per_point(g_branch, monkeypatch):
 
     counted("concat_lasso")
     counted("groupoid_element")
-    for g, want in ((g_branch, (18, 14)), (ring_ultragraph(3), (1_020, 1_440))):
+    for g, concats, size in ((g_branch, 18, 14), (ring_ultragraph(3), 1_020, 1_440)):
         calls.update(dict.fromkeys(calls, 0))
         els = build_elements(g, 1, 1, 2)
-        assert (calls["concat_lasso"], calls["groupoid_element"]) == want
-        assert len(els) == want[1]
+        assert (calls["concat_lasso"], calls["groupoid_element"]) == (concats, 0)
+        assert len(els) == size
+        assert all(type(a) is GroupoidElement for a in els)
 
 
 def test_element_budgets_raise_size_limit(g_branch):
@@ -1055,6 +1057,27 @@ def test_word_budget_fires_before_any_word_is_built(g_branch, monkeypatch):
     with pytest.raises(SizeLimitError, match="depth-60 refinement"):
         check_set_identities(g_branch, [60])
     assert built == []
+
+
+def test_depth_budget_fires_before_any_level(g_loop, g_split, monkeypatch):
+    """On GY and GW the words do not multiply, so no level passes the word
+    budget; but refinement builds one level per edge of depth, so a depth
+    past 200,000 refuses before any level is counted, and 200,000 itself
+    is let through."""
+    real = groupoid_module.word_levels
+    walked = []
+    monkeypatch.setattr(groupoid_module, "word_levels", lambda g: walked.append(g) or real(g))
+    for g in (g_loop, g_split):
+        with pytest.raises(SizeLimitError, match="max_count=200000 levels"):
+            groupoid_module._word_masks(g, 200_001)
+        with pytest.raises(SizeLimitError, match="^depth-200001 refinement exceeded"):
+            verify_ck(g, 200_001)
+        d = CylinderSet(base=vertex_path(g.vertices))
+        with pytest.raises(SizeLimitError, match="depth-200001 refinement"):
+            refine_words(g, [d], 200_001)
+    assert walked == []
+    groupoid_module._check_word_budget(g_loop, 200_000)
+    assert walked == [g_loop]
 
 
 def test_refine_words_keeps_the_word_budget(g_branch, monkeypatch):

@@ -28,7 +28,6 @@ from ultragraph import (
     lasso_source,
     make_lasso,
     make_path,
-    shift,
     shift_n,
     strip_lasso,
     unroll,
@@ -49,7 +48,7 @@ def fz(*names):
 
 def test_make_path_validates(g_branch):
     p = make_path(g_branch, ("e", "f"), fz("v"))
-    assert p.length == 2 and p.range == fz("v")
+    assert p.length == 2 and p.terminal == fz("v")
     with pytest.raises(ValueError):
         make_path(g_branch, ("f", "e"), fz("v"))  # wrong terminal
     with pytest.raises(ValueError):
@@ -62,9 +61,9 @@ def test_make_path_validates(g_branch):
 
 def test_vertex_and_edge_paths(g_branch):
     a = vertex_path(["w", "v"])
-    assert a.length == 0 and a.range == fz("v", "w")
+    assert a.length == 0 and a.terminal == fz("v", "w")
     e = edge_path(g_branch, "e")
-    assert e.word == ("e",) and e.range == fz("w", "u")
+    assert e.word == ("e",) and e.terminal == fz("w", "u")
 
 
 def test_concat_cases(g_branch):
@@ -285,10 +284,10 @@ def test_lasso_equality_is_unrolled_equality(prefix, cycle, reps):
 )
 def test_shift_matches_unroll(prefix, cycle, n):
     x = LassoPath(prefix, cycle)
-    assert unroll(shift(x), n) == unroll(x, n + 1)[1:]
+    assert unroll(shift_n(x, 1), n) == unroll(x, n + 1)[1:]
     assert unroll(shift_n(x, n), 5) == unroll(x, n + 5)[n:]
-    # shift builds its result without canonicalizing: it must already be canonical
-    for y in (shift(x), shift_n(x, n)):
+    # shift_n builds its result without canonicalizing: it must already be canonical
+    for y in (shift_n(x, 1), shift_n(x, n)):
         again = LassoPath(y.prefix, y.cycle)
         assert (y.prefix, y.cycle) == (again.prefix, again.cycle)
     # the signature: rep is the least rotation, and shifting advances the phase
@@ -360,7 +359,7 @@ def test_make_lasso_validates(g_branch):
 def test_shift_and_source(g_branch):
     x = make_lasso(g_branch, (), ("e", "f"))
     assert lasso_source(g_branch, x) == "v"
-    assert shift(x) == LassoPath((), ("f", "e"))
+    assert shift_n(x, 1) == LassoPath((), ("f", "e"))
     assert shift_n(x, 4) == x
     with pytest.raises(ValueError):
         shift_n(x, -1)

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+import ultragraph.semigroup as semigroup_module
 from ultragraph import (
     OMEGA,
     OMEGA_CHARACTER,
@@ -31,6 +32,7 @@ from ultragraph import (
     star,
     vertex_path,
 )
+from ultragraph.core import set_key
 from ultragraph.semigroup import _leq_by_shape
 
 from conftest import (
@@ -38,6 +40,7 @@ from conftest import (
     idempotent_leq_by_product_shape,
     product_by_rules,
     random_ultragraph,
+    ring_ultragraph,
 )
 
 
@@ -105,6 +108,40 @@ def test_generate_elements_count_and_shape(g_branch):
     # 18 paths fit the budget, their 62 pairs do not
     with pytest.raises(SizeLimitError, match="element generation"):
         generate_elements(g_branch, 2, max_count=30)
+
+
+def test_element_budget_stops_the_path_draw(g_loop, g_branch, monkeypatch):
+    """The pairs are counted as the paths are drawn, 2k + 1 for a path
+    with k before it in its terminal's group.  GY's n + 1 paths up to
+    length n all end in {v}, so past the default 200,000 the draw stops at
+    path 448 (1 + 448^2 > 200,000 >= 1 + 447^2), not after building 8,001
+    paths of up to 8,000 edges.  The budget holds at the exact count
+    1 + the sum of the group sizes squared and fails one below it, and the
+    elements are the zero, then each group's pairs in set_key order."""
+    real = semigroup_module._counted_paths
+    drawn = []
+
+    def counting(*args):
+        count, paths = real(*args)
+        return count, (drawn.append(p) or p for p in paths)
+
+    monkeypatch.setattr(semigroup_module, "_counted_paths", counting)
+    with pytest.raises(SizeLimitError, match="element generation exceeded max_count=200000"):
+        generate_elements(g_loop, 8000)
+    assert len(drawn) == 448
+    for g, n in ((g_loop, 5), (g_branch, 2), (ring_ultragraph(3), 2)):
+        groups = {}
+        for p in enumerate_paths(g, n):
+            groups.setdefault(p.terminal, []).append(p)
+        want = [OMEGA] + [
+            SGElement(x, y)
+            for t in sorted(groups, key=set_key)
+            for x in groups[t]
+            for y in groups[t]
+        ]
+        assert generate_elements(g, n, max_count=len(want)) == want
+        with pytest.raises(SizeLimitError, match=f"max_count={len(want) - 1}$"):
+            generate_elements(g, n, max_count=len(want) - 1)
 
 
 def test_involution_laws(g_branch):
